@@ -4,7 +4,12 @@
 // Runs the same searches with the optimizations on and off and reports
 // optimizer-call counts and advisor runtime. Expected shape: both
 // optimizations together reduce calls by a large factor, with identical
-// recommendations (they are exactness-preserving).
+// recommendations (they are exactness-preserving). Exits non-zero when
+// either part of the shape fails for an algorithm: the full mode must
+// recommend the naive mode's indexes and make strictly the fewest calls.
+
+#include <string>
+#include <vector>
 
 #include "bench/bench_common.h"
 
@@ -34,9 +39,11 @@ int main() {
       {"full SVI-C", true, true},
   };
 
+  bool shape_ok = true;
   for (advisor::SearchAlgorithm algo :
        {advisor::SearchAlgorithm::kGreedyWithHeuristics,
         advisor::SearchAlgorithm::kTopDownFull}) {
+    std::vector<advisor::Recommendation> recs;
     for (const Mode& mode : modes) {
       advisor::AdvisorOptions options;
       options.algorithm = algo;
@@ -49,10 +56,35 @@ int main() {
                   advisor::SearchAlgorithmName(algo), mode.name,
                   static_cast<unsigned long long>(rec.optimizer_calls),
                   rec.advisor_seconds, rec.est_speedup);
+      recs.push_back(std::move(rec));
+    }
+    const advisor::Recommendation& naive = recs.front();
+    const advisor::Recommendation& full = recs.back();
+    std::vector<std::string> naive_ddl;
+    std::vector<std::string> full_ddl;
+    for (const auto& index : naive.indexes) naive_ddl.push_back(index.ddl);
+    for (const auto& index : full.indexes) full_ddl.push_back(index.ddl);
+    if (full_ddl != naive_ddl) {
+      std::printf("FAIL %s: full SVI-C recommends different indexes than"
+                  " naive\n",
+                  advisor::SearchAlgorithmName(algo));
+      shape_ok = false;
+    }
+    for (size_t m = 0; m + 1 < recs.size(); ++m) {
+      if (full.optimizer_calls >= recs[m].optimizer_calls) {
+        std::printf("FAIL %s: full SVI-C makes %llu optimizer calls, %s"
+                    " %llu\n",
+                    advisor::SearchAlgorithmName(algo),
+                    static_cast<unsigned long long>(full.optimizer_calls),
+                    modes[m].name,
+                    static_cast<unsigned long long>(recs[m].optimizer_calls));
+        shape_ok = false;
+      }
     }
   }
   std::printf("\nShape check: the full SVI-C mode needs the fewest optimizer"
-              " calls and\nrecommends configurations of the same quality as"
-              " the naive mode.\n");
-  return 0;
+              " calls and\nrecommends the same indexes as the naive mode:"
+              " %s\n",
+              shape_ok ? "ok" : "FAILED");
+  return shape_ok ? 0 : 1;
 }

@@ -1,8 +1,8 @@
 #include "advisor/benefit.h"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
-#include <set>
 #include <utility>
 
 #include "fault/fault.h"
@@ -11,60 +11,23 @@
 
 namespace xia::advisor {
 
-BenefitCache::Shard& BenefitCache::ShardFor(const std::vector<int>& key) {
-  // FNV-1a over the ids; the key is canonical (sorted) by the time it
-  // reaches the cache, so equal configurations always land on one shard.
+size_t BenefitCache::KeyHash::operator()(const std::vector<int>& key) const {
   uint64_t h = 1469598103934665603ull;
   for (int id : key) {
     h ^= static_cast<uint64_t>(static_cast<uint32_t>(id));
     h *= 1099511628211ull;
   }
-  return shards_[h % kShardCount];
+  return static_cast<size_t>(h);
 }
 
-Result<double> BenefitCache::GetOrCompute(
-    const std::vector<int>& key,
-    const std::function<Result<double>()>& compute) {
-  Shard& shard = ShardFor(key);
-  for (;;) {
-    std::unique_lock<std::mutex> lock(shard.mu);
-    auto it = shard.entries.find(key);
-    if (it == shard.entries.end()) {
-      // First requester: publish a computing entry, evaluate outside the
-      // lock, then flip it to ready (or erase it on failure so waiters
-      // retry — a failure must not poison the key).
-      auto entry = std::make_shared<Entry>();
-      shard.entries.emplace(key, entry);
-      lock.unlock();
-      misses_.fetch_add(1, std::memory_order_relaxed);
-      XIA_OBS_COUNT("xia.advisor.benefit.cache_misses", 1);
-      Result<double> result = compute();
-      lock.lock();
-      if (result.ok()) {
-        entry->state = Entry::State::kReady;
-        entry->value = *result;
-      } else {
-        entry->state = Entry::State::kFailed;
-        shard.entries.erase(key);
-      }
-      lock.unlock();
-      shard.cv.notify_all();
-      return result;
-    }
-    std::shared_ptr<Entry> entry = it->second;
-    if (entry->state == Entry::State::kComputing) {
-      shard.cv.wait(lock, [&] {
-        return entry->state != Entry::State::kComputing;
-      });
-    }
-    if (entry->state == Entry::State::kReady) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      XIA_OBS_COUNT("xia.advisor.benefit.cache_hits", 1);
-      return entry->value;
-    }
-    // The computation we waited on failed and its entry is gone: loop —
-    // this thread may become the computer on the next pass.
-  }
+void BenefitCache::CountHit() {
+  hits_.fetch_add(1, std::memory_order_relaxed);
+  XIA_OBS_COUNT("xia.advisor.benefit.cache_hits", 1);
+}
+
+void BenefitCache::CountMiss() {
+  misses_.fetch_add(1, std::memory_order_relaxed);
+  XIA_OBS_COUNT("xia.advisor.benefit.cache_misses", 1);
 }
 
 // RAII lease of a scratch context from the evaluator's freelist.
@@ -94,6 +57,20 @@ BenefitEvaluator::BenefitEvaluator(const engine::Workload* workload,
       catalog_(catalog),
       optimizer_(store, catalog, statistics),
       options_(options) {
+  size_t statement_count = 0;
+  for (const Candidate& c : set_->candidates) {
+    for (size_t s : c.affected) {
+      statement_count = std::max(statement_count, s + 1);
+    }
+  }
+  affected_words_ = (statement_count + 63) / 64;
+  affected_bits_.assign(set_->size() * affected_words_, 0);
+  for (size_t i = 0; i < set_->size(); ++i) {
+    uint64_t* bits = affected_bits_.data() + i * affected_words_;
+    for (size_t s : (*set_)[i].affected) {
+      bits[s / 64] |= uint64_t{1} << (s % 64);
+    }
+  }
   if (parallel()) {
     // One context per pool worker plus one for the calling thread, so a
     // lease never blocks while a batch is in flight.
@@ -165,13 +142,15 @@ Status BenefitEvaluator::Initialize() {
 
 std::vector<std::vector<int>> BenefitEvaluator::Decompose(
     const std::vector<int>& config) const {
-  if (!options_.use_subconfigurations) return {config};
-  // Union-find over configuration members; union when affected sets
-  // overlap.
   const size_t n = config.size();
+  if (!options_.use_subconfigurations || n == 1) return {config};
+  // Union-find over configuration members; union when affected sets
+  // overlap. The union direction fixes each group's root, and the roots'
+  // order is the order the group benefits are summed in: changing either
+  // changes the floating-point total.
   std::vector<size_t> parent(n);
   std::iota(parent.begin(), parent.end(), 0);
-  std::function<size_t(size_t)> find = [&](size_t x) {
+  auto find = [&](size_t x) {
     while (parent[x] != x) {
       parent[x] = parent[parent[x]];
       x = parent[x];
@@ -179,27 +158,35 @@ std::vector<std::vector<int>> BenefitEvaluator::Decompose(
     return x;
   };
   auto overlap = [&](int a, int b) {
-    const auto& sa = (*set_)[static_cast<size_t>(a)].affected;
-    const auto& sb = (*set_)[static_cast<size_t>(b)].affected;
-    for (size_t x : sa) {
-      if (std::find(sb.begin(), sb.end(), x) != sb.end()) return true;
+    const uint64_t* sa = AffectedBits(a);
+    const uint64_t* sb = AffectedBits(b);
+    for (size_t w = 0; w < affected_words_; ++w) {
+      if (sa[w] & sb[w]) return true;
     }
     return false;
   };
   for (size_t i = 0; i < n; ++i) {
+    size_t root_i = find(i);
     for (size_t j = i + 1; j < n; ++j) {
-      if (overlap(config[i], config[j])) {
-        parent[find(i)] = find(j);
+      // A pair already in one group would union a root with itself: skip
+      // its overlap test.
+      const size_t root_j = find(j);
+      if (root_i != root_j && overlap(config[i], config[j])) {
+        parent[root_i] = root_j;
+        root_i = root_j;
       }
     }
   }
-  std::map<size_t, std::vector<int>> groups;
-  for (size_t i = 0; i < n; ++i) groups[find(i)].push_back(config[i]);
-  std::vector<std::vector<int>> out;
-  out.reserve(groups.size());
-  for (auto& [_, group] : groups) {
-    std::sort(group.begin(), group.end());
-    out.push_back(std::move(group));
+  // Number the groups by ascending root, then deal the members out in
+  // config order (ascending, so each group comes out sorted).
+  std::vector<size_t> group_of(n);
+  size_t groups = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (find(i) == i) group_of[i] = groups++;
+  }
+  std::vector<std::vector<int>> out(groups);
+  for (size_t i = 0; i < n; ++i) {
+    out[group_of[find(i)]].push_back(config[i]);
   }
   return out;
 }
@@ -218,26 +205,34 @@ Result<double> BenefitEvaluator::ComputeSubConfigurationBenefit(
   }
 
   // Statements worth re-optimizing: union of affected sets (or everything
-  // when the pruning is disabled).
-  std::set<size_t> statements;
-  if (options_.use_affected_sets) {
-    for (int id : sub) {
-      const Candidate& c = (*set_)[static_cast<size_t>(id)];
-      statements.insert(c.affected.begin(), c.affected.end());
-    }
-  } else {
-    for (size_t s = 0; s < workload_->size(); ++s) statements.insert(s);
-  }
-
-  // Iterated in ascending statement order (std::set), so the accumulation
-  // order — and hence the floating-point result — is thread-independent.
+  // when the pruning is disabled), visited in ascending statement order so
+  // the accumulation order — and hence the floating-point result — is
+  // thread-independent.
   double benefit = 0;
-  for (size_t s : statements) {
+  auto add_statement = [&](size_t s) -> Status {
     XIA_RETURN_IF_ERROR(fault::CheckInterrupt(deadline, cancel));
     auto plan = optimizer.Optimize((*workload_)[s]);
     if (!plan.ok()) return plan.status();
     benefit +=
         (*workload_)[s].frequency * (base_costs_[s] - plan->est_cost);
+    return Status::OK();
+  };
+  if (options_.use_affected_sets) {
+    std::vector<uint64_t> statements(affected_words_, 0);
+    for (int id : sub) {
+      const uint64_t* bits = AffectedBits(id);
+      for (size_t w = 0; w < affected_words_; ++w) statements[w] |= bits[w];
+    }
+    for (size_t w = 0; w < affected_words_; ++w) {
+      for (uint64_t word = statements[w]; word != 0; word &= word - 1) {
+        const size_t s = w * 64 + static_cast<size_t>(std::countr_zero(word));
+        XIA_RETURN_IF_ERROR(add_statement(s));
+      }
+    }
+  } else {
+    for (size_t s = 0; s < workload_->size(); ++s) {
+      XIA_RETURN_IF_ERROR(add_statement(s));
+    }
   }
   catalog->DropAllVirtualIndexes();
   return benefit;

@@ -38,11 +38,10 @@
 #include <array>
 #include <atomic>
 #include <condition_variable>
-#include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "advisor/candidates.h"
@@ -65,12 +64,13 @@ namespace xia::advisor {
 /// has a single implementation.
 class BenefitCache {
  public:
-  /// Returns the cached value for `key`, or runs `compute` (outside any
-  /// shard lock) and caches its result. Counts one hit or one miss per
-  /// call; a call that waited on another thread's computation counts as a
-  /// hit once the value is ready.
-  Result<double> GetOrCompute(const std::vector<int>& key,
-                              const std::function<Result<double>()>& compute);
+  /// Returns the cached value for `key`, or runs `compute` (a callable
+  /// returning Result<double>, invoked outside any shard lock) and caches
+  /// its result. Counts one hit or one miss per call; a call that waited
+  /// on another thread's computation counts as a hit once the value is
+  /// ready.
+  template <typename Compute>
+  Result<double> GetOrCompute(const std::vector<int>& key, Compute&& compute);
 
   size_t hits() const { return hits_.load(std::memory_order_relaxed); }
   size_t misses() const { return misses_.load(std::memory_order_relaxed); }
@@ -81,20 +81,82 @@ class BenefitCache {
     State state = State::kComputing;
     double value = 0;
   };
+  /// FNV-1a over the ids. Keys are canonical (sorted) by the time they
+  /// reach the cache, so equal configurations hash — and shard — alike.
+  struct KeyHash {
+    size_t operator()(const std::vector<int>& key) const;
+  };
   struct Shard {
     std::mutex mu;
     std::condition_variable cv;
-    std::map<std::vector<int>, std::shared_ptr<Entry>> entries;
+    // Entries are shared so a waiter keeps a failed entry alive after the
+    // computer erased it; the hit path reads through the map, uncopied.
+    std::unordered_map<std::vector<int>, std::shared_ptr<Entry>, KeyHash>
+        entries;
   };
 
   static constexpr size_t kShardCount = 16;
 
-  Shard& ShardFor(const std::vector<int>& key);
+  Shard& ShardFor(const std::vector<int>& key) {
+    return shards_[KeyHash{}(key) % kShardCount];
+  }
+  void CountHit();
+  void CountMiss();
 
   std::array<Shard, kShardCount> shards_;
   std::atomic<size_t> hits_{0};
   std::atomic<size_t> misses_{0};
 };
+
+template <typename Compute>
+Result<double> BenefitCache::GetOrCompute(const std::vector<int>& key,
+                                          Compute&& compute) {
+  Shard& shard = ShardFor(key);
+  std::unique_lock<std::mutex> lock(shard.mu);
+  for (;;) {
+    auto it = shard.entries.find(key);
+    if (it == shard.entries.end()) {
+      // First requester: publish a computing entry, evaluate outside the
+      // lock, then flip it to ready (or erase it on failure so waiters
+      // retry — a failure must not poison the key).
+      auto entry = std::make_shared<Entry>();
+      shard.entries.emplace(key, entry);
+      lock.unlock();
+      CountMiss();
+      Result<double> result = compute();
+      lock.lock();
+      if (result.ok()) {
+        entry->state = Entry::State::kReady;
+        entry->value = *result;
+      } else {
+        entry->state = Entry::State::kFailed;
+        shard.entries.erase(key);
+      }
+      lock.unlock();
+      shard.cv.notify_all();
+      return result;
+    }
+    if (it->second->state == Entry::State::kReady) {
+      const double value = it->second->value;
+      lock.unlock();
+      CountHit();
+      return value;
+    }
+    // Another thread is computing this key: wait on its entry.
+    const std::shared_ptr<Entry> pending = it->second;
+    shard.cv.wait(lock, [&] {
+      return pending->state != Entry::State::kComputing;
+    });
+    if (pending->state == Entry::State::kReady) {
+      const double value = pending->value;
+      lock.unlock();
+      CountHit();
+      return value;
+    }
+    // The computation we waited on failed and its entry is gone: loop —
+    // this thread may become the computer on the next pass.
+  }
+}
 
 /// Evaluates configuration benefits against a scratch what-if catalog.
 class BenefitEvaluator {
@@ -162,6 +224,13 @@ class BenefitEvaluator {
   size_t cache_hits() const { return cache_.hits(); }
   size_t cache_misses() const { return cache_.misses(); }
 
+  /// Splits a canonical (sorted, deduplicated) configuration into
+  /// sub-configurations whose affected sets overlap (union-find, §VI-C).
+  /// Groups come out ordered by their union-find root — the order
+  /// ConfigurationBenefit sums them in — with members ascending. Without
+  /// use_subconfigurations the whole configuration is one group.
+  std::vector<std::vector<int>> Decompose(const std::vector<int>& config) const;
+
  private:
   /// A leased what-if planning context: one scratch catalog + optimizer
   /// per concurrently in-flight evaluation, so parallel probes never
@@ -197,9 +266,9 @@ class BenefitEvaluator {
       const optimizer::Optimizer& optimizer, const fault::Deadline& deadline,
       const fault::CancelToken* cancel);
 
-  /// Splits a configuration into sub-configurations whose affected sets
-  /// overlap (union-find, §VI-C).
-  std::vector<std::vector<int>> Decompose(const std::vector<int>& config) const;
+  const uint64_t* AffectedBits(int id) const {
+    return affected_bits_.data() + static_cast<size_t>(id) * affected_words_;
+  }
 
   /// Maintenance charge of the whole configuration.
   double MaintenanceCharge(const std::vector<int>& config) const;
@@ -209,6 +278,12 @@ class BenefitEvaluator {
   storage::Catalog* catalog_;
   optimizer::Optimizer optimizer_;
   Options options_;
+
+  // Affected sets as bitsets over statement indices, affected_words_ words
+  // per candidate id, built at construction: the overlap test of
+  // Decompose is a few word ANDs.
+  size_t affected_words_ = 0;
+  std::vector<uint64_t> affected_bits_;
 
   std::vector<double> base_costs_;  // per statement, unweighted
   double base_workload_cost_ = 0;

@@ -48,6 +48,15 @@ struct Candidate {
   std::string ToString() const;
 };
 
+/// True when one of the two candidates can cover the other: same
+/// collection, and either both structural or both value indexes of one
+/// type. Generalization and the DAG only relate candidates of one kind.
+inline bool SameIndexKind(const Candidate& a, const Candidate& b) {
+  return a.collection == b.collection &&
+         a.pattern.structural == b.pattern.structural &&
+         (a.pattern.structural || a.pattern.type == b.pattern.type);
+}
+
 /// The candidate set: basic candidates first, generalized ones appended.
 struct CandidateSet {
   std::vector<Candidate> candidates;

@@ -20,21 +20,12 @@ std::vector<int> BuildDag(CandidateSet* set) {
       if (i == j) continue;
       const Candidate& a = (*set)[i];
       const Candidate& b = (*set)[j];
-      if (a.collection != b.collection) continue;
-      if (a.pattern.structural != b.pattern.structural) continue;
-      if (!a.pattern.structural && a.pattern.type != b.pattern.type) {
-        continue;
-      }
-      const bool ab = xpath::Covers(a.pattern.path, b.pattern.path);
-      const bool ba = xpath::Covers(b.pattern.path, a.pattern.path);
-      if (ab && !ba) {
-        strict[i][j] = true;
-      } else if (ab && ba && i < j) {
-        // Equivalent patterns: treat the smaller id as the representative
-        // covering the other, so the pair still forms a chain rather than
-        // disappearing from the DAG.
-        strict[i][j] = true;
-      }
+      if (!SameIndexKind(a, b)) continue;
+      if (!xpath::Covers(a.pattern.path, b.pattern.path)) continue;
+      // Equivalent patterns: treat the smaller id as the representative
+      // covering the other, so the pair still forms a chain rather than
+      // disappearing from the DAG.
+      strict[i][j] = i < j || !xpath::Covers(b.pattern.path, a.pattern.path);
     }
   }
 

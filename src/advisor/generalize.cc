@@ -137,31 +137,24 @@ std::vector<xpath::Path> GeneralizePair(const xpath::Path& a,
 
 GeneralizeStats GeneralizeCandidates(CandidateSet* set) {
   GeneralizeStats stats;
-  // Pairs already processed, by candidate ids.
-  std::set<std::pair<int, int>> done;
-
+  // Each round pairs every candidate with those appended by the previous
+  // round; all earlier pairs were processed already.
+  size_t processed = 0;
   bool changed = true;
   while (changed) {
     changed = false;
     ++stats.rounds;
     const size_t n = set->candidates.size();
     for (size_t x = 0; x < n; ++x) {
-      for (size_t y = x + 1; y < n; ++y) {
+      for (size_t y = std::max(x + 1, processed); y < n; ++y) {
+        if (!SameIndexKind((*set)[x], (*set)[y])) continue;
+        ++stats.pairs_considered;
         // Copy the pair's fields: appending generalized candidates below
         // reallocates the vector, so references into it must not be held
         // across the push_back.
         const std::string collection = (*set)[x].collection;
         const xpath::IndexPattern pattern_x = (*set)[x].pattern;
         const xpath::IndexPattern pattern_y = (*set)[y].pattern;
-        const int id_x = (*set)[x].id;
-        const int id_y = (*set)[y].id;
-        if (collection != (*set)[y].collection) continue;
-        if (pattern_x.structural != pattern_y.structural) continue;
-        if (!pattern_x.structural && pattern_x.type != pattern_y.type) {
-          continue;
-        }
-        if (!done.insert({id_x, id_y}).second) continue;
-        ++stats.pairs_considered;
 
         for (const xpath::Path& gen :
              GeneralizePair(pattern_x.path, pattern_y.path)) {
@@ -182,12 +175,7 @@ GeneralizeStats GeneralizeCandidates(CandidateSet* set) {
           // Coverage and affected sets from the basic candidates.
           for (size_t b = 0; b < set->basic_count; ++b) {
             const Candidate& basic = (*set)[b];
-            if (basic.collection != c.collection) continue;
-            if (basic.pattern.structural != c.pattern.structural) continue;
-            if (!basic.pattern.structural &&
-                basic.pattern.type != c.pattern.type) {
-              continue;
-            }
+            if (!SameIndexKind(basic, c)) continue;
             if (xpath::Covers(c.pattern.path, basic.pattern.path)) {
               c.covered_basics.push_back(basic.id);
               for (size_t s : basic.affected) {
@@ -205,6 +193,7 @@ GeneralizeStats GeneralizeCandidates(CandidateSet* set) {
         }
       }
     }
+    processed = n;
   }
   return stats;
 }

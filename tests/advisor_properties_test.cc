@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
+#include <numeric>
 #include <set>
 
 #include "advisor/advisor.h"
@@ -200,6 +203,91 @@ TEST_P(AdvisorPropertyTest, DecomposedBenefitEqualsNaiveBenefit) {
         << "config size " << config.size();
   }
   EXPECT_LT(fast.optimizer_calls(), naive.optimizer_calls());
+}
+
+// The §VI-C decomposition as first written: pairwise overlap tests with
+// nested std::find over the affected vectors, union-find, and groups
+// collected through a std::map keyed by root. Kept as the reference the
+// evaluator's bitset decomposition must reproduce group for group and in
+// the same order — the order fixes the floating-point summation.
+std::vector<std::vector<int>> ReferenceDecompose(
+    const CandidateSet& set, const std::vector<int>& config) {
+  const size_t n = config.size();
+  std::vector<size_t> parent(n);
+  std::iota(parent.begin(), parent.end(), 0);
+  std::function<size_t(size_t)> find = [&](size_t x) {
+    while (parent[x] != x) {
+      parent[x] = parent[parent[x]];
+      x = parent[x];
+    }
+    return x;
+  };
+  auto overlap = [&](int a, int b) {
+    const auto& sa = set[static_cast<size_t>(a)].affected;
+    const auto& sb = set[static_cast<size_t>(b)].affected;
+    for (size_t x : sa) {
+      if (std::find(sb.begin(), sb.end(), x) != sb.end()) return true;
+    }
+    return false;
+  };
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = i + 1; j < n; ++j) {
+      if (overlap(config[i], config[j])) {
+        parent[find(i)] = find(j);
+      }
+    }
+  }
+  std::map<size_t, std::vector<int>> groups;
+  for (size_t i = 0; i < n; ++i) groups[find(i)].push_back(config[i]);
+  std::vector<std::vector<int>> out;
+  for (auto& [_, group] : groups) {
+    std::sort(group.begin(), group.end());
+    out.push_back(std::move(group));
+  }
+  return out;
+}
+
+TEST_P(AdvisorPropertyTest, DecomposeMatchesReferenceUnionFind) {
+  auto set = advisor_->BuildCandidates(workload_, /*generalize=*/true);
+  ASSERT_TRUE(set.ok());
+  ASSERT_TRUE(PopulateStatistics(&*set, stats_,
+                                 storage::DefaultCostConstants())
+                  .ok());
+  // Without maintenance a configuration's benefit is exactly the sum of
+  // its groups' query benefits, accumulated in decomposition order.
+  BenefitEvaluator::Options options;
+  options.charge_maintenance = false;
+  storage::Catalog catalog(&store_, &stats_);
+  BenefitEvaluator evaluator(&workload_, &*set, &catalog, &stats_, &store_,
+                             options);
+  ASSERT_TRUE(evaluator.Initialize().ok());
+
+  Random rng(GetParam() * 13 + 5);
+  size_t multi_group_configs = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    const double density = 0.05 + 0.1 * (trial % 6);
+    std::vector<int> config;
+    for (size_t i = 0; i < set->size(); ++i) {
+      if (rng.Bernoulli(density)) config.push_back(static_cast<int>(i));
+    }
+    if (config.empty()) continue;
+    const std::vector<std::vector<int>> expected =
+        ReferenceDecompose(*set, config);
+    ASSERT_EQ(evaluator.Decompose(config), expected)
+        << "config size " << config.size();
+    if (expected.size() > 1) ++multi_group_configs;
+
+    double expected_benefit = 0;
+    for (const std::vector<int>& group : expected) {
+      auto group_benefit = evaluator.ConfigurationBenefit(group);
+      ASSERT_TRUE(group_benefit.ok());
+      expected_benefit += *group_benefit;
+    }
+    auto benefit = evaluator.ConfigurationBenefit(config);
+    ASSERT_TRUE(benefit.ok());
+    EXPECT_EQ(*benefit, expected_benefit) << "config size " << config.size();
+  }
+  EXPECT_GT(multi_group_configs, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AdvisorPropertyTest,

@@ -1,5 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <string_view>
+#include <utility>
+
+#include "advisor/advisor.h"
+#include "advisor/dag.h"
+#include "tpox/synthetic.h"
+#include "tpox/tpox_data.h"
+#include "tpox/tpox_workload.h"
 #include "util/random.h"
 #include "xpath/containment.h"
 #include "xpath/evaluator.h"
@@ -14,6 +24,130 @@ Path P(const char* text) {
   EXPECT_TRUE(p.ok()) << text << ": " << p.status();
   return *p;
 }
+
+// ---------------------------------------------------------------------------
+// Reference containment: the subset construction as first written, with
+// std::set families, a sorted alphabet vector and one label compare per
+// step and symbol. Kept as the oracle Covers must agree with.
+
+namespace reference {
+
+using StateSet = uint64_t;
+
+StateSet StepOn(const Path& p, StateSet states, std::string_view label,
+                bool fresh) {
+  StateSet next = 0;
+  const auto& steps = p.steps();
+  for (size_t i = 0; i < steps.size(); ++i) {
+    if (!(states & (1ULL << i))) continue;
+    const Step& s = steps[i];
+    const bool label_ok = fresh ? s.is_wildcard() : s.MatchesLabel(label);
+    if (label_ok) next |= 1ULL << (i + 1);
+    if (s.axis == Axis::kDescendant) next |= 1ULL << i;
+  }
+  return next;
+}
+
+std::vector<std::string_view> PatternAlphabet(const Path& p) {
+  std::vector<std::string_view> labels;
+  for (const auto& s : p.steps()) {
+    if (!s.is_wildcard()) labels.push_back(s.name_test);
+  }
+  std::sort(labels.begin(), labels.end());
+  labels.erase(std::unique(labels.begin(), labels.end()), labels.end());
+  return labels;
+}
+
+void CloseUnderArbitrarySymbols(const Path& p,
+                                const std::vector<std::string_view>& alphabet,
+                                std::set<StateSet>* family) {
+  std::vector<StateSet> frontier(family->begin(), family->end());
+  while (!frontier.empty()) {
+    const StateSet s = frontier.back();
+    frontier.pop_back();
+    std::vector<StateSet> successors;
+    for (const auto& label : alphabet) {
+      successors.push_back(StepOn(p, s, label, /*fresh=*/false));
+    }
+    successors.push_back(StepOn(p, s, "", /*fresh=*/true));
+    for (StateSet t : successors) {
+      if (family->insert(t).second) frontier.push_back(t);
+    }
+  }
+}
+
+// Also reports the largest family the construction went through, so a
+// test can tell whether it exercised large families.
+bool Covers(const Path& index, const Path& query,
+            size_t* max_family = nullptr) {
+  const std::vector<std::string_view> alphabet = PatternAlphabet(index);
+  const StateSet accept_bit = 1ULL << index.size();
+  std::set<StateSet> family = {StateSet{1}};
+  size_t largest = 1;
+  for (const auto& qs : query.steps()) {
+    if (qs.axis == Axis::kDescendant) {
+      CloseUnderArbitrarySymbols(index, alphabet, &family);
+      largest = std::max(largest, family.size());
+    }
+    std::set<StateSet> next_family;
+    for (StateSet s : family) {
+      if (qs.is_wildcard()) {
+        for (const auto& label : alphabet) {
+          next_family.insert(StepOn(index, s, label, /*fresh=*/false));
+        }
+        next_family.insert(StepOn(index, s, "", /*fresh=*/true));
+      } else {
+        next_family.insert(StepOn(index, s, qs.name_test, /*fresh=*/false));
+      }
+    }
+    family = std::move(next_family);
+    largest = std::max(largest, family.size());
+  }
+  if (max_family != nullptr) *max_family = largest;
+  for (StateSet s : family) {
+    if (!(s & accept_bit)) return false;
+  }
+  return true;
+}
+
+// BuildDag as first written: both containment directions for every
+// same-kind pair, then the transitive reduction.
+std::vector<std::pair<int, int>> DagEdges(const advisor::CandidateSet& set) {
+  const size_t n = set.size();
+  std::vector<std::vector<bool>> strict(n, std::vector<bool>(n, false));
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < n; ++j) {
+      if (i == j) continue;
+      const advisor::Candidate& a = set[i];
+      const advisor::Candidate& b = set[j];
+      if (a.collection != b.collection) continue;
+      if (a.pattern.structural != b.pattern.structural) continue;
+      if (!a.pattern.structural && a.pattern.type != b.pattern.type) {
+        continue;
+      }
+      const bool ab = reference::Covers(a.pattern.path, b.pattern.path);
+      const bool ba = reference::Covers(b.pattern.path, a.pattern.path);
+      if ((ab && !ba) || (ab && ba && i < j)) strict[i][j] = true;
+    }
+  }
+  std::vector<std::pair<int, int>> edges;
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < n; ++j) {
+      if (!strict[i][j]) continue;
+      bool immediate = true;
+      for (size_t k = 0; k < n && immediate; ++k) {
+        if (k == i || k == j) continue;
+        if (strict[i][k] && strict[k][j]) immediate = false;
+      }
+      if (immediate) {
+        edges.emplace_back(static_cast<int>(i), static_cast<int>(j));
+      }
+    }
+  }
+  return edges;
+}
+
+}  // namespace reference
 
 TEST(MatchLabelPathTest, ExactChildPath) {
   EXPECT_TRUE(MatchesLabelPath(P("/a/b/c"), {"a", "b", "c"}));
@@ -145,9 +279,9 @@ TEST(CoversTest, EquivalentHelper) {
 class ContainmentPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 // Random linear pattern over a tiny alphabet.
-Path RandomPattern(Random* rng) {
+Path RandomPattern(Random* rng, size_t max_len = 4) {
   std::vector<Step> steps;
-  const size_t len = 1 + rng->Uniform(4);
+  const size_t len = 1 + rng->Uniform(max_len);
   const char* names[] = {"a", "b", "c", "*"};
   for (size_t i = 0; i < len; ++i) {
     const Axis axis = rng->Bernoulli(0.3) ? Axis::kDescendant : Axis::kChild;
@@ -209,8 +343,72 @@ TEST_P(ContainmentPropertyTest, MatchAgreesWithEvaluator) {
   }
 }
 
+TEST_P(ContainmentPropertyTest, CoversAgreesWithReferenceOracle) {
+  Random rng(GetParam() * 31 + 7);
+  std::vector<Path> patterns;
+  for (int i = 0; i < 48; ++i) patterns.push_back(RandomPattern(&rng));
+  // Longer patterns drive the state families past the inline buffer.
+  for (int i = 0; i < 32; ++i) patterns.push_back(RandomPattern(&rng, 20));
+  size_t largest_family = 0;
+  for (const Path& p : patterns) {
+    for (const Path& q : patterns) {
+      size_t family = 0;
+      EXPECT_EQ(Covers(p, q), reference::Covers(p, q, &family))
+          << "Covers(" << p.ToString() << ", " << q.ToString() << ")";
+      largest_family = std::max(largest_family, family);
+    }
+  }
+  EXPECT_GT(largest_family, 32u);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, ContainmentPropertyTest,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
+
+// BuildDag tests only one direction of containment unless the first
+// holds; its edges must match the both-directions reference on the TPoX
+// workload's candidates (the paper's 11 queries plus synthetic
+// statements over all three collections).
+TEST(BuildDagTest, EdgesMatchReferenceOnPaperWorkload) {
+  storage::DocumentStore store;
+  storage::StatisticsCatalog stats;
+  tpox::TpoxScale scale;
+  scale.security_docs = 300;
+  scale.order_docs = 300;
+  scale.custacc_docs = 100;
+  ASSERT_TRUE(tpox::BuildTpoxDatabase(scale, &store, &stats).ok());
+  auto workload = tpox::TpoxQueries();
+  ASSERT_TRUE(workload.ok());
+  Random rng(42);
+  auto synthetic = tpox::GenerateSyntheticWorkload(
+      stats,
+      {tpox::kSecurityCollection, tpox::kOrderCollection,
+       tpox::kCustAccCollection},
+      40, &rng);
+  ASSERT_TRUE(synthetic.ok());
+  workload->insert(workload->end(), synthetic->begin(), synthetic->end());
+
+  advisor::IndexAdvisor advisor(&store, &stats);
+  auto set = advisor.BuildCandidates(*workload, /*generalize=*/true);
+  ASSERT_TRUE(set.ok()) << set.status();
+  advisor::BuildDag(&*set);
+
+  std::vector<std::pair<int, int>> edges;
+  for (const advisor::Candidate& c : set->candidates) {
+    for (int child : c.children) edges.emplace_back(c.id, child);
+  }
+  const std::vector<std::pair<int, int>> expected =
+      reference::DagEdges(*set);
+  EXPECT_FALSE(expected.empty());
+  EXPECT_EQ(edges, expected);
+  // Parent lists mirror the child lists, in ascending parent order.
+  for (const advisor::Candidate& c : set->candidates) {
+    std::vector<int> parents;
+    for (const auto& [from, to] : expected) {
+      if (to == c.id) parents.push_back(from);
+    }
+    EXPECT_EQ(c.parents, parents) << c.ToString();
+  }
+}
 
 }  // namespace
 }  // namespace xia::xpath
