@@ -1,17 +1,15 @@
 #include "net/wire.h"
 
 #include <cassert>
-#include <cstring>
 
 #include "util/crc32.h"
+#include "wal/wire.h"
 
 namespace xia::net {
 
 using wal::PutU32;
 using wal::PutU64;
 using wal::PutU8;
-using wal::PutString;
-using wal::WireReader;
 
 const char* MsgTypeName(MsgType type) {
   switch (type) {
@@ -70,42 +68,13 @@ bool IsKnownType(uint8_t type) {
          type == static_cast<uint8_t>(MsgType::kReplHello);
 }
 
-/// Little-endian u32 at a byte offset of an existing buffer.
-void PatchU32(std::string* buf, size_t off, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    (*buf)[off + static_cast<size_t>(i)] =
-        static_cast<char>((v >> (8 * i)) & 0xff);
-  }
-}
-
-uint32_t ReadU32At(std::string_view buf, size_t off) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(static_cast<unsigned char>(
-             buf[off + static_cast<size_t>(i)]))
-         << (8 * i);
-  }
-  return v;
-}
-
-uint64_t ReadU64At(std::string_view buf, size_t off) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(static_cast<unsigned char>(
-             buf[off + static_cast<size_t>(i)]))
-         << (8 * i);
-  }
-  return v;
-}
-
-/// CRC over a frame with its crc field (bytes 20..23) treated as zero.
-uint32_t FrameCrc(std::string_view frame) {
+/// CRC over a frame with its crc field (bytes 20..23) treated as zero:
+/// the first 20 header bytes of `head`, four zero bytes, the payload.
+uint32_t FrameCrc(std::string_view head, std::string_view payload) {
   static constexpr char kZero[4] = {0, 0, 0, 0};
-  uint32_t crc = Crc32Update(0, frame.data(), 20);
+  uint32_t crc = Crc32Update(0, head.data(), 20);
   crc = Crc32Update(crc, kZero, 4);
-  crc = Crc32Update(crc, frame.data() + kHeaderBytes,
-                    frame.size() - kHeaderBytes);
-  return crc;
+  return Crc32Update(crc, payload.data(), payload.size());
 }
 
 }  // namespace
@@ -122,9 +91,8 @@ std::string EncodeFrame(MsgType type, uint64_t request_id,
   PutU8(&out, 0);  // flags hi
   PutU64(&out, request_id);
   PutU32(&out, static_cast<uint32_t>(payload.size()));
-  PutU32(&out, 0);  // crc placeholder
+  PutU32(&out, FrameCrc(out, payload));
   out.append(payload.data(), payload.size());
-  PatchU32(&out, 20, FrameCrc(out));
   return out;
 }
 
@@ -153,7 +121,9 @@ FrameReader::Next FrameReader::Poll(Frame* out, std::string* error) {
     return Next::kBad;
   };
 
-  if (ReadU32At(view, 0) != kNetMagic) return bad("bad frame magic");
+  if (wal::LoadLE<uint32_t>(view.data()) != kNetMagic) {
+    return bad("bad frame magic");
+  }
   const uint8_t version = static_cast<uint8_t>(view[4]);
   if (version != kNetVersion) {
     return bad("unsupported protocol version " + std::to_string(version));
@@ -163,7 +133,7 @@ FrameReader::Next FrameReader::Poll(Frame* out, std::string* error) {
     return bad("unknown message type " + std::to_string(type));
   }
   if (view[6] != 0 || view[7] != 0) return bad("nonzero reserved flags");
-  const uint32_t payload_len = ReadU32At(view, 16);
+  const uint32_t payload_len = wal::LoadLE<uint32_t>(view.data() + 16);
   if (payload_len > kMaxPayloadBytes) {
     return bad("frame payload length " + std::to_string(payload_len) +
                " exceeds limit");
@@ -171,508 +141,203 @@ FrameReader::Next FrameReader::Poll(Frame* out, std::string* error) {
   if (view.size() < kHeaderBytes + payload_len) return Next::kNeedMore;
 
   const std::string_view frame = view.substr(0, kHeaderBytes + payload_len);
-  const uint32_t want_crc = ReadU32At(frame, 20);
-  if (FrameCrc(frame) != want_crc) return bad("frame crc mismatch");
+  const uint32_t want_crc = wal::LoadLE<uint32_t>(frame.data() + 20);
+  if (FrameCrc(frame, frame.substr(kHeaderBytes)) != want_crc) {
+    return bad("frame crc mismatch");
+  }
 
   out->type = static_cast<MsgType>(type);
-  out->request_id = ReadU64At(frame, 8);
+  out->request_id = wal::LoadLE<uint64_t>(frame.data() + 8);
   out->payload.assign(frame.data() + kHeaderBytes, payload_len);
   pos_ += frame.size();
   return Next::kFrame;
 }
 
 // ---------------------------------------------------------------------------
-// Payload codecs.
+// Payload field lists (wal/wire.h).
 
-void PutF64(std::string* out, double v) {
-  uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(out, bits);
+template <class IO>
+bool Fields(IO& io, QueryRequest& m) {
+  return io(m.statement) && io(m.materialize_rows) && io(m.max_rows) &&
+         io(m.budget_ms);
 }
 
-bool GetF64(WireReader* in, double* v) {
-  uint64_t bits = 0;
-  if (!in->GetU64(&bits)) return false;
-  std::memcpy(v, &bits, sizeof(bits));
+template <class IO>
+bool Fields(IO& io, MutationRequest& m) {
+  return io(m.statement) && io(m.budget_ms) &&
+         io.Tail([&] { return m.expected_epoch != 0; }, m.expected_epoch);
+}
+
+template <class IO>
+bool Fields(IO& io, AdviseRequest& m) {
+  return io(m.workload_text) && io(m.disk_budget_bytes) && io(m.algorithm) &&
+         io(m.budget_ms) && io(m.threads);
+}
+
+template <class IO>
+bool Fields(IO& io, ExplainRequest& m) {
+  return io(m.analyze) && io(m.statement) && io(m.budget_ms);
+}
+
+template <class IO>
+bool Fields(IO& io, MetricsRequest& m) {
+  return io(m.format, MetricsFormat::kTable);
+}
+
+template <class IO>
+bool Fields(IO& io, ExecReply& m) {
+  return io(m.result_count) && io(m.docs_examined) &&
+         io(m.index_entries_scanned) && io(m.wall_seconds) && io(m.rows);
+}
+
+template <class IO>
+bool Fields(IO& io, AdviseReplyIndex& m) {
+  return io(m.ddl) && io(m.size_bytes) && io(m.is_general);
+}
+
+template <class IO>
+bool Fields(IO& io, AdviseReply& m) {
+  return io(m.indexes) && io(m.total_size_bytes) && io(m.est_speedup) &&
+         io(m.optimizer_calls) && io(m.partial);
+}
+
+template <class IO>
+bool Fields(IO& io, TextReply& m) {
+  return io(m.text);
+}
+
+template <class IO>
+bool Fields(IO& io, ErrorReply& m) {
+  return io(m.code, StatusCode::kFenced) && io(m.message) &&
+         io.Tail([&] { return !m.leader_endpoint.empty(); },
+                 m.leader_endpoint);
+}
+
+template <class IO>
+bool Fields(IO& io, ReplSubscribeRequest& m) {
+  return io(m.follower_id) && io(m.start_lsn) &&
+         io.Tail([&] { return m.epoch != 0; }, m.epoch);
+}
+
+template <class IO>
+bool Fields(IO& io, ReplHelloPayload& m) {
+  return io(m.leader_epoch) && io(m.epoch_start_lsn) &&
+         io.Check([&] { return m.leader_epoch != 0; });
+}
+
+template <class IO>
+bool Fields(IO& io, ReplSnapshotPayload& m) {
+  return io(m.checkpoint_lsn) && io(m.has_snapshot) && io(m.has_catalog) &&
+         io(m.snapshot_bytes) && io(m.catalog_bytes) &&
+         io.Tail([&] { return m.repl_epoch > 1; }, m.repl_epoch,
+                 m.epoch_start_lsn);
+}
+
+template <class IO>
+bool Fields(IO& io, ReplAckPayload& m) {
+  return io(m.acked_lsn);
+}
+
+template <class IO>
+bool Fields(IO&, ReplStatusRequest&) {
   return true;
 }
 
-namespace {
-Status Malformed(const char* what) {
-  return Status::ParseError(std::string("malformed ") + what + " payload");
+template <class IO>
+bool Fields(IO& io, ReplStatusFollower& m) {
+  return io(m.follower_id) && io(m.remote) && io(m.acked_lsn) &&
+         io(m.connected);
 }
+
+template <class IO>
+bool Fields(IO& io, ReplStatusReply& m) {
+  return io(m.role) && io(m.repl_epoch) && io(m.epoch_start_lsn) &&
+         io(m.durable_lsn) && io(m.checkpoint_lsn) && io(m.applied_lsn) &&
+         io(m.leader_endpoint) && io(m.followers) && io.Check([&] {
+           return m.repl_epoch != 0 &&
+                  (m.role == "leader" || m.role == "follower");
+         });
+}
+
+template <class IO>
+bool Fields(IO&, PromoteRequest&) {
+  return true;
+}
+
+template <class IO>
+bool Fields(IO& io, PromoteReply& m) {
+  return io(m.epoch) && io(m.barrier_lsn) &&
+         io.Check([&] { return m.epoch >= 2 && m.barrier_lsn != 0; });
+}
+
+template <class IO>
+bool Fields(IO& io, FollowRequest& m) {
+  return io(m.host) && io(m.port) &&
+         io.Check([&] { return !m.host.empty() && m.port != 0; });
+}
+
+template <class IO>
+bool Fields(IO& io, CreateIndexRequest& m) {
+  return io(m.name) && io(m.collection) && io(m.pattern) &&
+         io(m.value_type) && io(wal::StrictBool{m.structural}) &&
+         io(wal::StrictBool{m.is_virtual}) && io(wal::StrictBool{m.online}) &&
+         io.Check([&] {
+           // A virtual index builds nothing, so it cannot be built online.
+           return !m.name.empty() && !m.collection.empty() &&
+                  !m.pattern.empty() && m.value_type <= 1 &&
+                  !(m.is_virtual && m.online);
+         });
+}
+
+template <class IO>
+bool Fields(IO& io, CreateIndexReply& m) {
+  return io(m.entry_count) && io(m.size_bytes) &&
+         io(wal::StrictBool{m.online}) && io(m.build_seconds) &&
+         io(m.stall_seconds) && io(m.delta_ops);
+}
+
+namespace {
+
+template <class T>
+Result<T> Decode(std::string_view payload, const char* what) {
+  T m;
+  if (!wal::DecodeAll(payload, &m)) {
+    return Status::ParseError(std::string("malformed ") + what + " payload");
+  }
+  return m;
+}
+
 }  // namespace
 
-std::string EncodeQueryRequest(const QueryRequest& req) {
-  std::string out;
-  PutString(&out, req.statement);
-  PutU8(&out, req.materialize_rows ? 1 : 0);
-  PutU32(&out, req.max_rows);
-  PutF64(&out, req.budget_ms);
-  return out;
-}
-
-Result<QueryRequest> DecodeQueryRequest(std::string_view payload) {
-  QueryRequest req;
-  WireReader in{payload};
-  uint8_t materialize = 0;
-  if (!in.GetString(&req.statement) || !in.GetU8(&materialize) ||
-      !in.GetU32(&req.max_rows) || !GetF64(&in, &req.budget_ms) ||
-      !in.AtEnd()) {
-    return Malformed("query request");
+// The public Encode*/Decode* pair of each payload (declared in wire.h).
+#define XIA_PAYLOAD_CODEC(T, what)                             \
+  std::string Encode##T(const T& m) { return wal::Encode(m); } \
+  Result<T> Decode##T(std::string_view payload) {              \
+    return Decode<T>(payload, what);                           \
   }
-  req.materialize_rows = materialize != 0;
-  return req;
-}
 
-std::string EncodeMutationRequest(const MutationRequest& req) {
-  std::string out;
-  PutString(&out, req.statement);
-  PutF64(&out, req.budget_ms);
-  if (req.expected_epoch != 0) PutU64(&out, req.expected_epoch);
-  return out;
-}
+XIA_PAYLOAD_CODEC(QueryRequest, "query request")
+XIA_PAYLOAD_CODEC(MutationRequest, "mutation request")
+XIA_PAYLOAD_CODEC(AdviseRequest, "advise request")
+XIA_PAYLOAD_CODEC(ExplainRequest, "explain request")
+XIA_PAYLOAD_CODEC(MetricsRequest, "metrics request")
+XIA_PAYLOAD_CODEC(ExecReply, "exec reply")
+XIA_PAYLOAD_CODEC(AdviseReply, "advise reply")
+XIA_PAYLOAD_CODEC(TextReply, "text reply")
+XIA_PAYLOAD_CODEC(ErrorReply, "error reply")
+XIA_PAYLOAD_CODEC(ReplSubscribeRequest, "repl subscribe request")
+XIA_PAYLOAD_CODEC(ReplHelloPayload, "repl hello")
+XIA_PAYLOAD_CODEC(ReplSnapshotPayload, "repl snapshot")
+XIA_PAYLOAD_CODEC(ReplAckPayload, "repl ack")
+XIA_PAYLOAD_CODEC(ReplStatusRequest, "repl status request")
+XIA_PAYLOAD_CODEC(ReplStatusReply, "repl status reply")
+XIA_PAYLOAD_CODEC(PromoteRequest, "promote request")
+XIA_PAYLOAD_CODEC(PromoteReply, "promote reply")
+XIA_PAYLOAD_CODEC(FollowRequest, "follow request")
+XIA_PAYLOAD_CODEC(CreateIndexRequest, "create index request")
+XIA_PAYLOAD_CODEC(CreateIndexReply, "create index reply")
 
-Result<MutationRequest> DecodeMutationRequest(std::string_view payload) {
-  MutationRequest req;
-  WireReader in{payload};
-  if (!in.GetString(&req.statement) || !GetF64(&in, &req.budget_ms)) {
-    return Malformed("mutation request");
-  }
-  // Optional epoch-fence tail (absent from PR-7 clients; 0 = any epoch).
-  if (!in.AtEnd()) {
-    if (!in.GetU64(&req.expected_epoch) || !in.AtEnd() ||
-        req.expected_epoch == 0) {
-      return Malformed("mutation request");
-    }
-  }
-  return req;
-}
-
-std::string EncodeAdviseRequest(const AdviseRequest& req) {
-  std::string out;
-  PutString(&out, req.workload_text);
-  PutF64(&out, req.disk_budget_bytes);
-  PutString(&out, req.algorithm);
-  PutF64(&out, req.budget_ms);
-  PutU32(&out, req.threads);
-  return out;
-}
-
-Result<AdviseRequest> DecodeAdviseRequest(std::string_view payload) {
-  AdviseRequest req;
-  WireReader in{payload};
-  if (!in.GetString(&req.workload_text) ||
-      !GetF64(&in, &req.disk_budget_bytes) ||
-      !in.GetString(&req.algorithm) || !GetF64(&in, &req.budget_ms) ||
-      !in.GetU32(&req.threads) || !in.AtEnd()) {
-    return Malformed("advise request");
-  }
-  return req;
-}
-
-std::string EncodeExplainRequest(const ExplainRequest& req) {
-  std::string out;
-  PutU8(&out, req.analyze ? 1 : 0);
-  PutString(&out, req.statement);
-  PutF64(&out, req.budget_ms);
-  return out;
-}
-
-Result<ExplainRequest> DecodeExplainRequest(std::string_view payload) {
-  ExplainRequest req;
-  WireReader in{payload};
-  uint8_t analyze = 0;
-  if (!in.GetU8(&analyze) || !in.GetString(&req.statement) ||
-      !GetF64(&in, &req.budget_ms) || !in.AtEnd()) {
-    return Malformed("explain request");
-  }
-  req.analyze = analyze != 0;
-  return req;
-}
-
-std::string EncodeMetricsRequest(const MetricsRequest& req) {
-  std::string out;
-  PutU8(&out, static_cast<uint8_t>(req.format));
-  return out;
-}
-
-Result<MetricsRequest> DecodeMetricsRequest(std::string_view payload) {
-  MetricsRequest req;
-  WireReader in{payload};
-  uint8_t format = 0;
-  if (!in.GetU8(&format) || !in.AtEnd() ||
-      format > static_cast<uint8_t>(MetricsFormat::kTable)) {
-    return Malformed("metrics request");
-  }
-  req.format = static_cast<MetricsFormat>(format);
-  return req;
-}
-
-std::string EncodeExecReply(const ExecReply& reply) {
-  std::string out;
-  PutU64(&out, reply.result_count);
-  PutU64(&out, reply.docs_examined);
-  PutU64(&out, reply.index_entries_scanned);
-  PutF64(&out, reply.wall_seconds);
-  PutU32(&out, static_cast<uint32_t>(reply.rows.size()));
-  for (const std::string& row : reply.rows) PutString(&out, row);
-  return out;
-}
-
-Result<ExecReply> DecodeExecReply(std::string_view payload) {
-  ExecReply reply;
-  WireReader in{payload};
-  uint32_t nrows = 0;
-  if (!in.GetU64(&reply.result_count) || !in.GetU64(&reply.docs_examined) ||
-      !in.GetU64(&reply.index_entries_scanned) ||
-      !GetF64(&in, &reply.wall_seconds) || !in.GetU32(&nrows)) {
-    return Malformed("exec reply");
-  }
-  reply.rows.resize(nrows);
-  for (uint32_t i = 0; i < nrows; ++i) {
-    if (!in.GetString(&reply.rows[i])) return Malformed("exec reply");
-  }
-  if (!in.AtEnd()) return Malformed("exec reply");
-  return reply;
-}
-
-std::string EncodeAdviseReply(const AdviseReply& reply) {
-  std::string out;
-  PutU32(&out, static_cast<uint32_t>(reply.indexes.size()));
-  for (const AdviseReplyIndex& index : reply.indexes) {
-    PutString(&out, index.ddl);
-    PutU64(&out, index.size_bytes);
-    PutU8(&out, index.is_general ? 1 : 0);
-  }
-  PutF64(&out, reply.total_size_bytes);
-  PutF64(&out, reply.est_speedup);
-  PutU64(&out, reply.optimizer_calls);
-  PutU8(&out, reply.partial ? 1 : 0);
-  return out;
-}
-
-Result<AdviseReply> DecodeAdviseReply(std::string_view payload) {
-  AdviseReply reply;
-  WireReader in{payload};
-  uint32_t count = 0;
-  if (!in.GetU32(&count)) return Malformed("advise reply");
-  reply.indexes.resize(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    uint8_t general = 0;
-    if (!in.GetString(&reply.indexes[i].ddl) ||
-        !in.GetU64(&reply.indexes[i].size_bytes) || !in.GetU8(&general)) {
-      return Malformed("advise reply");
-    }
-    reply.indexes[i].is_general = general != 0;
-  }
-  uint8_t partial = 0;
-  if (!GetF64(&in, &reply.total_size_bytes) ||
-      !GetF64(&in, &reply.est_speedup) ||
-      !in.GetU64(&reply.optimizer_calls) || !in.GetU8(&partial) ||
-      !in.AtEnd()) {
-    return Malformed("advise reply");
-  }
-  reply.partial = partial != 0;
-  return reply;
-}
-
-std::string EncodeTextReply(const TextReply& reply) {
-  std::string out;
-  PutString(&out, reply.text);
-  return out;
-}
-
-Result<TextReply> DecodeTextReply(std::string_view payload) {
-  TextReply reply;
-  WireReader in{payload};
-  if (!in.GetString(&reply.text) || !in.AtEnd()) {
-    return Malformed("text reply");
-  }
-  return reply;
-}
-
-std::string EncodeErrorReply(const ErrorReply& reply) {
-  std::string out;
-  PutU8(&out, static_cast<uint8_t>(reply.code));
-  PutString(&out, reply.message);
-  if (!reply.leader_endpoint.empty()) PutString(&out, reply.leader_endpoint);
-  return out;
-}
-
-Result<ErrorReply> DecodeErrorReply(std::string_view payload) {
-  ErrorReply reply;
-  WireReader in{payload};
-  uint8_t code = 0;
-  if (!in.GetU8(&code) || !in.GetString(&reply.message) ||
-      code > static_cast<uint8_t>(StatusCode::kFenced)) {
-    return Malformed("error reply");
-  }
-  // Optional leader-endpoint tail (present on kReadOnly/kFenced replies
-  // from servers that know where the leader is).
-  if (!in.AtEnd()) {
-    if (!in.GetString(&reply.leader_endpoint) || !in.AtEnd() ||
-        reply.leader_endpoint.empty()) {
-      return Malformed("error reply");
-    }
-  }
-  reply.code = static_cast<StatusCode>(code);
-  return reply;
-}
-
-std::string EncodeReplSubscribeRequest(const ReplSubscribeRequest& req) {
-  std::string out;
-  PutString(&out, req.follower_id);
-  PutU64(&out, req.start_lsn);
-  if (req.epoch != 0) PutU64(&out, req.epoch);
-  return out;
-}
-
-Result<ReplSubscribeRequest> DecodeReplSubscribeRequest(
-    std::string_view payload) {
-  ReplSubscribeRequest req;
-  WireReader in{payload};
-  if (!in.GetString(&req.follower_id) || !in.GetU64(&req.start_lsn)) {
-    return Malformed("repl subscribe request");
-  }
-  // Optional witnessed-epoch tail (absent from PR-7 followers = epoch
-  // unknown, treated as 0 — never fences).
-  if (!in.AtEnd()) {
-    if (!in.GetU64(&req.epoch) || !in.AtEnd() || req.epoch == 0) {
-      return Malformed("repl subscribe request");
-    }
-  }
-  return req;
-}
-
-std::string EncodeReplHelloPayload(const ReplHelloPayload& hello) {
-  std::string out;
-  PutU64(&out, hello.leader_epoch);
-  PutU64(&out, hello.epoch_start_lsn);
-  return out;
-}
-
-Result<ReplHelloPayload> DecodeReplHelloPayload(std::string_view payload) {
-  ReplHelloPayload hello;
-  WireReader in{payload};
-  if (!in.GetU64(&hello.leader_epoch) ||
-      !in.GetU64(&hello.epoch_start_lsn) || !in.AtEnd() ||
-      hello.leader_epoch == 0) {
-    return Malformed("repl hello");
-  }
-  return hello;
-}
-
-std::string EncodeReplSnapshotPayload(const ReplSnapshotPayload& snap) {
-  std::string out;
-  PutU64(&out, snap.checkpoint_lsn);
-  PutU8(&out, snap.has_snapshot ? 1 : 0);
-  PutU8(&out, snap.has_catalog ? 1 : 0);
-  PutString(&out, snap.snapshot_bytes);
-  PutString(&out, snap.catalog_bytes);
-  if (snap.repl_epoch > 1) {
-    PutU64(&out, snap.repl_epoch);
-    PutU64(&out, snap.epoch_start_lsn);
-  }
-  return out;
-}
-
-Result<ReplSnapshotPayload> DecodeReplSnapshotPayload(
-    std::string_view payload) {
-  ReplSnapshotPayload snap;
-  WireReader in{payload};
-  uint8_t has_snapshot = 0;
-  uint8_t has_catalog = 0;
-  if (!in.GetU64(&snap.checkpoint_lsn) || !in.GetU8(&has_snapshot) ||
-      !in.GetU8(&has_catalog) || !in.GetString(&snap.snapshot_bytes) ||
-      !in.GetString(&snap.catalog_bytes)) {
-    return Malformed("repl snapshot");
-  }
-  // Optional epoch tail (absent from PR-7 leaders = epoch 1).
-  if (!in.AtEnd()) {
-    if (!in.GetU64(&snap.repl_epoch) || !in.GetU64(&snap.epoch_start_lsn) ||
-        !in.AtEnd() || snap.repl_epoch < 2) {
-      return Malformed("repl snapshot");
-    }
-  }
-  snap.has_snapshot = has_snapshot != 0;
-  snap.has_catalog = has_catalog != 0;
-  return snap;
-}
-
-std::string EncodeReplAckPayload(const ReplAckPayload& ack) {
-  std::string out;
-  PutU64(&out, ack.acked_lsn);
-  return out;
-}
-
-Result<ReplAckPayload> DecodeReplAckPayload(std::string_view payload) {
-  ReplAckPayload ack;
-  WireReader in{payload};
-  if (!in.GetU64(&ack.acked_lsn) || !in.AtEnd()) {
-    return Malformed("repl ack");
-  }
-  return ack;
-}
-
-std::string EncodeReplStatusRequest(const ReplStatusRequest&) {
-  return std::string();
-}
-
-Result<ReplStatusRequest> DecodeReplStatusRequest(std::string_view payload) {
-  if (!payload.empty()) return Malformed("repl status request");
-  return ReplStatusRequest{};
-}
-
-std::string EncodeReplStatusReply(const ReplStatusReply& reply) {
-  std::string out;
-  PutString(&out, reply.role);
-  PutU64(&out, reply.repl_epoch);
-  PutU64(&out, reply.epoch_start_lsn);
-  PutU64(&out, reply.durable_lsn);
-  PutU64(&out, reply.checkpoint_lsn);
-  PutU64(&out, reply.applied_lsn);
-  PutString(&out, reply.leader_endpoint);
-  PutU32(&out, static_cast<uint32_t>(reply.followers.size()));
-  for (const ReplStatusFollower& f : reply.followers) {
-    PutString(&out, f.follower_id);
-    PutString(&out, f.remote);
-    PutU64(&out, f.acked_lsn);
-    PutU8(&out, f.connected ? 1 : 0);
-  }
-  return out;
-}
-
-Result<ReplStatusReply> DecodeReplStatusReply(std::string_view payload) {
-  ReplStatusReply reply;
-  WireReader in{payload};
-  uint32_t nfollowers = 0;
-  if (!in.GetString(&reply.role) || !in.GetU64(&reply.repl_epoch) ||
-      !in.GetU64(&reply.epoch_start_lsn) || !in.GetU64(&reply.durable_lsn) ||
-      !in.GetU64(&reply.checkpoint_lsn) || !in.GetU64(&reply.applied_lsn) ||
-      !in.GetString(&reply.leader_endpoint) || !in.GetU32(&nfollowers) ||
-      reply.repl_epoch == 0 ||
-      (reply.role != "leader" && reply.role != "follower")) {
-    return Malformed("repl status reply");
-  }
-  reply.followers.resize(nfollowers);
-  for (uint32_t i = 0; i < nfollowers; ++i) {
-    uint8_t connected = 0;
-    if (!in.GetString(&reply.followers[i].follower_id) ||
-        !in.GetString(&reply.followers[i].remote) ||
-        !in.GetU64(&reply.followers[i].acked_lsn) || !in.GetU8(&connected)) {
-      return Malformed("repl status reply");
-    }
-    reply.followers[i].connected = connected != 0;
-  }
-  if (!in.AtEnd()) return Malformed("repl status reply");
-  return reply;
-}
-
-std::string EncodePromoteRequest(const PromoteRequest&) {
-  return std::string();
-}
-
-Result<PromoteRequest> DecodePromoteRequest(std::string_view payload) {
-  if (!payload.empty()) return Malformed("promote request");
-  return PromoteRequest{};
-}
-
-std::string EncodePromoteReply(const PromoteReply& reply) {
-  std::string out;
-  PutU64(&out, reply.epoch);
-  PutU64(&out, reply.barrier_lsn);
-  return out;
-}
-
-Result<PromoteReply> DecodePromoteReply(std::string_view payload) {
-  PromoteReply reply;
-  WireReader in{payload};
-  if (!in.GetU64(&reply.epoch) || !in.GetU64(&reply.barrier_lsn) ||
-      !in.AtEnd() || reply.epoch < 2 || reply.barrier_lsn == 0) {
-    return Malformed("promote reply");
-  }
-  return reply;
-}
-
-std::string EncodeFollowRequest(const FollowRequest& req) {
-  std::string out;
-  PutString(&out, req.host);
-  PutU32(&out, req.port);
-  return out;
-}
-
-Result<FollowRequest> DecodeFollowRequest(std::string_view payload) {
-  FollowRequest req;
-  WireReader in{payload};
-  uint32_t port = 0;
-  if (!in.GetString(&req.host) || !in.GetU32(&port) || !in.AtEnd() ||
-      req.host.empty() || port == 0 || port > 0xffff) {
-    return Malformed("follow request");
-  }
-  req.port = static_cast<uint16_t>(port);
-  return req;
-}
-
-std::string EncodeCreateIndexRequest(const CreateIndexRequest& req) {
-  std::string out;
-  PutString(&out, req.name);
-  PutString(&out, req.collection);
-  PutString(&out, req.pattern);
-  PutU8(&out, req.value_type);
-  PutU8(&out, req.structural ? 1 : 0);
-  PutU8(&out, req.is_virtual ? 1 : 0);
-  PutU8(&out, req.online ? 1 : 0);
-  return out;
-}
-
-Result<CreateIndexRequest> DecodeCreateIndexRequest(
-    std::string_view payload) {
-  CreateIndexRequest req;
-  WireReader in{payload};
-  uint8_t structural = 0;
-  uint8_t is_virtual = 0;
-  uint8_t online = 0;
-  if (!in.GetString(&req.name) || !in.GetString(&req.collection) ||
-      !in.GetString(&req.pattern) || !in.GetU8(&req.value_type) ||
-      !in.GetU8(&structural) || !in.GetU8(&is_virtual) ||
-      !in.GetU8(&online) || !in.AtEnd() || req.name.empty() ||
-      req.collection.empty() || req.pattern.empty() || req.value_type > 1 ||
-      structural > 1 || is_virtual > 1 || online > 1 ||
-      (is_virtual && online)) {
-    return Malformed("create index request");
-  }
-  req.structural = structural != 0;
-  req.is_virtual = is_virtual != 0;
-  req.online = online != 0;
-  return req;
-}
-
-std::string EncodeCreateIndexReply(const CreateIndexReply& reply) {
-  std::string out;
-  PutU64(&out, reply.entry_count);
-  PutU64(&out, reply.size_bytes);
-  PutU8(&out, reply.online ? 1 : 0);
-  PutF64(&out, reply.build_seconds);
-  PutF64(&out, reply.stall_seconds);
-  PutU64(&out, reply.delta_ops);
-  return out;
-}
-
-Result<CreateIndexReply> DecodeCreateIndexReply(std::string_view payload) {
-  CreateIndexReply reply;
-  WireReader in{payload};
-  uint8_t online = 0;
-  if (!in.GetU64(&reply.entry_count) || !in.GetU64(&reply.size_bytes) ||
-      !in.GetU8(&online) || !GetF64(&in, &reply.build_seconds) ||
-      !GetF64(&in, &reply.stall_seconds) || !in.GetU64(&reply.delta_ops) ||
-      !in.AtEnd() || online > 1) {
-    return Malformed("create index reply");
-  }
-  reply.online = online != 0;
-  return reply;
-}
+#undef XIA_PAYLOAD_CODEC
 
 Status ErrorReplyToStatus(const ErrorReply& reply) {
   if (reply.code == StatusCode::kOk) {

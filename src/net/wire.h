@@ -41,7 +41,6 @@
 #include <vector>
 
 #include "util/status.h"
-#include "wal/wire.h"
 
 namespace xia::net {
 
@@ -127,11 +126,9 @@ class FrameReader {
 };
 
 // ---------------------------------------------------------------------------
-// Payload encodings. All integers little-endian via wal/wire.h; doubles
-// travel as the little-endian bytes of their IEEE-754 representation.
-
-void PutF64(std::string* out, double v);
-bool GetF64(wal::WireReader* in, double* v);
+// Payloads. Each struct's fields travel in declaration order, encoded by
+// one field list in wire.cc under the wal/wire.h conventions (DESIGN
+// §13); the optional fields documented below form a trailing tail.
 
 /// kQuery — a read-only statement.
 struct QueryRequest {

@@ -24,22 +24,22 @@ void AppendFrame(std::string_view payload, std::string* out) {
 
 FrameParse ParseNextFrame(std::string_view data, size_t* pos,
                           std::string_view* payload, std::string* reason) {
-  WireReader reader{data.substr(*pos)};
-  uint32_t len = 0;
-  uint32_t crc = 0;
-  if (!reader.GetU32(&len) || !reader.GetU32(&crc)) {
+  const std::string_view rest = data.substr(*pos);
+  if (rest.size() < 8) {
     if (reason != nullptr) *reason = "truncated frame header";
     return FrameParse::kNeedMore;
   }
+  const uint32_t len = LoadLE<uint32_t>(rest.data());
+  const uint32_t crc = LoadLE<uint32_t>(rest.data() + 4);
   if (len > kMaxFrameBytes) {
     if (reason != nullptr) *reason = "frame length out of range";
     return FrameParse::kCorrupt;
   }
-  if (reader.pos + len > reader.data.size()) {
+  if (rest.size() - 8 < len) {
     if (reason != nullptr) *reason = "truncated frame payload";
     return FrameParse::kNeedMore;
   }
-  const std::string_view body = reader.data.substr(reader.pos, len);
+  const std::string_view body = rest.substr(8, len);
   if (Crc32(body) != crc) {
     if (reason != nullptr) *reason = "frame crc mismatch";
     return FrameParse::kCorrupt;

@@ -59,14 +59,13 @@ Result<std::string> ParseFramedBytes(std::string_view data,
       std::memcmp(data.data(), magic, sizeof(magic)) != 0) {
     return Status::DataLoss(where + " is corrupt (bad magic)");
   }
-  WireReader reader{data.substr(sizeof(magic))};
-  uint32_t len = 0;
-  uint32_t crc = 0;
-  if (!reader.GetU32(&len) || !reader.GetU32(&crc) ||
-      reader.pos + len != reader.data.size()) {
+  const std::string_view frame = data.substr(sizeof(magic));
+  const uint32_t len = LoadLE<uint32_t>(frame.data());
+  const uint32_t crc = LoadLE<uint32_t>(frame.data() + 4);
+  if (frame.size() - 8 != len) {
     return Status::DataLoss(where + " is corrupt (bad frame)");
   }
-  const std::string_view payload = reader.data.substr(reader.pos, len);
+  const std::string_view payload = frame.substr(8);
   if (Crc32(payload) != crc) {
     return Status::DataLoss(where + " is corrupt (crc mismatch)");
   }
@@ -79,100 +78,49 @@ Result<std::string> ReadFramedFile(const std::string& path,
   return ParseFramedBytes(data, magic, path);
 }
 
-struct Manifest {
-  uint64_t checkpoint_lsn = 0;
-  bool has_snapshot = false;
-  bool has_catalog = false;
-  uint64_t repl_epoch = 1;
-  uint64_t epoch_start_lsn = 0;
-};
-
 Status WriteManifest(const std::string& path, const Manifest& m) {
-  std::string payload;
-  PutU64(&payload, m.checkpoint_lsn);
-  PutU8(&payload, m.has_snapshot ? 1 : 0);
-  PutU8(&payload, m.has_catalog ? 1 : 0);
-  PutU64(&payload, m.repl_epoch);
-  PutU64(&payload, m.epoch_start_lsn);
-  return WriteFileAtomic(path, EncodeFramedFile(kManifestMagic, payload));
+  return WriteFileAtomic(path,
+                         EncodeFramedFile(kManifestMagic, EncodeManifest(m)));
+}
+
+/// Wraps a payload decode error as "<where> is corrupt (<reason>)".
+Status CorruptFile(const std::string& where, const Status& status) {
+  return Status::DataLoss(where + " is corrupt (" + status.message() + ")");
 }
 
 Result<Manifest> ReadManifest(const std::string& path) {
   XIA_ASSIGN_OR_RETURN(const std::string payload,
                        ReadFramedFile(path, kManifestMagic));
-  WireReader reader{payload};
-  Manifest m;
-  uint8_t has_snapshot = 0;
-  uint8_t has_catalog = 0;
-  if (!reader.GetU64(&m.checkpoint_lsn) || !reader.GetU8(&has_snapshot) ||
-      !reader.GetU8(&has_catalog)) {
-    return Status::DataLoss(path + " is corrupt (bad manifest payload)");
-  }
-  // The epoch tail is optional: manifests written before epoch fencing
-  // existed end here and mean "initial epoch". A partial tail is still
-  // corruption.
-  if (!reader.AtEnd()) {
-    if (!reader.GetU64(&m.repl_epoch) || !reader.GetU64(&m.epoch_start_lsn) ||
-        !reader.AtEnd() || m.repl_epoch == 0) {
-      return Status::DataLoss(path + " is corrupt (bad manifest payload)");
-    }
-  }
-  m.has_snapshot = has_snapshot != 0;
-  m.has_catalog = has_catalog != 0;
+  Result<Manifest> m = DecodeManifest(payload);
+  if (!m.ok()) return CorruptFile(path, m.status());
   return m;
 }
 
 std::string EncodeCatalogFile(const storage::DocumentStore& store,
                               const storage::Catalog& catalog) {
   // Only real indexes persist; virtual ones are advisor scratch state.
-  std::vector<const storage::IndexDef*> real;
+  std::vector<CatalogEntry> real;
   for (const std::string& coll : store.CollectionNames()) {
     for (const storage::IndexDef* def : catalog.IndexesFor(coll)) {
-      if (!def->is_virtual) real.push_back(def);
+      if (!def->is_virtual) {
+        real.push_back(CatalogEntry{def->name, def->collection, def->pattern});
+      }
     }
   }
   std::sort(real.begin(), real.end(),
-            [](const storage::IndexDef* a, const storage::IndexDef* b) {
-              return a->name < b->name;
+            [](const CatalogEntry& a, const CatalogEntry& b) {
+              return a.name < b.name;
             });
-  std::string payload;
-  PutU32(&payload, static_cast<uint32_t>(real.size()));
-  for (const storage::IndexDef* def : real) {
-    PutString(&payload, def->name);
-    PutString(&payload, def->collection);
-    PutPath(&payload, def->pattern.path);
-    PutU8(&payload, static_cast<uint8_t>(def->pattern.type));
-    PutU8(&payload, def->pattern.structural ? 1 : 0);
-  }
-  return EncodeFramedFile(kCatalogMagic, payload);
+  return EncodeFramedFile(kCatalogMagic, EncodeCatalog(real));
 }
 
 Status LoadCatalogPayload(const std::string& payload, const std::string& where,
                           storage::Catalog* catalog) {
-  WireReader reader{payload};
-  uint32_t count = 0;
-  if (!reader.GetU32(&count)) {
-    return Status::DataLoss(where + " is corrupt (bad catalog payload)");
-  }
-  for (uint32_t i = 0; i < count; ++i) {
-    std::string name;
-    std::string collection;
-    xpath::IndexPattern pattern;
-    uint8_t type = 0;
-    uint8_t structural = 0;
-    if (!reader.GetString(&name) || !reader.GetString(&collection) ||
-        !GetPath(&reader, &pattern.path) || !reader.GetU8(&type) ||
-        !reader.GetU8(&structural) ||
-        type > static_cast<uint8_t>(xpath::ValueType::kNumeric)) {
-      return Status::DataLoss(where + " is corrupt (bad index entry)");
-    }
-    pattern.type = static_cast<xpath::ValueType>(type);
-    pattern.structural = structural != 0;
+  Result<std::vector<CatalogEntry>> entries = DecodeCatalog(payload);
+  if (!entries.ok()) return CorruptFile(where, entries.status());
+  for (const CatalogEntry& e : *entries) {
     XIA_RETURN_IF_ERROR(
-        catalog->CreateIndex(name, collection, pattern).status());
-  }
-  if (!reader.AtEnd()) {
-    return Status::DataLoss(where + " is corrupt (trailing bytes)");
+        catalog->CreateIndex(e.name, e.collection, e.pattern).status());
   }
   return Status::OK();
 }
@@ -630,8 +578,7 @@ Result<TailBatch> WalManager::ReadTail(TailCursor* cursor, size_t max_records,
             break;
           }
           uint64_t lsn = 0;
-          WireReader lsn_peek{payload};
-          if (!lsn_peek.GetU64(&lsn)) {
+          if (!Reader(payload)(lsn)) {
             corrupt = true;
             corrupt_reason = "record payload too short for lsn";
             break;

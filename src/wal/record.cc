@@ -81,60 +81,58 @@ WalRecord WalRecord::EpochBarrier(uint64_t epoch) {
   return r;
 }
 
-void PutPath(std::string* out, const xpath::Path& path) {
-  PutU32(out, static_cast<uint32_t>(path.steps().size()));
-  for (const xpath::Step& step : path.steps()) {
-    PutU8(out, static_cast<uint8_t>(step.axis));
-    PutString(out, step.name_test);
-  }
+/// The index definition shared by the kCreateIndex record and a catalog
+/// entry. `structural` is a bool (any nonzero byte is true) in the
+/// catalog and a StrictBool in the record.
+template <class IO, class Structural>
+bool IndexDefFields(IO& io, std::string& name, std::string& collection,
+                    xpath::Path& path, xpath::ValueType& type,
+                    Structural&& structural) {
+  return io(name) && io(collection) && io(path) &&
+         io(type, xpath::ValueType::kNumeric) && io(structural);
 }
 
-bool GetPath(WireReader* reader, xpath::Path* path) {
-  uint32_t count = 0;
-  if (!reader->GetU32(&count)) return false;
-  std::vector<xpath::Step> steps;
-  steps.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    uint8_t axis = 0;
-    std::string name;
-    if (!reader->GetU8(&axis) || !reader->GetString(&name)) return false;
-    if (axis > static_cast<uint8_t>(xpath::Axis::kDescendant)) return false;
-    if (name.empty()) return false;
-    steps.emplace_back(static_cast<xpath::Axis>(axis), std::move(name));
+/// The fields after the lsn + type prefix, by type.
+template <class IO>
+bool Fields(IO& io, WalRecord& r) {
+  switch (r.type) {
+    case RecordType::kCreateCollection:
+    case RecordType::kStatsRefresh:
+      return io(r.collection);
+    case RecordType::kInsert:
+      return io(r.collection) && io(r.text);
+    case RecordType::kStatement:
+      return io(r.text);
+    case RecordType::kCreateIndex:
+      return IndexDefFields(io, r.name, r.collection, r.pattern_path,
+                            r.value_type, StrictBool{r.structural});
+    case RecordType::kDropIndex:
+      return io(r.name);
+    case RecordType::kEpochBarrier:
+      return io(r.epoch) && io.Check([&] { return r.epoch > 0; });
   }
-  *path = xpath::Path(std::move(steps));
-  return true;
+  return false;
+}
+
+/// The epoch tail is always written; only manifests from before epoch
+/// fencing end without it.
+template <class IO>
+bool Fields(IO& io, Manifest& m) {
+  return io(m.checkpoint_lsn) && io(m.has_snapshot) && io(m.has_catalog) &&
+         io.Tail([] { return true; }, m.repl_epoch, m.epoch_start_lsn) &&
+         io.Check([&] { return m.repl_epoch != 0; });
+}
+
+template <class IO>
+bool Fields(IO& io, CatalogEntry& e) {
+  return IndexDefFields(io, e.name, e.collection, e.pattern.path,
+                        e.pattern.type, e.pattern.structural);
 }
 
 void EncodeRecordTo(const WalRecord& record, std::string* out) {
   PutU64(out, record.lsn);
   PutU8(out, static_cast<uint8_t>(record.type));
-  switch (record.type) {
-    case RecordType::kCreateCollection:
-    case RecordType::kStatsRefresh:
-      PutString(out, record.collection);
-      break;
-    case RecordType::kInsert:
-      PutString(out, record.collection);
-      PutString(out, record.text);
-      break;
-    case RecordType::kStatement:
-      PutString(out, record.text);
-      break;
-    case RecordType::kCreateIndex:
-      PutString(out, record.name);
-      PutString(out, record.collection);
-      PutPath(out, record.pattern_path);
-      PutU8(out, static_cast<uint8_t>(record.value_type));
-      PutU8(out, record.structural ? 1 : 0);
-      break;
-    case RecordType::kDropIndex:
-      PutString(out, record.name);
-      break;
-    case RecordType::kEpochBarrier:
-      PutU64(out, record.epoch);
-      break;
-  }
+  EncodeTo(record, out);
 }
 
 std::string EncodeRecord(const WalRecord& record) {
@@ -144,10 +142,10 @@ std::string EncodeRecord(const WalRecord& record) {
 }
 
 Result<WalRecord> DecodeRecord(std::string_view payload) {
-  WireReader reader{payload};
+  Reader in(payload);
   WalRecord record;
   uint8_t type = 0;
-  if (!reader.GetU64(&record.lsn) || !reader.GetU8(&type)) {
+  if (!in(record.lsn) || !in(type)) {
     return Status::ParseError("WAL record payload truncated");
   }
   if (type < static_cast<uint8_t>(RecordType::kCreateCollection) ||
@@ -156,44 +154,35 @@ Result<WalRecord> DecodeRecord(std::string_view payload) {
                               std::to_string(type));
   }
   record.type = static_cast<RecordType>(type);
-  bool ok = true;
-  switch (record.type) {
-    case RecordType::kCreateCollection:
-    case RecordType::kStatsRefresh:
-      ok = reader.GetString(&record.collection);
-      break;
-    case RecordType::kInsert:
-      ok = reader.GetString(&record.collection) &&
-           reader.GetString(&record.text);
-      break;
-    case RecordType::kStatement:
-      ok = reader.GetString(&record.text);
-      break;
-    case RecordType::kCreateIndex: {
-      uint8_t value_type = 0;
-      uint8_t structural = 0;
-      ok = reader.GetString(&record.name) &&
-           reader.GetString(&record.collection) &&
-           GetPath(&reader, &record.pattern_path) &&
-           reader.GetU8(&value_type) && reader.GetU8(&structural) &&
-           value_type <= static_cast<uint8_t>(xpath::ValueType::kNumeric) &&
-           structural <= 1;
-      record.value_type = static_cast<xpath::ValueType>(value_type);
-      record.structural = structural != 0;
-      break;
-    }
-    case RecordType::kDropIndex:
-      ok = reader.GetString(&record.name);
-      break;
-    case RecordType::kEpochBarrier:
-      ok = reader.GetU64(&record.epoch) && record.epoch > 0;
-      break;
-  }
-  if (!ok || !reader.AtEnd()) {
+  if (!in(record) || !in.AtEnd()) {
     return Status::ParseError(std::string("malformed WAL ") +
                               RecordTypeName(record.type) + " record");
   }
   return record;
+}
+
+std::string EncodeManifest(const Manifest& manifest) {
+  return Encode(manifest);
+}
+
+Result<Manifest> DecodeManifest(std::string_view payload) {
+  Manifest m;
+  if (!DecodeAll(payload, &m)) {
+    return Status::DataLoss("bad manifest payload");
+  }
+  return m;
+}
+
+std::string EncodeCatalog(const std::vector<CatalogEntry>& entries) {
+  return Encode(entries);
+}
+
+Result<std::vector<CatalogEntry>> DecodeCatalog(std::string_view payload) {
+  std::vector<CatalogEntry> entries;
+  if (!DecodeAll(payload, &entries)) {
+    return Status::DataLoss("bad catalog payload");
+  }
+  return entries;
 }
 
 }  // namespace xia::wal

@@ -24,14 +24,17 @@
 //                      deposed leader truncates everything at or past
 //                      the barrier LSN before rejoining (DESIGN §15).
 //
-// Payload layout: u64 lsn, u8 type, then the type's fields (wire.h
-// conventions). Framing (length + CRC) is the log file's job.
+// Payload layout: u64 lsn, u8 type, then the type's fields (one field
+// list in record.cc, wire.h conventions). Framing (length + CRC) is the
+// log file's job.
 
 #ifndef XIA_WAL_RECORD_H_
 #define XIA_WAL_RECORD_H_
 
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "util/status.h"
 #include "xpath/path.h"
@@ -79,13 +82,6 @@ struct WalRecord {
   static WalRecord EpochBarrier(uint64_t epoch);
 };
 
-struct WireReader;
-
-/// Path sub-codec (u32 step count, then u8 axis + string name test per
-/// step), shared with the checkpoint catalog file.
-void PutPath(std::string* out, const xpath::Path& path);
-bool GetPath(WireReader* reader, xpath::Path* path);
-
 /// Renders the record payload (lsn + type + fields).
 std::string EncodeRecord(const WalRecord& record);
 
@@ -98,6 +94,35 @@ void EncodeRecordTo(const WalRecord& record, std::string* out);
 /// that passed its frame CRC but does not decode is corruption beyond
 /// what framing can explain, not a torn tail).
 Result<WalRecord> DecodeRecord(std::string_view payload);
+
+// ---- checkpoint files (the payloads inside their magic + CRC frame) ----
+
+/// The MANIFEST: the commit point naming the current checkpoint. The
+/// epoch pair is an optional tail; manifests written before epoch
+/// fencing end before it and mean the initial epoch.
+struct Manifest {
+  uint64_t checkpoint_lsn = 0;
+  bool has_snapshot = false;
+  bool has_catalog = false;
+  uint64_t repl_epoch = 1;
+  uint64_t epoch_start_lsn = 0;
+};
+
+std::string EncodeManifest(const Manifest& manifest);
+/// kDataLoss on malformed input.
+Result<Manifest> DecodeManifest(std::string_view payload);
+
+/// One real index in the checkpoint catalog file; its fields are those of
+/// a kCreateIndex record.
+struct CatalogEntry {
+  std::string name;
+  std::string collection;
+  xpath::IndexPattern pattern;
+};
+
+std::string EncodeCatalog(const std::vector<CatalogEntry>& entries);
+/// kDataLoss on malformed input.
+Result<std::vector<CatalogEntry>> DecodeCatalog(std::string_view payload);
 
 }  // namespace xia::wal
 

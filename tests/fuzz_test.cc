@@ -1,16 +1,24 @@
 // Randomized robustness tests: parsers must never crash or hang on
 // arbitrary input, serialize/parse must round-trip structured data, and
 // the persistence loaders must survive arbitrary mutation of their inputs
-// — including with fault-injection points armed at low probability.
+// — including with fault-injection points armed at low probability — and
+// the wire and WAL payload decoders must decode mutated payloads exactly
+// like the reference decoders they replaced.
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <optional>
 #include <sstream>
+#include <tuple>
+#include <type_traits>
 
 #include "advisor/advisor.h"
+#include "codec_fixtures.h"
 #include "engine/query_parser.h"
 #include "fault/deadline.h"
 #include "fault/fault.h"
+#include "reference_decoders.h"
 #include "storage/snapshot.h"
 #include "tpox/tpox_data.h"
 #include "tpox/xmark.h"
@@ -227,6 +235,229 @@ TEST_P(FuzzTest, PipelineUnderLowProbabilityFaults) {
   registry.set_seed(42);
   // 2% per hit still lets most runs through end to end.
   EXPECT_GT(successes, 0);
+}
+
+// ---------------------------------------------------------------------------
+// Differential decode check: every production payload decoder against
+// the hand-written reference decoder it replaced (reference_decoders.h),
+// over mutations of every golden payload.
+
+using codec_fixtures::Codec;
+
+#define XIA_REFERENCE(T, decode)                                    \
+  Result<T> ReferenceDecode(std::string_view payload, const T*) {   \
+    return reference::decode(payload);                              \
+  }
+XIA_REFERENCE(net::QueryRequest, DecodeQueryRequest)
+XIA_REFERENCE(net::MutationRequest, DecodeMutationRequest)
+XIA_REFERENCE(net::AdviseRequest, DecodeAdviseRequest)
+XIA_REFERENCE(net::ExplainRequest, DecodeExplainRequest)
+XIA_REFERENCE(net::MetricsRequest, DecodeMetricsRequest)
+XIA_REFERENCE(net::ExecReply, DecodeExecReply)
+XIA_REFERENCE(net::AdviseReply, DecodeAdviseReply)
+XIA_REFERENCE(net::TextReply, DecodeTextReply)
+XIA_REFERENCE(net::ErrorReply, DecodeErrorReply)
+XIA_REFERENCE(net::ReplSubscribeRequest, DecodeReplSubscribeRequest)
+XIA_REFERENCE(net::ReplHelloPayload, DecodeReplHelloPayload)
+XIA_REFERENCE(net::ReplSnapshotPayload, DecodeReplSnapshotPayload)
+XIA_REFERENCE(net::ReplAckPayload, DecodeReplAckPayload)
+XIA_REFERENCE(net::ReplStatusRequest, DecodeReplStatusRequest)
+XIA_REFERENCE(net::ReplStatusReply, DecodeReplStatusReply)
+XIA_REFERENCE(net::PromoteRequest, DecodePromoteRequest)
+XIA_REFERENCE(net::PromoteReply, DecodePromoteReply)
+XIA_REFERENCE(net::FollowRequest, DecodeFollowRequest)
+XIA_REFERENCE(net::CreateIndexRequest, DecodeCreateIndexRequest)
+XIA_REFERENCE(net::CreateIndexReply, DecodeCreateIndexReply)
+XIA_REFERENCE(wal::WalRecord, DecodeRecord)
+XIA_REFERENCE(wal::Manifest, DecodeManifest)
+XIA_REFERENCE(codec_fixtures::Catalog, DecodeCatalog)
+#undef XIA_REFERENCE
+
+// Every decoded field, as a comparable tuple. Doubles compare by bits so
+// a mutated NaN still compares equal to itself.
+uint64_t Bits(double d) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &d, sizeof(bits));
+  return bits;
+}
+
+auto Key(const net::AdviseReplyIndex& m) {
+  return std::make_tuple(m.ddl, m.size_bytes, m.is_general);
+}
+auto Key(const net::ReplStatusFollower& m) {
+  return std::make_tuple(m.follower_id, m.remote, m.acked_lsn, m.connected);
+}
+auto Key(const wal::CatalogEntry& m) {
+  return std::make_tuple(m.name, m.collection, m.pattern.path, m.pattern.type,
+                         m.pattern.structural);
+}
+template <class T>
+auto Key(const std::vector<T>& v) {
+  std::vector<decltype(Key(v.front()))> keys;
+  for (const T& e : v) keys.push_back(Key(e));
+  return keys;
+}
+auto Key(const net::QueryRequest& m) {
+  return std::make_tuple(m.statement, m.materialize_rows, m.max_rows,
+                         Bits(m.budget_ms));
+}
+auto Key(const net::MutationRequest& m) {
+  return std::make_tuple(m.statement, Bits(m.budget_ms), m.expected_epoch);
+}
+auto Key(const net::AdviseRequest& m) {
+  return std::make_tuple(m.workload_text, Bits(m.disk_budget_bytes),
+                         m.algorithm, Bits(m.budget_ms), m.threads);
+}
+auto Key(const net::ExplainRequest& m) {
+  return std::make_tuple(m.analyze, m.statement, Bits(m.budget_ms));
+}
+auto Key(const net::MetricsRequest& m) { return std::make_tuple(m.format); }
+auto Key(const net::ExecReply& m) {
+  return std::make_tuple(m.result_count, m.docs_examined,
+                         m.index_entries_scanned, Bits(m.wall_seconds),
+                         m.rows);
+}
+auto Key(const net::AdviseReply& m) {
+  return std::make_tuple(Key(m.indexes), Bits(m.total_size_bytes),
+                         Bits(m.est_speedup), m.optimizer_calls, m.partial);
+}
+auto Key(const net::TextReply& m) { return std::make_tuple(m.text); }
+auto Key(const net::ErrorReply& m) {
+  return std::make_tuple(m.code, m.message, m.leader_endpoint);
+}
+auto Key(const net::ReplSubscribeRequest& m) {
+  return std::make_tuple(m.follower_id, m.start_lsn, m.epoch);
+}
+auto Key(const net::ReplHelloPayload& m) {
+  return std::make_tuple(m.leader_epoch, m.epoch_start_lsn);
+}
+auto Key(const net::ReplSnapshotPayload& m) {
+  return std::make_tuple(m.checkpoint_lsn, m.has_snapshot, m.has_catalog,
+                         m.snapshot_bytes, m.catalog_bytes, m.repl_epoch,
+                         m.epoch_start_lsn);
+}
+auto Key(const net::ReplAckPayload& m) { return std::make_tuple(m.acked_lsn); }
+auto Key(const net::ReplStatusRequest&) { return std::make_tuple(); }
+auto Key(const net::ReplStatusReply& m) {
+  return std::make_tuple(m.role, m.repl_epoch, m.epoch_start_lsn,
+                         m.durable_lsn, m.checkpoint_lsn, m.applied_lsn,
+                         m.leader_endpoint, Key(m.followers));
+}
+auto Key(const net::PromoteRequest&) { return std::make_tuple(); }
+auto Key(const net::PromoteReply& m) {
+  return std::make_tuple(m.epoch, m.barrier_lsn);
+}
+auto Key(const net::FollowRequest& m) {
+  return std::make_tuple(m.host, m.port);
+}
+auto Key(const net::CreateIndexRequest& m) {
+  return std::make_tuple(m.name, m.collection, m.pattern, m.value_type,
+                         m.structural, m.is_virtual, m.online);
+}
+auto Key(const net::CreateIndexReply& m) {
+  return std::make_tuple(m.entry_count, m.size_bytes, m.online,
+                         Bits(m.build_seconds), Bits(m.stall_seconds),
+                         m.delta_ops);
+}
+auto Key(const wal::WalRecord& m) {
+  return std::make_tuple(m.lsn, m.type, m.collection, m.text, m.name,
+                         m.pattern_path, m.value_type, m.structural, m.epoch);
+}
+auto Key(const wal::Manifest& m) {
+  return std::make_tuple(m.checkpoint_lsn, m.has_snapshot, m.has_catalog,
+                         m.repl_epoch, m.epoch_start_lsn);
+}
+
+/// Empty when the production decoder agrees with the reference on
+/// `input`; otherwise what differed.
+template <class T>
+std::string Disagreement(std::string_view input) {
+  const Result<T> got = Codec<T>::Decode(input);
+  std::optional<Result<T>> want;
+  try {
+    want.emplace(ReferenceDecode(input, static_cast<const T*>(nullptr)));
+  } catch (const reference::OversizedCount&) {
+    // The one intended divergence: the reference would allocate the
+    // count; the production decoder must reject it as malformed (the
+    // checkpoint files report malformed payloads as data loss).
+    const bool checkpoint_file =
+        std::is_same_v<T, wal::Manifest> ||
+        std::is_same_v<T, codec_fixtures::Catalog>;
+    const StatusCode malformed =
+        checkpoint_file ? StatusCode::kDataLoss : StatusCode::kParseError;
+    if (got.status().code() == malformed) return "";
+    return "oversized count decoded as " + got.status().ToString();
+  }
+  if (got.ok() != want->ok()) {
+    return "accepts differ: got " + got.status().ToString() + ", want " +
+           want->status().ToString();
+  }
+  if (!got.ok()) {
+    if (got.status().code() == want->status().code()) return "";
+    return "codes differ: got " + got.status().ToString() + ", want " +
+           want->status().ToString();
+  }
+  return Key(*got) == Key(**want) ? "" : "decoded values differ";
+}
+
+/// Truncation at every length, flips of every byte, appended junk, a u32
+/// 0xFFFFFFFF and a u32 0 spliced over every offset (hence over every
+/// count field), and `random` seeded multi-byte corruptions.
+std::vector<std::string> Mutations(const std::string& payload, Random* rng,
+                                   int random) {
+  std::vector<std::string> out;
+  for (size_t len = 0; len < payload.size(); ++len) {
+    out.push_back(payload.substr(0, len));
+  }
+  for (size_t i = 0; i < payload.size(); ++i) {
+    for (const unsigned char mask : {0x01, 0x80, 0xFF}) {
+      std::string m = payload;
+      m[i] = static_cast<char>(m[i] ^ mask);
+      out.push_back(std::move(m));
+    }
+  }
+  for (const std::string& junk :
+       {std::string(1, '\0'), std::string(1, '\1'), std::string("junk"),
+        std::string(8, '\2'), std::string(16, '\xff')}) {
+    out.push_back(payload + junk);
+  }
+  for (size_t i = 0; i + 4 <= payload.size(); ++i) {
+    for (const char fill : {'\xff', '\0'}) {
+      std::string m = payload;
+      m.replace(i, 4, 4, fill);
+      out.push_back(std::move(m));
+    }
+  }
+  for (int r = 0; r < random && !payload.empty(); ++r) {
+    std::string m = payload;
+    const size_t edits = 1 + rng->Uniform(4);
+    for (size_t e = 0; e < edits; ++e) {
+      m[rng->Uniform(m.size())] = static_cast<char>(rng->Uniform(256));
+    }
+    out.push_back(std::move(m));
+  }
+  return out;
+}
+
+TEST_P(FuzzTest, CodecsDecodeLikeTheReferenceDecoders) {
+  Random rng(GetParam());
+  size_t checked = 0;
+  const auto check = [&](const char* name, const auto& fixture,
+                         const char* hex) {
+    using T = std::decay_t<decltype(fixture)>;
+    const std::string golden = codec_fixtures::FromHex(hex);
+    ASSERT_EQ(Codec<T>::Encode(fixture), golden) << name;
+    for (const std::string& input : Mutations(golden, &rng, 64)) {
+      const std::string diff = Disagreement<T>(input);
+      ASSERT_TRUE(diff.empty()) << name << " input "
+                                << codec_fixtures::ToHex(input) << ": "
+                                << diff;
+      ++checked;
+    }
+  };
+  codec_fixtures::ForEachNetFixture(check);
+  codec_fixtures::ForEachWalFixture(check);
+  EXPECT_GT(checked, 5000u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzTest, ::testing::Values(1, 2, 3));

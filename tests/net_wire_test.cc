@@ -6,8 +6,10 @@
 #include "net/wire.h"
 
 #include <string>
+#include <type_traits>
 #include <vector>
 
+#include "codec_fixtures.h"
 #include "gtest/gtest.h"
 #include "util/status.h"
 
@@ -448,6 +450,53 @@ TEST(NetWireTest, CreateIndexRejectsMalformedPayloads) {
         DecodeCreateIndexReply(std::string_view(reply.data(), len)).ok());
   }
   EXPECT_FALSE(DecodeCreateIndexReply(reply + "x").ok());
+}
+
+// Every payload encodes to exactly the bytes the protocol has always
+// used, and decodes back to an equal encoding.
+TEST(NetWireTest, GoldenPayloadBytes) {
+  using codec_fixtures::Codec;
+  using codec_fixtures::ToHex;
+  codec_fixtures::ForEachNetFixture(
+      [](const char* name, const auto& m, const char* hex) {
+        using T = std::decay_t<decltype(m)>;
+        SCOPED_TRACE(name);
+        const std::string bytes = Codec<T>::Encode(m);
+        EXPECT_EQ(ToHex(bytes), hex);
+        const auto decoded = Codec<T>::Decode(bytes);
+        ASSERT_TRUE(decoded.ok()) << decoded.status();
+        EXPECT_EQ(Codec<T>::Encode(*decoded), bytes);
+      });
+  EXPECT_EQ(codec_fixtures::ToHex(EncodeFrame(
+                MsgType::kQuery, 0x0102030405060708ull, "payload")),
+            "4e4554310102000008070605040302010700000025f4f497"
+            "7061796c6f6164");
+}
+
+// A count that cannot fit in the bytes left is a parse error, checked
+// before anything is allocated.
+TEST(NetWireTest, ImpossibleCountsAreParseErrors) {
+  std::string exec = EncodeExecReply(ExecReply{1, 2, 3, 0.5, {}});
+  ASSERT_EQ(exec.size(), 36u);
+  exec.replace(32, 4, "\xff\xff\xff\xff");
+  EXPECT_EQ(DecodeExecReply(exec).status().code(), StatusCode::kParseError);
+
+  std::string advise = EncodeAdviseReply(AdviseReply{});
+  advise.replace(0, 4, "\xff\xff\xff\xff");
+  EXPECT_EQ(DecodeAdviseReply(advise).status().code(),
+            StatusCode::kParseError);
+
+  ReplStatusReply status;
+  status.role = "leader";
+  std::string repl = EncodeReplStatusReply(status);
+  repl.replace(repl.size() - 4, 4, "\xff\xff\xff\xff");
+  EXPECT_EQ(DecodeReplStatusReply(repl).status().code(),
+            StatusCode::kParseError);
+
+  // One row more than the bytes left can hold (4 bytes per empty row).
+  std::string rows = EncodeExecReply(ExecReply{0, 0, 0, 0, {"", ""}});
+  rows[32] = 3;
+  EXPECT_EQ(DecodeExecReply(rows).status().code(), StatusCode::kParseError);
 }
 
 }  // namespace
