@@ -75,6 +75,53 @@ void BM_XPathEvaluateWithPredicates(benchmark::State& state) {
 }
 BENCHMARK(BM_XPathEvaluateWithPredicates);
 
+// The five collection-scan shapes of perfbench's read_write workload, as
+// the normalized binding path each one evaluates on every document, with a
+// threshold near the middle of the value range. Per document this is the
+// scan's evaluator work: one EvaluateInto with a reused scratch, as the
+// executor's scan loop does it.
+void BM_XPathEvaluatePredicate(benchmark::State& state) {
+  struct Shape {
+    const char* name;
+    const char* query;
+  };
+  static const Shape kShapes[] = {
+      {"yield", "/Security[Yield > 5.05]"},
+      {"pe", "/Security[PE > 31.05]"},
+      {"sector", "/Security[SecInfo/*/Sector = \"Energy\"]"},
+      {"qty", "/FIXML/Order[OrdQty/@Qty >= 2510]"},
+      {"amount",
+       "/Customer[Accounts/Account/Balance/OnlineActualBal/Amount > "
+       "500000.005]"},
+  };
+  const Shape& shape = kShapes[state.range(0)];
+  Random rng(4);
+  std::vector<xml::Document> docs;
+  for (size_t i = 0; i < 256; ++i) {
+    switch (state.range(0)) {
+      case 3:
+        docs.push_back(tpox::GenerateOrderDocument(i, 256, &rng));
+        break;
+      case 4:
+        docs.push_back(tpox::GenerateCustAccDocument(i, &rng));
+        break;
+      default:
+        docs.push_back(tpox::GenerateSecurityDocument(i, &rng));
+    }
+  }
+  const auto query = *xpath::ParseQuery(shape.query);
+  xpath::EvalScratch scratch;
+  size_t i = 0;
+  for (auto _ : state) {
+    xpath::EvaluateInto(docs[i++ % docs.size()], query, &scratch);
+    benchmark::DoNotOptimize(scratch.nodes.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(shape.name);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_XPathEvaluatePredicate)->DenseRange(0, 4);
+
 void BM_ContainmentShallow(benchmark::State& state) {
   const auto index = *xpath::ParsePattern("/Security//*");
   const auto query = *xpath::ParsePattern("/Security/SecInfo/*/Sector");

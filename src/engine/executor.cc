@@ -11,6 +11,7 @@
 #include "xml/parser.h"
 #include "xml/serializer.h"
 #include "xpath/evaluator.h"
+#include "xpath/walk.h"
 
 namespace xia::engine {
 
@@ -34,52 +35,34 @@ struct RowSink {
   }
 };
 
-// Evaluates the normalized query on one document: returns matched binding
-// nodes, and counts (and optionally materializes) result items — return
-// expressions per match, or the match itself.
+// Evaluates the normalized query on one document: finds the matched
+// binding nodes (in `scratch`, reused across the caller's documents), and
+// counts (and optionally materializes) result items — return expressions
+// per match, or the match itself.
 uint64_t EvaluateOnDocument(const xml::Document& doc,
-                            const NormalizedQuery& query, RowSink* sink) {
-  const std::vector<xml::NodeIndex> matches =
-      xpath::Evaluate(doc, query.path);
-  if (matches.empty()) return 0;
+                            const NormalizedQuery& query, RowSink* sink,
+                            xpath::EvalScratch* scratch) {
+  xpath::EvaluateInto(doc, query.path, scratch);
+  const std::vector<xml::NodeIndex>& matches = scratch->nodes;
   if (query.returns.empty()) {
     for (xml::NodeIndex m : matches) sink->Emit(doc, m);
     return matches.size();
   }
   uint64_t items = 0;
+  auto emit = [&](xml::NodeIndex t) {
+    sink->Emit(doc, t);
+    ++items;
+    return false;
+  };
   for (xml::NodeIndex m : matches) {
     for (const auto& rel : query.returns) {
+      // An empty return path is the match itself. Others emit each target
+      // as the walk finds it, once per path (no deduplication).
       if (rel.empty()) {
-        sink->Emit(doc, m);
-        ++items;
-        continue;
+        emit(m);
+      } else {
+        xpath::WalkSteps(doc, m, rel, 0, emit);
       }
-      std::vector<xml::NodeIndex> targets;
-      // Relative evaluation from the matched node; a small dedicated walk
-      // keeps it simple.
-      struct Walker {
-        const xml::Document& d;
-        const std::vector<xpath::Step>& steps;
-        std::vector<xml::NodeIndex>* out;
-        void Go(xml::NodeIndex from, size_t idx, bool descend) {
-          const xpath::Step& step = steps[idx];
-          for (xml::NodeIndex c : d.children(from)) {
-            if (step.MatchesLabel(d.node(c).label)) {
-              if (idx + 1 == steps.size()) {
-                out->push_back(c);
-              } else {
-                Go(c, idx + 1, steps[idx + 1].axis ==
-                                   xpath::Axis::kDescendant);
-              }
-            }
-            if (descend && d.node(c).is_element()) Go(c, idx, true);
-          }
-        }
-      };
-      Walker w{doc, rel, &targets};
-      w.Go(m, 0, rel[0].axis == xpath::Axis::kDescendant);
-      for (xml::NodeIndex t : targets) sink->Emit(doc, t);
-      items += targets.size();
     }
   }
   return items;
@@ -135,6 +118,7 @@ Result<ExecResult> Executor::ExecuteQuery(const Statement& statement,
 
   ExecResult result;
   RowSink sink{options.materialize_rows, options.max_rows, &result.rows};
+  xpath::EvalScratch scratch;
   Status interrupt;
   Stopwatch timer;
   if (plan.kind == optimizer::Plan::Kind::kCollectionScan) {
@@ -142,7 +126,8 @@ Result<ExecResult> Executor::ExecuteQuery(const Statement& statement,
       interrupt = fault::CheckInterrupt(options.deadline, options.cancel);
       if (!interrupt.ok()) return false;
       ++result.docs_examined;
-      result.result_count += EvaluateOnDocument(doc, *normalized, &sink);
+      result.result_count +=
+          EvaluateOnDocument(doc, *normalized, &sink, &scratch);
       return true;
     });
     XIA_RETURN_IF_ERROR(interrupt);
@@ -154,8 +139,8 @@ Result<ExecResult> Executor::ExecuteQuery(const Statement& statement,
           fault::CheckInterrupt(options.deadline, options.cancel));
       if (!(*coll)->IsLive(id)) continue;
       ++result.docs_examined;
-      result.result_count +=
-          EvaluateOnDocument((*coll)->Get(id), *normalized, &sink);
+      result.result_count += EvaluateOnDocument((*coll)->Get(id), *normalized,
+                                                &sink, &scratch);
     }
   }
   result.wall_seconds = timer.ElapsedSeconds();
@@ -186,6 +171,7 @@ Result<ExecResult> Executor::ExecuteDelete(const Statement& statement,
   if (!coll.ok()) return coll.status();
 
   ExecResult result;
+  xpath::EvalScratch scratch;
   Status interrupt;
   Stopwatch timer;
   std::vector<xml::DocId> victims;
@@ -194,7 +180,7 @@ Result<ExecResult> Executor::ExecuteDelete(const Statement& statement,
       interrupt = fault::CheckInterrupt(options.deadline, options.cancel);
       if (!interrupt.ok()) return false;
       ++result.docs_examined;
-      if (xpath::Exists(doc, del.match)) victims.push_back(id);
+      if (xpath::Exists(doc, del.match, &scratch)) victims.push_back(id);
       return true;
     });
     XIA_RETURN_IF_ERROR(interrupt);
@@ -206,7 +192,9 @@ Result<ExecResult> Executor::ExecuteDelete(const Statement& statement,
           fault::CheckInterrupt(options.deadline, options.cancel));
       if (!(*coll)->IsLive(id)) continue;
       ++result.docs_examined;
-      if (xpath::Exists((*coll)->Get(id), del.match)) victims.push_back(id);
+      if (xpath::Exists((*coll)->Get(id), del.match, &scratch)) {
+        victims.push_back(id);
+      }
     }
   }
   // Apply phase: runs to completion regardless of deadline (see
@@ -228,6 +216,7 @@ Result<ExecResult> Executor::ExecuteUpdate(const Statement& statement,
   if (!coll.ok()) return coll.status();
 
   ExecResult result;
+  xpath::EvalScratch scratch;
   Status interrupt;
   Stopwatch timer;
   std::vector<xml::DocId> victims;
@@ -236,7 +225,7 @@ Result<ExecResult> Executor::ExecuteUpdate(const Statement& statement,
       interrupt = fault::CheckInterrupt(options.deadline, options.cancel);
       if (!interrupt.ok()) return false;
       ++result.docs_examined;
-      if (xpath::Exists(doc, upd.match)) victims.push_back(id);
+      if (xpath::Exists(doc, upd.match, &scratch)) victims.push_back(id);
       return true;
     });
     XIA_RETURN_IF_ERROR(interrupt);
@@ -248,13 +237,17 @@ Result<ExecResult> Executor::ExecuteUpdate(const Statement& statement,
           fault::CheckInterrupt(options.deadline, options.cancel));
       if (!(*coll)->IsLive(id)) continue;
       ++result.docs_examined;
-      if (xpath::Exists((*coll)->Get(id), upd.match)) victims.push_back(id);
+      if (xpath::Exists((*coll)->Get(id), upd.match, &scratch)) {
+        victims.push_back(id);
+      }
     }
   }
 
-  const std::string new_value = upd.new_value.type == xpath::ValueType::kNumeric
-                                    ? upd.new_value.ToString()
-                                    : upd.new_value.string_value;
+  // Numbers are written with as many digits as reading them back needs.
+  const std::string new_value =
+      upd.new_value.type == xpath::ValueType::kNumeric
+          ? FormatDouble(upd.new_value.numeric_value)
+          : upd.new_value.string_value;
   for (xml::DocId id : victims) {
     // Index maintenance via remove/re-insert keeps every real index exact.
     catalog_->NotifyRemove(upd.collection, id, (*coll)->Get(id));

@@ -1,9 +1,11 @@
 #include "util/string_util.h"
 
+#include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
-#include <cctype>
 
 namespace xia {
 
@@ -46,9 +48,11 @@ bool EndsWith(std::string_view s, std::string_view suffix) {
          s.substr(s.size() - suffix.size()) == suffix;
 }
 
-bool ParseDouble(std::string_view s, double* out) {
-  s = Trim(s);
-  if (s.empty()) return false;
+namespace {
+
+// strtod over a NUL-terminated copy of the (trimmed, non-empty) text;
+// accepts only if it consumes all of it.
+bool ParseDoubleSlow(std::string_view s, double* out) {
   std::string buf(s);
   char* end = nullptr;
   const double v = std::strtod(buf.c_str(), &end);
@@ -57,9 +61,39 @@ bool ParseDouble(std::string_view s, double* out) {
   return true;
 }
 
+}  // namespace
+
+bool ParseDouble(std::string_view s, double* out) {
+  s = Trim(s);
+  if (s.empty()) return false;
+  // Fast path: plain decimal text parses in place, without a copy. Both
+  // parsers round correctly, so where from_chars consumes the whole view
+  // it yields strtod's value. Everything else — a leading '+', hex,
+  // overflow and underflow (from_chars reports an error, strtod returns
+  // ±inf or a denormal), NaN payloads — falls through to strtod, which
+  // decides acceptance exactly as before.
+  double v = 0;
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec == std::errc() && end == s.data() + s.size() && !std::isnan(v)) {
+    *out = v;
+    return true;
+  }
+  return ParseDoubleSlow(s, out);
+}
+
 bool LooksNumeric(std::string_view s) {
   double ignored;
   return ParseDouble(s, &ignored);
+}
+
+std::string FormatDouble(double v) {
+  std::string s = StringPrintf("%.6g", v);
+  if (std::isnan(v)) return s;
+  for (int digits = 7; digits <= 17; ++digits) {
+    if (std::strtod(s.c_str(), nullptr) == v) break;
+    s = StringPrintf("%.*g", digits, v);
+  }
+  return s;
 }
 
 std::string StringPrintf(const char* fmt, ...) {

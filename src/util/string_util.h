@@ -22,8 +22,15 @@ std::string_view Trim(std::string_view s);
 bool StartsWith(std::string_view s, std::string_view prefix);
 bool EndsWith(std::string_view s, std::string_view suffix);
 
-/// Parses a double; returns false on any trailing garbage.
+/// Parses a double after trimming ASCII whitespace, accepting what strtod
+/// accepts (signs, hex, inf, nan, out-of-range values as ±inf or a
+/// denormal); returns false on empty text or any trailing garbage.
 bool ParseDouble(std::string_view s, double* out);
+
+/// Formats `v` with the fewest significant digits, at least 6, that
+/// read back through ParseDouble as exactly `v` (NaN prints as "%.6g"
+/// does). Values exact in 6 digits keep their "%.6g" text.
+std::string FormatDouble(double v);
 
 /// Returns true if the whole string parses as a (possibly signed,
 /// possibly fractional) numeric literal.

@@ -1,76 +1,75 @@
 #include "xpath/evaluator.h"
 
 #include <algorithm>
+#include <vector>
 
 #include "util/string_util.h"
+#include "xpath/walk.h"
 
 namespace xia::xpath {
 
 namespace {
 
-// Collects nodes reachable from `start` (exclusive) by the steps
-// [step_index..end). `descend_first` handles a pending descendant axis:
-// when true the step may match at any depth below `start`.
-void EvalSteps(const xml::Document& doc, xml::NodeIndex start,
-               const std::vector<Step>& steps, size_t step_index,
-               std::vector<xml::NodeIndex>* out);
-
-// Advances from node `n` over one step (already positioned at a candidate
-// child/descendant). Recurses for descendant axes.
-void EvalStepFromChildren(const xml::Document& doc, xml::NodeIndex parent,
-                          const std::vector<Step>& steps, size_t step_index,
-                          bool descend, std::vector<xml::NodeIndex>* out) {
-  const Step& step = steps[step_index];
-  for (xml::NodeIndex c : doc.children(parent)) {
-    const xml::Node& child = doc.node(c);
-    if (step.MatchesLabel(child.label)) {
-      if (step_index + 1 == steps.size()) {
-        out->push_back(c);
-      } else {
-        EvalSteps(doc, c, steps, step_index + 1, out);
-      }
-    }
-    // Descendant axis: also look deeper, regardless of a match here.
-    // Attributes have no element children, so recursing is harmless but
-    // pointless; skip them.
-    if (descend && child.is_element()) {
-      EvalStepFromChildren(doc, c, steps, step_index, /*descend=*/true, out);
-    }
-  }
-}
-
-void EvalSteps(const xml::Document& doc, xml::NodeIndex start,
-               const std::vector<Step>& steps, size_t step_index,
-               std::vector<xml::NodeIndex>* out) {
-  const Step& step = steps[step_index];
-  const bool descend = step.axis == Axis::kDescendant;
-  EvalStepFromChildren(doc, start, steps, step_index, descend, out);
-}
-
-// Evaluating an absolute path: the first step tests the root element itself
-// (the document node is the implicit origin).
-void EvalAbsolute(const xml::Document& doc, const std::vector<Step>& steps,
-                  std::vector<xml::NodeIndex>* out) {
-  if (doc.empty() || steps.empty()) return;
-  const Step& first = steps[0];
-  const xml::NodeIndex root = doc.root();
-  // Child axis from the document node: only the root element.
-  if (first.MatchesLabel(doc.node(root).label)) {
-    if (steps.size() == 1) {
-      out->push_back(root);
-    } else {
-      EvalSteps(doc, root, steps, 1, out);
-    }
-  }
-  if (first.axis == Axis::kDescendant) {
-    // '//' from the document node also reaches any deeper node.
-    EvalStepFromChildren(doc, root, steps, 0, /*descend=*/true, out);
-  }
-}
-
+// Node indexes are document order; walks from overlapping descendant
+// contexts produce duplicates.
 void SortUnique(std::vector<xml::NodeIndex>* nodes) {
-  std::sort(nodes->begin(), nodes->end());
+  if (!std::is_sorted(nodes->begin(), nodes->end())) {
+    std::sort(nodes->begin(), nodes->end());
+  }
   nodes->erase(std::unique(nodes->begin(), nodes->end()), nodes->end());
+}
+
+// True if node `n` satisfies predicate `pred`: some node reached by the
+// relative path (or `n` itself) exists, or satisfies the comparison. The
+// walk stops at the first such node.
+bool PredicateHolds(const xml::Document& doc, xml::NodeIndex n,
+                    const Predicate& pred) {
+  auto qualifies = [&](xml::NodeIndex t) {
+    return !pred.is_comparison() ||
+           CompareValue(doc.node(t).value, *pred.op, pred.literal);
+  };
+  if (pred.relative_steps.empty()) return qualifies(n);
+  return WalkSteps(doc, n, pred.relative_steps, 0, qualifies);
+}
+
+bool PredicatesHold(const xml::Document& doc, xml::NodeIndex n,
+                    const std::vector<Predicate>& predicates) {
+  for (const Predicate& pred : predicates) {
+    if (!PredicateHolds(doc, n, pred)) return false;
+  }
+  return true;
+}
+
+// Evaluates the first `end` steps of `query` (non-empty, on a non-empty
+// document) into scratch->nodes: one step at a time into scratch->spare,
+// filtered by the step's predicates in place, then swapped.
+void EvaluatePrefix(const xml::Document& doc, const PathQuery& query,
+                    size_t end, EvalScratch* scratch) {
+  std::vector<xml::NodeIndex>& current = scratch->nodes;
+  std::vector<xml::NodeIndex>& next = scratch->spare;
+  current.clear();
+  for (size_t i = 0; i < end; ++i) {
+    const QueryStep& qs = query.steps()[i];
+    const Steps step(&qs.step, 1);
+    next.clear();
+    auto append = [&next](xml::NodeIndex c) {
+      next.push_back(c);
+      return false;
+    };
+    if (i == 0) {
+      WalkAbsolute(doc, step, append);
+    } else {
+      for (xml::NodeIndex n : current) WalkSteps(doc, n, step, 0, append);
+    }
+    SortUnique(&next);
+    if (!qs.predicates.empty()) {
+      std::erase_if(next, [&](xml::NodeIndex n) {
+        return !PredicatesHold(doc, n, qs.predicates);
+      });
+    }
+    current.swap(next);
+    if (current.empty()) return;
+  }
 }
 
 }  // namespace
@@ -124,72 +123,52 @@ std::vector<xml::NodeIndex> EvaluateLinear(const xml::Document& doc,
 void EvaluateLinearInto(const xml::Document& doc, const Path& path,
                         std::vector<xml::NodeIndex>* out) {
   out->clear();
-  EvalAbsolute(doc, path.steps(), out);
+  if (doc.empty() || path.empty()) return;
+  auto append = [out](xml::NodeIndex c) {
+    out->push_back(c);
+    return false;
+  };
+  WalkAbsolute(doc, path.steps(), append);
   SortUnique(out);
 }
 
-namespace {
-
-// True if node `n` satisfies predicate `pred`.
-bool PredicateHolds(const xml::Document& doc, xml::NodeIndex n,
-                    const Predicate& pred) {
-  std::vector<xml::NodeIndex> targets;
-  if (pred.relative_steps.empty()) {
-    targets.push_back(n);
-  } else {
-    EvalSteps(doc, n, pred.relative_steps, 0, &targets);
-  }
-  if (!pred.is_comparison()) return !targets.empty();
-  for (xml::NodeIndex t : targets) {
-    if (CompareValue(doc.node(t).value, *pred.op, pred.literal)) return true;
-  }
-  return false;
-}
-
-}  // namespace
-
 std::vector<xml::NodeIndex> Evaluate(const xml::Document& doc,
                                      const PathQuery& query) {
-  // Evaluate the spine one step at a time, filtering by predicates after
-  // each step.
-  std::vector<xml::NodeIndex> current;
-  if (doc.empty() || query.empty()) return current;
+  EvalScratch scratch;
+  EvaluateInto(doc, query, &scratch);
+  return std::move(scratch.nodes);
+}
 
-  for (size_t i = 0; i < query.size(); ++i) {
-    const QueryStep& qs = query.steps()[i];
-    std::vector<xml::NodeIndex> next;
-    const std::vector<Step> single = {qs.step};
-    if (i == 0) {
-      EvalAbsolute(doc, single, &next);
-    } else {
-      for (xml::NodeIndex n : current) {
-        EvalSteps(doc, n, single, 0, &next);
-      }
-    }
-    SortUnique(&next);
-    // Apply this step's predicates.
-    if (!qs.predicates.empty()) {
-      std::vector<xml::NodeIndex> filtered;
-      for (xml::NodeIndex n : next) {
-        bool ok = true;
-        for (const auto& pred : qs.predicates) {
-          if (!PredicateHolds(doc, n, pred)) {
-            ok = false;
-            break;
-          }
-        }
-        if (ok) filtered.push_back(n);
-      }
-      next = std::move(filtered);
-    }
-    current = std::move(next);
-    if (current.empty()) break;
-  }
-  return current;
+void EvaluateInto(const xml::Document& doc, const PathQuery& query,
+                  EvalScratch* out) {
+  out->nodes.clear();
+  if (doc.empty() || query.empty()) return;
+  EvaluatePrefix(doc, query, query.size(), out);
 }
 
 bool Exists(const xml::Document& doc, const PathQuery& query) {
-  return !Evaluate(doc, query).empty();
+  EvalScratch scratch;
+  return Exists(doc, query, &scratch);
+}
+
+bool Exists(const xml::Document& doc, const PathQuery& query,
+            EvalScratch* scratch) {
+  if (doc.empty() || query.empty()) return false;
+  // Every step but the last is evaluated in full; the last one streams its
+  // candidates and stops at the first that passes its predicates.
+  const size_t last = query.size() - 1;
+  EvaluatePrefix(doc, query, last, scratch);
+  if (last > 0 && scratch->nodes.empty()) return false;
+  const QueryStep& qs = query.steps()[last];
+  const Steps step(&qs.step, 1);
+  auto qualifies = [&](xml::NodeIndex c) {
+    return PredicatesHold(doc, c, qs.predicates);
+  };
+  if (last == 0) return WalkAbsolute(doc, step, qualifies);
+  for (xml::NodeIndex n : scratch->nodes) {
+    if (WalkSteps(doc, n, step, 0, qualifies)) return true;
+  }
+  return false;
 }
 
 }  // namespace xia::xpath

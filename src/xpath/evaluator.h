@@ -34,8 +34,28 @@ void EvaluateLinearInto(const xml::Document& doc, const Path& path,
 std::vector<xml::NodeIndex> Evaluate(const xml::Document& doc,
                                      const PathQuery& query);
 
-/// True if `doc` has at least one node selected by `query`.
+/// Node buffers for evaluating one query over many documents. A caller
+/// holds one per call (scan, candidate loop) and passes it to every
+/// document; the buffers keep their capacity, so the steady state
+/// allocates nothing. Not shared: concurrent callers each hold their own.
+struct EvalScratch {
+  /// Result of the last EvaluateInto.
+  std::vector<xml::NodeIndex> nodes;
+  /// Working space, swapped with `nodes` between steps.
+  std::vector<xml::NodeIndex> spare;
+};
+
+/// As Evaluate, but leaves the result in `out->nodes`, reusing `out`'s
+/// buffers instead of returning a fresh vector.
+void EvaluateInto(const xml::Document& doc, const PathQuery& query,
+                  EvalScratch* out);
+
+/// True if `doc` has at least one node selected by `query`. Stops at the
+/// first qualifying node of the last step.
 bool Exists(const xml::Document& doc, const PathQuery& query);
+/// As Exists, with the earlier steps' node sets kept in `scratch`.
+bool Exists(const xml::Document& doc, const PathQuery& query,
+            EvalScratch* scratch);
 
 /// Evaluates a single comparison between a node's text value and a literal.
 /// Numeric comparisons coerce the node value; non-numeric node values never

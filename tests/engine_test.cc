@@ -546,5 +546,31 @@ TEST_F(ExecutorFixture, MaterializedSubtreeRowsAreXml) {
             std::string::npos);
 }
 
+// A return path is walked, not evaluated as a node set: a target reached
+// along two paths counts (and materializes) twice, in walk order.
+TEST(ExecutorReturnTest, DescendantReturnPathsCountEveryPath) {
+  storage::DocumentStore store;
+  storage::StatisticsCatalog stats;
+  auto coll = store.CreateCollection("N");
+  ASSERT_TRUE(coll.ok());
+  auto doc = xml::Parse("<r><a><a><b>1</b></a><b>2</b></a></r>");
+  ASSERT_TRUE(doc.ok());
+  (*coll)->Add(std::move(*doc));
+  storage::Catalog catalog(&store, &stats);
+  Executor executor(&store, &catalog);
+  const Statement stmt =
+      Parse("for $x in collection('N')/r return $x//a//b, $x");
+  ExecOptions options;
+  options.materialize_rows = true;
+  auto result = executor.Execute(stmt, optimizer::Plan(), options);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->result_count, 4u);
+  ASSERT_EQ(result->rows.size(), 4u);
+  EXPECT_EQ(result->rows[0], "b=1");
+  EXPECT_EQ(result->rows[1], "b=2");
+  EXPECT_EQ(result->rows[2], "b=1");
+  EXPECT_EQ(result->rows[3].rfind("<r>", 0), 0u) << result->rows[3];
+}
+
 }  // namespace
 }  // namespace xia::engine

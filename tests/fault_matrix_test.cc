@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <filesystem>
 #include <shared_mutex>
 #include <sstream>
 #include <string>
@@ -24,6 +23,7 @@
 #include "net/wire.h"
 #include "obs/metrics.h"
 #include "optimizer/optimizer.h"
+#include "scratch_dir.h"
 #include "storage/catalog.h"
 #include "storage/online_build.h"
 #include "storage/snapshot.h"
@@ -112,9 +112,7 @@ Status RunPipeline() {
 
   // Durability round-trip (kWalAppend / kWalFsync on the write side,
   // kWalReplay on the reopen).
-  const std::string wal_dir =
-      ::testing::TempDir() + "/xia_fault_matrix_wal";
-  std::filesystem::remove_all(wal_dir);
+  const std::string wal_dir = testutil::ScratchDir("matrix_wal");
   {
     wal::WalManager manager(wal_dir);
     storage::DocumentStore db;
@@ -265,10 +263,7 @@ net::ServerOptions TinyServerOptions(const std::string& suffix) {
   net::ServerOptions options;
   options.demo = "tpox";
   options.demo_tpox_scale = tpox::TpoxScale{20, 20, 10, 42};
-  const std::string dir =
-      ::testing::TempDir() + "/xia_fault_loopback_" + suffix;
-  std::filesystem::remove_all(dir);
-  options.data_dir = dir;
+  options.data_dir = testutil::ScratchDir("loopback_" + suffix);
   return options;
 }
 

@@ -7,7 +7,6 @@
 
 #include "net/server.h"
 
-#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -17,12 +16,13 @@
 #include "net/client.h"
 #include "net/socket.h"
 #include "net/wire.h"
+#include "scratch_dir.h"
 #include "util/status.h"
 
 namespace xia::net {
 namespace {
 
-namespace fs = std::filesystem;
+using testutil::ScratchDir;
 
 ServerOptions SmallTpoxOptions() {
   ServerOptions options;
@@ -30,12 +30,6 @@ ServerOptions SmallTpoxOptions() {
   // Loopback-test scale: every code path, millisecond startup.
   options.demo_tpox_scale = tpox::TpoxScale{30, 40, 20, 42};
   return options;
-}
-
-std::string ScratchDir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "/xia_net_" + name;
-  fs::remove_all(dir);
-  return dir;
 }
 
 constexpr const char* kPointQuery =
@@ -458,7 +452,6 @@ TEST(NetServerTest, MutationsPersistAcrossRestartViaWal) {
     EXPECT_EQ(MarkerCount(&client), 1u);
     ASSERT_TRUE(server.Stop().ok());
   }
-  fs::remove_all(dir);
 }
 
 TEST(NetServerTest, CreateIndexOverWireSurvivesRestart) {
@@ -532,7 +525,6 @@ TEST(NetServerTest, CreateIndexOverWireSurvivesRestart) {
     EXPECT_TRUE(client.CreateIndex(virt).ok());
     ASSERT_TRUE(server.Stop().ok());
   }
-  fs::remove_all(dir);
 }
 
 TEST(NetServerTest, EphemeralPortsNeverCollide) {

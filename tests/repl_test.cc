@@ -24,6 +24,7 @@
 #include "net/socket.h"
 #include "net/wire.h"
 #include "repl/hub.h"
+#include "scratch_dir.h"
 #include "util/status.h"
 #include "wal/record.h"
 
@@ -31,6 +32,7 @@ namespace xia::net {
 namespace {
 
 namespace fs = std::filesystem;
+using testutil::ScratchDir;
 
 ServerOptions LeaderOptions(const std::string& data_dir) {
   ServerOptions options;
@@ -49,12 +51,6 @@ ServerOptions FollowerOptions(const std::string& data_dir,
   options.follow_port = leader_port;
   options.follower_id = id;
   return options;
-}
-
-std::string ScratchDir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "/xia_repl_" + name;
-  fs::remove_all(dir);
-  return dir;
 }
 
 constexpr const char* kMarkerQuery =

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "fault/fault.h"
+#include "scratch_dir.h"
 #include "storage/catalog.h"
 #include "storage/snapshot.h"
 #include "storage/statistics.h"
@@ -150,7 +151,8 @@ TEST_F(SnapshotTest, CorruptedBytesDoNotCrash) {
 }
 
 TEST_F(SnapshotTest, FileRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/xia_snapshot_test.bin";
+  const std::string path =
+      testutil::ScratchDir("file_round_trip") + "/snapshot.bin";
   ASSERT_TRUE(SaveSnapshotToFile(store_, path).ok());
   DocumentStore restored;
   ASSERT_TRUE(LoadSnapshotFromFile(path, &restored).ok());
@@ -254,7 +256,8 @@ TEST_F(SnapshotTest, FailedSaveLeavesPreviousFileIntact) {
   // Atomic-save regression: a save that fails (here via the injected
   // fault, which fires before any byte is written) must leave the
   // previous good snapshot untouched — no truncation, no partial file.
-  const std::string path = ::testing::TempDir() + "/xia_snapshot_atomic.bin";
+  const std::string path =
+      testutil::ScratchDir("failed_save") + "/snapshot.bin";
   ASSERT_TRUE(SaveSnapshotToFile(store_, path).ok());
 
   std::ifstream before_in(path, std::ios::binary);

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <set>
 
 #include "util/random.h"
@@ -189,6 +191,32 @@ TEST(StringUtilTest, HumanBytes) {
   EXPECT_EQ(HumanBytes(512), "512.0 B");
   EXPECT_EQ(HumanBytes(2048), "2.0 KB");
   EXPECT_EQ(HumanBytes(3.5 * 1024 * 1024), "3.5 MB");
+}
+
+TEST(StringUtilTest, FormatDoubleShortestRoundTripFromSixDigits) {
+  EXPECT_EQ(FormatDouble(12345.67), "12345.67");
+  EXPECT_EQ(FormatDouble(199.99), "199.99");
+  EXPECT_EQ(FormatDouble(5), "5");
+  EXPECT_EQ(FormatDouble(0.1), "0.1");
+  EXPECT_EQ(FormatDouble(1e20), "1e+20");
+  EXPECT_EQ(FormatDouble(1234567.0), "1234567");
+  EXPECT_EQ(FormatDouble(std::numeric_limits<double>::infinity()), "inf");
+  Random rng(18);
+  for (int i = 0; i < 5000; ++i) {
+    const double d =
+        (rng.NextDouble() - 0.5) * std::pow(10.0, rng.UniformInt(-300, 300));
+    const std::string text = FormatDouble(d);
+    double back = 0;
+    ASSERT_TRUE(ParseDouble(text, &back)) << text;
+    EXPECT_EQ(back, d) << text;
+    // Text that is already exact at six digits is unchanged.
+    if (ParseDouble(StringPrintf("%.6g", d), &back) && back == d) {
+      EXPECT_EQ(text, StringPrintf("%.6g", d));
+    }
+    // Two-decimal prices below 10000 are exact at six digits.
+    const double price = static_cast<double>(rng.Uniform(1000000)) / 100.0;
+    EXPECT_EQ(FormatDouble(price), StringPrintf("%.6g", price));
+  }
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "scratch_dir.h"
 #include "wal/log_file.h"
 #include "wal/record.h"
 #include "wal/writer.h"
@@ -20,12 +21,7 @@
 namespace xia::wal {
 namespace {
 
-std::string ScratchDir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "/xia_walcc_" + name;
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir;
-}
+using testutil::ScratchDir;
 
 void HammerWriter(FsyncPolicy policy, int threads, int per_thread) {
   const std::string dir =

@@ -5,7 +5,6 @@
 // Deadline-bounded recovery of a 10k-mutation log.
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <chrono>
 #include <filesystem>
@@ -17,6 +16,7 @@
 #include <vector>
 
 #include "codec_fixtures.h"
+#include "scratch_dir.h"
 #include "engine/executor.h"
 #include "engine/query_parser.h"
 #include "fault/deadline.h"
@@ -50,27 +50,7 @@ void WriteFile(const std::string& path, const std::string& data) {
   out << data;
 }
 
-/// Root of this process's scratch directories. The pid keeps concurrent
-/// runs of this binary (plain and sanitizer builds under a parallel
-/// ctest) apart; the environment below removes it after the last test.
-std::string ScratchRoot() {
-  return ::testing::TempDir() + "/xia_wal_" + std::to_string(::getpid());
-}
-
-class ScratchCleanup : public ::testing::Environment {
- public:
-  void TearDown() override { fs::remove_all(ScratchRoot()); }
-};
-::testing::Environment* const kScratchCleanup =
-    ::testing::AddGlobalTestEnvironment(new ScratchCleanup);
-
-/// Fresh per-test scratch directory.
-std::string ScratchDir(const std::string& name) {
-  const std::string dir = ScratchRoot() + "/" + name;
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir;
-}
+using testutil::ScratchDir;
 
 /// Store + catalog + statistics bundle used as a recovery target.
 struct Db {
@@ -394,6 +374,61 @@ TEST(WalManagerTest, DeleteAndUpdateReplayDeterministically) {
     auto report = manager.Open(&db.store, &db.catalog, &db.stats);
     ASSERT_TRUE(report.ok()) << report.status();
     EXPECT_EQ(Digest(&db.store), digest_before);
+  }
+}
+
+// A numeric update stores every digit its value needs, so the value reads
+// back through a query, and replaying the logged statement rebuilds the
+// same store.
+TEST(WalManagerTest, NumericUpdateKeepsEveryDigitThroughQueryAndReplay) {
+  const std::string dir = ScratchDir("numeric_update");
+  const std::string query =
+      "for $s in collection('SDOC')/Security where $s/Price = 12345.67 "
+      "return $s/Symbol";
+  auto count = [&](Db* db) -> uint64_t {
+    engine::Executor executor(&db->store, &db->catalog);
+    auto st = engine::ParseStatement(query);
+    EXPECT_TRUE(st.ok()) << st.status();
+    auto result = executor.Execute(*st, optimizer::Plan());
+    EXPECT_TRUE(result.ok()) << result.status();
+    return result.ok() ? result->result_count : 0;
+  };
+  std::string digest_before;
+  {
+    WalManager manager(dir);
+    Db db;
+    ASSERT_TRUE(manager.Open(&db.store, &db.catalog, &db.stats).ok());
+    ASSERT_TRUE(db.store.CreateCollection("SDOC").ok());
+    ASSERT_TRUE(manager.LogCreateCollection("SDOC").ok());
+    for (const char* sym : {"A", "B"}) {
+      ASSERT_TRUE(RunInsert(&manager, &db, "SDOC",
+                            std::string("<Security><Symbol>") + sym +
+                                "</Symbol><Price>1</Price></Security>")
+                      .ok());
+    }
+    engine::Executor executor(&db.store, &db.catalog);
+    executor.set_commit_log(&manager);
+    auto upd = engine::ParseStatement(
+        "update SDOC set /Security/Price = 12345.67 "
+        "where /Security[Symbol = \"A\"]");
+    ASSERT_TRUE(upd.ok()) << upd.status();
+    auto result = executor.Execute(*upd, optimizer::Plan());
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_EQ(result->result_count, 1u);
+    EXPECT_EQ(count(&db), 1u);
+    digest_before = Digest(&db.store);
+    EXPECT_NE(digest_before.find("<Price>12345.67</Price>"),
+              std::string::npos)
+        << digest_before;
+    ASSERT_TRUE(manager.Close().ok());
+  }
+  {
+    WalManager manager(dir);
+    Db db;
+    auto report = manager.Open(&db.store, &db.catalog, &db.stats);
+    ASSERT_TRUE(report.ok()) << report.status();
+    EXPECT_EQ(Digest(&db.store), digest_before);
+    EXPECT_EQ(count(&db), 1u);
   }
 }
 
