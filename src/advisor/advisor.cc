@@ -178,6 +178,7 @@ Result<Recommendation> IndexAdvisor::RecommendImpl(
     ri.is_general = c.is_general;
     ri.size_bytes = c.size_bytes();
     ri.ddl = MakeDdl(ri);
+    ri.stats = c.stats;
     rec.indexes.push_back(std::move(ri));
   }
   rec.total_size_bytes = outcome.total_size_bytes;

@@ -8,6 +8,7 @@
 #ifndef XIA_ADVISOR_ADVISOR_H_
 #define XIA_ADVISOR_ADVISOR_H_
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -69,6 +70,9 @@ struct RecommendedIndex {
   uint64_t size_bytes = 0;
   /// DB2-flavoured DDL for the recommendation.
   std::string ddl;
+  /// The virtual-index statistics the advisor costed the index with, when
+  /// the producer has them (Recommend does; the baseline does not).
+  std::optional<storage::IndexStats> stats;
 };
 
 /// Advisor output.

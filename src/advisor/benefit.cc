@@ -112,29 +112,47 @@ uint64_t BenefitEvaluator::optimizer_calls() const {
 
 Status BenefitEvaluator::Initialize() {
   const size_t n = workload_->size();
+  prepared_.assign(n, optimizer::PreparedStatement());
   base_costs_.assign(n, 0.0);
   base_workload_cost_ = 0;
+  auto prepare = [&](const optimizer::Optimizer& optimizer,
+                     size_t s) -> Status {
+    XIA_ASSIGN_OR_RETURN(prepared_[s], optimizer.Prepare((*workload_)[s]));
+    XIA_ASSIGN_OR_RETURN(const optimizer::Plan plan,
+                         optimizer.OptimizeWithoutIndexes(prepared_[s]));
+    base_costs_[s] = plan.est_cost;
+    return Status::OK();
+  };
   if (parallel() && n > 1) {
     XIA_RETURN_IF_ERROR(
         options_.pool->ParallelFor(n, [&](size_t s) -> Status {
           ContextLease lease(this);
-          auto plan =
-              lease.get()->optimizer.OptimizeWithoutIndexes((*workload_)[s]);
-          if (!plan.ok()) return plan.status();
-          base_costs_[s] = plan->est_cost;
-          return Status::OK();
+          return prepare(lease.get()->optimizer, s);
         }));
   } else {
     for (size_t s = 0; s < n; ++s) {
-      auto plan = optimizer_.OptimizeWithoutIndexes((*workload_)[s]);
-      if (!plan.ok()) return plan.status();
-      base_costs_[s] = plan->est_cost;
+      XIA_RETURN_IF_ERROR(prepare(optimizer_, s));
     }
   }
   // Reduced serially in statement order, so the total is bit-identical no
   // matter how the probes were scheduled.
   for (size_t s = 0; s < n; ++s) {
     base_workload_cost_ += (*workload_)[s].frequency * base_costs_[s];
+  }
+
+  maintenance_.clear();
+  if (options_.charge_maintenance) {
+    for (size_t s = 0; s < n; ++s) {
+      const engine::Statement& stmt = (*workload_)[s];
+      if (stmt.is_query()) continue;
+      for (const Candidate& c : set_->candidates) {
+        maintenance_.push_back(
+            c.collection != stmt.collection()
+                ? 0.0
+                : stmt.frequency * optimizer_.MaintenanceCost(
+                                       prepared_[s], c.pattern, c.stats));
+      }
+    }
   }
   initialized_ = true;
   return Status::OK();
@@ -200,7 +218,8 @@ Result<double> BenefitEvaluator::ComputeSubConfigurationBenefit(
   for (int id : sub) {
     const Candidate& c = (*set_)[static_cast<size_t>(id)];
     auto created = catalog->CreateVirtualIndex(
-        StringPrintf("whatif_cand_%d", id), c.collection, c.pattern);
+        StringPrintf("whatif_cand_%d", id), c.collection, c.pattern,
+        &c.stats);
     if (!created.ok()) return created.status();
   }
 
@@ -211,7 +230,7 @@ Result<double> BenefitEvaluator::ComputeSubConfigurationBenefit(
   double benefit = 0;
   auto add_statement = [&](size_t s) -> Status {
     XIA_RETURN_IF_ERROR(fault::CheckInterrupt(deadline, cancel));
-    auto plan = optimizer.Optimize((*workload_)[s]);
+    auto plan = optimizer.Optimize(prepared_[s]);
     if (!plan.ok()) return plan.status();
     benefit +=
         (*workload_)[s].frequency * (base_costs_[s] - plan->est_cost);
@@ -255,16 +274,14 @@ Result<double> BenefitEvaluator::SubConfigurationQueryBenefit(
 
 double BenefitEvaluator::MaintenanceCharge(
     const std::vector<int>& config) const {
-  if (!options_.charge_maintenance) return 0;
+  // Statement outer, configuration inner: the order the per-probe
+  // MaintenanceCost sum always used. The zero entries of other
+  // collections' candidates leave the (never negative) sum unchanged.
   double charge = 0;
-  for (size_t s = 0; s < workload_->size(); ++s) {
-    const engine::Statement& stmt = (*workload_)[s];
-    if (stmt.is_query()) continue;
+  const size_t row_size = set_->size();
+  for (size_t row = 0; row < maintenance_.size(); row += row_size) {
     for (int id : config) {
-      const Candidate& c = (*set_)[static_cast<size_t>(id)];
-      if (c.collection != stmt.collection()) continue;
-      charge += stmt.frequency *
-                optimizer_.MaintenanceCost(stmt, c.pattern, c.stats);
+      charge += maintenance_[row + static_cast<size_t>(id)];
     }
   }
   return charge;

@@ -19,6 +19,14 @@
 // Both can be disabled to reproduce the naive evaluator for the ablation
 // benchmark.
 //
+// Each probe only does configuration-dependent work. Initialize()
+// prepares every workload statement once (optimizer::PreparedStatement)
+// and costs the maintenance of every candidate under every write
+// statement once; a probe creates its virtual indexes from the
+// candidates' own statistics and plans the prepared statements. A
+// what-if call is still one optimizer call, so the §VI-C counts are
+// unchanged.
+//
 // Parallel mode (DESIGN §12). With Options::pool set the evaluator shards
 // the independent pieces of its work across the pool: Initialize() costs
 // base statements concurrently, and ConfigurationBenefit farms the
@@ -186,8 +194,9 @@ class BenefitEvaluator {
                    const storage::StatisticsCatalog* statistics,
                    const storage::DocumentStore* store, Options options);
 
-  /// Computes base (no-index) statement costs. Must be called once before
-  /// any benefit query.
+  /// Prepares every statement, computes its base (no-index) cost, and
+  /// costs candidate maintenance. Must be called once before any benefit
+  /// query. Candidates must carry their statistics (PopulateStatistics).
   Status Initialize();
 
   /// Total workload cost with no indexes: sum_s freq_s * s_old.
@@ -219,6 +228,11 @@ class BenefitEvaluator {
   /// optimizer and every scratch-context optimizer (each counter is an
   /// atomic, so the sum is exact once parallel work has been joined).
   uint64_t optimizer_calls() const;
+
+  /// Maintenance charge of a canonical configuration:
+  /// sum_s sum_i freq_s * mc(x_i, s), statements outer, members inner.
+  /// Zero without charge_maintenance. Requires Initialize().
+  double MaintenanceCharge(const std::vector<int>& config) const;
 
   /// Cache statistics.
   size_t cache_hits() const { return cache_.hits(); }
@@ -270,9 +284,6 @@ class BenefitEvaluator {
     return affected_bits_.data() + static_cast<size_t>(id) * affected_words_;
   }
 
-  /// Maintenance charge of the whole configuration.
-  double MaintenanceCharge(const std::vector<int>& config) const;
-
   const engine::Workload* workload_;
   const CandidateSet* set_;
   storage::Catalog* catalog_;
@@ -285,7 +296,15 @@ class BenefitEvaluator {
   size_t affected_words_ = 0;
   std::vector<uint64_t> affected_bits_;
 
-  std::vector<double> base_costs_;  // per statement, unweighted
+  // Per statement, indexed like the workload: the prepared statement every
+  // probe plans (read-only after Initialize, shared by all contexts) and
+  // its unweighted no-index cost.
+  std::vector<optimizer::PreparedStatement> prepared_;
+  std::vector<double> base_costs_;
+  // freq_s * mc(x, s) per write statement s (in workload order) and
+  // candidate id x, set_->size() entries per row; zero where x indexes
+  // another collection. Empty without charge_maintenance.
+  std::vector<double> maintenance_;
   double base_workload_cost_ = 0;
   bool initialized_ = false;
 

@@ -75,12 +75,14 @@ Result<std::string> RenderReport(const engine::Workload& workload,
   }
 
   if (options.per_statement) {
-    // Re-optimize with the configuration virtual.
+    // Re-optimize with the configuration virtual, costed with the
+    // statistics the advisor used where the recommendation carries them.
     storage::Catalog catalog(store, statistics);
     int i = 0;
     for (const RecommendedIndex& ri : recommendation.indexes) {
       auto created = catalog.CreateVirtualIndex(
-          StringPrintf("report_%d", i++), ri.collection, ri.pattern);
+          StringPrintf("report_%d", i++), ri.collection, ri.pattern,
+          ri.stats ? &*ri.stats : nullptr);
       if (!created.ok()) return created.status();
     }
     optimizer::Optimizer opt(store, &catalog, statistics);
@@ -89,9 +91,12 @@ Result<std::string> RenderReport(const engine::Workload& workload,
     out += StringPrintf("%-26s %6s %12s %12s %9s  %s\n", "statement", "freq",
                         "cost before", "cost after", "gain", "plan");
     for (const engine::Statement& stmt : workload) {
+      XIA_ASSIGN_OR_RETURN(const optimizer::PreparedStatement prepared,
+                           opt.Prepare(stmt));
       XIA_ASSIGN_OR_RETURN(const optimizer::Plan before,
-                           opt.OptimizeWithoutIndexes(stmt));
-      XIA_ASSIGN_OR_RETURN(const optimizer::Plan after, opt.Optimize(stmt));
+                           opt.OptimizeWithoutIndexes(prepared));
+      XIA_ASSIGN_OR_RETURN(const optimizer::Plan after,
+                           opt.Optimize(prepared));
       const double gain =
           before.est_cost <= 0
               ? 0

@@ -56,7 +56,13 @@ double CostModel::IndexAccessCost(uint32_t levels, double entries_scanned,
 double CostModel::FetchAndResidualCost(
     double docs, const storage::CollectionStatistics& data,
     const engine::NormalizedQuery& query) const {
-  return docs * (cc_.fetch_doc_cost + PerDocumentEvalCost(data, query));
+  return docs * FetchCostPerDocument(data, query);
+}
+
+double CostModel::FetchCostPerDocument(
+    const storage::CollectionStatistics& data,
+    const engine::NormalizedQuery& query) const {
+  return cc_.fetch_doc_cost + PerDocumentEvalCost(data, query);
 }
 
 double CostModel::RidIntersectionCost(double total_entries) const {

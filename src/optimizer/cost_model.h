@@ -33,9 +33,13 @@ class CostModel {
                          double avg_entry_bytes) const;
 
   /// Fetch + residual re-evaluation of the query on `docs` candidate
-  /// documents.
+  /// documents: docs * FetchCostPerDocument.
   double FetchAndResidualCost(double docs,
                               const storage::CollectionStatistics& data,
+                              const engine::NormalizedQuery& query) const;
+
+  /// Fetch + residual re-evaluation cost of one candidate document.
+  double FetchCostPerDocument(const storage::CollectionStatistics& data,
                               const engine::NormalizedQuery& query) const;
 
   /// CPU cost of intersecting RID lists with the given total entries.

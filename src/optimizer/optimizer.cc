@@ -22,62 +22,119 @@ double EstimateNodesFromText(const std::string& text) {
   return std::max(1.0, open / 2.0);
 }
 
-}  // namespace
-
-double Optimizer::EstimateResultDocs(
-    const engine::NormalizedQuery& query,
-    const storage::CollectionStatistics& data) const {
-  const double ndocs = static_cast<double>(data.document_count());
-  if (ndocs == 0) return 0;
-  // Structural selectivity: fraction of documents containing the spine.
-  const double spine_nodes = data.EstimatePathCardinality(query.path.Spine());
-  double docs = std::min(ndocs, spine_nodes);
-  // Each comparison predicate scales the qualifying-document estimate.
-  for (const IndexablePredicate& pred : ExtractIndexablePredicates(query)) {
-    const double sel = PredicateSelectivity(pred, data,
-                                            cost_model_.constants());
-    const double pattern_nodes =
-        data.EstimatePathCardinality(pred.pattern);
-    const double qualifying_nodes = pattern_nodes * sel;
-    const double doc_sel = std::min(1.0, qualifying_nodes / ndocs);
-    docs *= doc_sel;
-  }
-  return std::max(0.0, docs);
+// The query a statement finds its documents by: the query itself, or a
+// delete's or update's normalized match path. Inserts have none.
+Result<engine::NormalizedQuery> NormalizeMatch(
+    const engine::Statement& statement) {
+  if (statement.is_delete()) return engine::NormalizeDeleteMatch(statement);
+  if (statement.is_update()) return engine::NormalizeUpdateMatch(statement);
+  return engine::Normalize(statement);
 }
 
-Result<Plan> Optimizer::PlanNormalizedQuery(
-    const engine::NormalizedQuery& query, bool allow_indexes) const {
-  auto data_result = statistics_->Get(query.collection);
-  if (!data_result.ok()) return data_result.status();
-  const storage::CollectionStatistics& data = **data_result;
+// One candidate index access for one predicate, before it is chosen into
+// a plan (PlanLeg without the copied names, patterns and predicate).
+struct LegCost {
+  const storage::IndexDef* index = nullptr;
+  size_t predicate = 0;
+  double entries = 0;
+  double docs = 0;
+  double access = 0;
+  // access plus fetching and re-checking `docs` documents.
+  double total = 0;
+};
+
+}  // namespace
+
+Result<PreparedStatement> Optimizer::Prepare(
+    const engine::Statement& statement) const {
+  PreparedStatement prepared;
+  prepared.statement = &statement;
+  if (statement.is_insert()) {
+    // Planning an insert needs no statistics; maintenance costing uses
+    // them when the collection has any.
+    auto data = statistics_->Get(statement.collection());
+    if (data.ok()) prepared.data = *data;
+    const engine::InsertSpec& ins = statement.insert_spec();
+    prepared.scan.kind = Plan::Kind::kInsert;
+    prepared.scan.est_cost = cost_model_.DocumentInsertCost(
+        static_cast<double>(ins.document_text.size()),
+        EstimateNodesFromText(ins.document_text));
+    prepared.scan.est_result_docs = 1;
+    return prepared;
+  }
+
+  XIA_ASSIGN_OR_RETURN(prepared.query, NormalizeMatch(statement));
+  XIA_ASSIGN_OR_RETURN(prepared.data,
+                       statistics_->Get(prepared.query.collection));
+  const storage::CollectionStatistics& data = *prepared.data;
+  const engine::NormalizedQuery& query = prepared.query;
+  const storage::CostConstants& cc = cost_model_.constants();
   const double ndocs = static_cast<double>(data.document_count());
 
-  Plan scan;
-  scan.kind = Plan::Kind::kCollectionScan;
-  scan.est_cost = cost_model_.CollectionScanCost(data, query);
-  scan.est_result_docs = EstimateResultDocs(query, data);
-  if (!allow_indexes) return scan;
+  prepared.scan.kind = Plan::Kind::kCollectionScan;
+  prepared.scan.est_cost = cost_model_.CollectionScanCost(data, query);
+  prepared.fetch_cost_per_doc = cost_model_.FetchCostPerDocument(data, query);
+  prepared.predicates = ExtractIndexablePredicates(query);
+  prepared.pattern_entries.reserve(prepared.predicates.size());
 
-  // Find the cheapest matching index per indexable predicate.
-  std::vector<PlanLeg> legs;
-  for (const IndexablePredicate& pred : ExtractIndexablePredicates(query)) {
+  // Documents that truly satisfy the query: the spine's structural
+  // selectivity, scaled by each comparison predicate.
+  double docs =
+      std::min(ndocs, data.EstimatePathCardinality(query.path.Spine()));
+  for (const IndexablePredicate& pred : prepared.predicates) {
     // Entries that truly satisfy the predicate, estimated against the
     // predicate pattern's own value distribution. Any covering index holds
     // at least these entries in the scanned value range, which keeps wide
     // indexes (whose huge distinct-key counts would otherwise dilute
     // equality selectivity) from looking cheaper than exact-match ones.
-    const storage::IndexStats pattern_stats = data.DeriveIndexStats(
-        pred.AsIndexPattern(), cost_model_.constants());
-    const double pattern_entries =
-        pred.existence
-            ? static_cast<double>(pattern_stats.entry_count)
-            : ValueSelectivity(pattern_stats, pred.op, pred.literal) *
-                  static_cast<double>(pattern_stats.entry_count);
+    const storage::IndexStats pattern_stats =
+        data.DeriveIndexStats(pred.AsIndexPattern(), cc);
+    const double sel = ValueSelectivity(pattern_stats, pred.op, pred.literal);
+    prepared.pattern_entries.push_back(
+        pred.existence ? static_cast<double>(pattern_stats.entry_count)
+                       : sel * static_cast<double>(pattern_stats.entry_count));
+    if (ndocs == 0) continue;
+    const double qualifying_nodes =
+        data.EstimatePathCardinality(pred.pattern) * sel;
+    docs *= std::min(1.0, qualifying_nodes / ndocs);
+  }
+  prepared.scan.est_result_docs = ndocs == 0 ? 0.0 : std::max(0.0, docs);
 
-    const PlanLeg* best = nullptr;
-    PlanLeg candidate;
-    for (const storage::IndexDef* index :
-         catalog_->IndexesFor(query.collection)) {
+  const double result_docs = prepared.scan.est_result_docs;
+  if (statement.is_delete()) {
+    const double avg_doc_bytes =
+        ndocs == 0 ? 0.0
+                   : static_cast<double>(data.data_pages()) *
+                         static_cast<double>(cc.page_size) / ndocs;
+    prepared.write_surcharge =
+        cost_model_.DocumentRemoveCost(result_docs, avg_doc_bytes);
+  } else if (statement.is_update()) {
+    // Modified nodes per touched document.
+    const double target_nodes_per_doc =
+        ndocs == 0 ? 0.0
+                   : data.EstimatePathCardinality(
+                         statement.update_spec().target) /
+                         ndocs;
+    prepared.write_surcharge = result_docs *
+                               std::max(1.0, target_nodes_per_doc) *
+                               cc.index_write_cost;
+  }
+  return prepared;
+}
+
+Plan Optimizer::BestFindPlan(const PreparedStatement& prepared) const {
+  const Plan& scan = prepared.scan;
+  const double ndocs = static_cast<double>(prepared.data->document_count());
+  const double fetch_cost_per_doc = prepared.fetch_cost_per_doc;
+  const std::vector<const storage::IndexDef*> indexes =
+      catalog_->IndexesFor(prepared.query.collection);
+
+  // Find the cheapest matching index per indexable predicate.
+  std::vector<LegCost> legs;
+  for (size_t p = 0; p < prepared.predicates.size(); ++p) {
+    const IndexablePredicate& pred = prepared.predicates[p];
+    LegCost best;
+    for (const storage::IndexDef* index : indexes) {
       if (index->is_virtual && !options_.use_virtual_indexes) continue;
       if (!index->is_virtual && !options_.use_real_indexes) continue;
       // Existence tests need a structural index; value comparisons need a
@@ -87,11 +144,9 @@ Result<Plan> Optimizer::PlanNormalizedQuery(
       if (!xpath::Covers(index->pattern.path, pred.pattern)) continue;
       if (index->stats.entry_count == 0) continue;
 
-      PlanLeg leg;
-      leg.index_name = index->name;
-      leg.index_pattern = index->pattern;
-      leg.index_is_virtual = index->is_virtual;
-      leg.predicate = pred;
+      LegCost leg;
+      leg.index = index;
+      leg.predicate = p;
       // Structural indexes have no value key: an existence probe scans the
       // whole index and filters RIDs by the residual, so it pays the full
       // entry count. Value probes seek into the covered range.
@@ -99,175 +154,126 @@ Result<Plan> Optimizer::PlanNormalizedQuery(
           pred.existence
               ? 1.0
               : ValueSelectivity(index->stats, pred.op, pred.literal);
-      leg.est_entries = std::max(
+      leg.entries = std::max(
           {1.0, sel * static_cast<double>(index->stats.entry_count),
-           pattern_entries});
-      leg.est_docs = std::min(ndocs, leg.est_entries);
-      leg.est_access_cost = cost_model_.IndexAccessCost(
-          index->stats.levels, leg.est_entries, index->stats.avg_key_length);
-      if (best == nullptr ||
-          leg.est_access_cost +
-                  cost_model_.FetchAndResidualCost(leg.est_docs, data, query) <
-              candidate.est_access_cost +
-                  cost_model_.FetchAndResidualCost(candidate.est_docs, data,
-                                                   query)) {
-        candidate = leg;
-        best = &candidate;
-      }
+           prepared.pattern_entries[p]});
+      leg.docs = std::min(ndocs, leg.entries);
+      leg.access = cost_model_.IndexAccessCost(
+          index->stats.levels, leg.entries, index->stats.avg_key_length);
+      leg.total = leg.access + leg.docs * fetch_cost_per_doc;
+      if (best.index == nullptr || leg.total < best.total) best = leg;
     }
-    if (best != nullptr) legs.push_back(candidate);
+    if (best.index != nullptr) legs.push_back(best);
   }
 
-  Plan best_plan = scan;
   // The scan alternative plus one single-index plan per leg.
   XIA_OBS_COUNT("xia.optimizer.plans_considered", 1 + legs.size());
+  Plan::Kind best_kind = Plan::Kind::kCollectionScan;
+  double best_cost = scan.est_cost;
+  std::vector<const LegCost*> chosen;
 
   // Single-index plans.
-  for (const PlanLeg& leg : legs) {
-    Plan p;
-    p.kind = Plan::Kind::kIndexScan;
-    p.legs = {leg};
-    p.est_cost = leg.est_access_cost +
-                 cost_model_.FetchAndResidualCost(leg.est_docs, data, query);
-    p.est_result_docs = scan.est_result_docs;
-    p.uses_virtual_index = leg.index_is_virtual;
-    if (p.est_cost < best_plan.est_cost) best_plan = p;
+  for (const LegCost& leg : legs) {
+    if (leg.total < best_cost) {
+      best_kind = Plan::Kind::kIndexScan;
+      best_cost = leg.total;
+      chosen = {&leg};
+    }
   }
 
   // Index-ANDing: add legs most-selective first while the estimate keeps
   // improving. An unselective leg costs its access and intersection work
   // but barely shrinks the fetched document set, so the full-leg AND is
   // often not the best AND.
+  std::vector<LegCost> ordered;
   if (options_.enable_index_anding && legs.size() >= 2) {
-    std::vector<PlanLeg> ordered = legs;
+    ordered = legs;
     std::sort(ordered.begin(), ordered.end(),
-              [](const PlanLeg& a, const PlanLeg& b) {
-                return a.est_docs < b.est_docs;
+              [](const LegCost& a, const LegCost& b) {
+                return a.docs < b.docs;
               });
-    Plan and_plan;
-    and_plan.kind = Plan::Kind::kIndexAnd;
     double access = 0;
     double entries = 0;
     double doc_fraction = 1.0;
     double best_and_cost = std::numeric_limits<double>::infinity();
-    std::vector<PlanLeg> best_and_legs;
-    bool best_and_virtual = false;
-    bool uses_virtual = false;
-    for (const PlanLeg& leg : ordered) {
-      access += leg.est_access_cost;
-      entries += leg.est_entries;
-      doc_fraction *= ndocs == 0 ? 0.0 : std::min(1.0, leg.est_docs / ndocs);
-      uses_virtual = uses_virtual || leg.index_is_virtual;
-      and_plan.legs.push_back(leg);
-      if (and_plan.legs.size() < 2) continue;
+    size_t best_and_legs = 0;
+    for (size_t k = 0; k < ordered.size(); ++k) {
+      access += ordered[k].access;
+      entries += ordered[k].entries;
+      doc_fraction *= ndocs == 0 ? 0.0 : std::min(1.0, ordered[k].docs / ndocs);
+      if (k == 0) continue;
       XIA_OBS_COUNT("xia.optimizer.plans_considered", 1);
       const double and_docs = ndocs * doc_fraction;
-      const double cost =
-          access + cost_model_.RidIntersectionCost(entries) +
-          cost_model_.FetchAndResidualCost(and_docs, data, query);
+      const double cost = access + cost_model_.RidIntersectionCost(entries) +
+                          and_docs * fetch_cost_per_doc;
       if (cost < best_and_cost) {
         best_and_cost = cost;
-        best_and_legs = and_plan.legs;
-        best_and_virtual = uses_virtual;
+        best_and_legs = k + 1;
       }
     }
-    if (!best_and_legs.empty() && best_and_cost < best_plan.est_cost) {
-      Plan p;
-      p.kind = Plan::Kind::kIndexAnd;
-      p.legs = std::move(best_and_legs);
-      p.est_cost = best_and_cost;
-      p.est_result_docs = scan.est_result_docs;
-      p.uses_virtual_index = best_and_virtual;
-      best_plan = p;
+    if (best_and_legs != 0 && best_and_cost < best_cost) {
+      best_kind = Plan::Kind::kIndexAnd;
+      best_cost = best_and_cost;
+      chosen.clear();
+      for (size_t k = 0; k < best_and_legs; ++k) chosen.push_back(&ordered[k]);
     }
   }
 
-  return best_plan;
+  if (best_kind == Plan::Kind::kCollectionScan) return scan;
+  Plan plan;
+  plan.kind = best_kind;
+  plan.est_cost = best_cost;
+  plan.est_result_docs = scan.est_result_docs;
+  plan.legs.reserve(chosen.size());
+  for (const LegCost* leg : chosen) {
+    PlanLeg& out = plan.legs.emplace_back();
+    out.index_name = leg->index->name;
+    out.index_pattern = leg->index->pattern;
+    out.index_is_virtual = leg->index->is_virtual;
+    out.predicate = prepared.predicates[leg->predicate];
+    out.est_entries = leg->entries;
+    out.est_docs = leg->docs;
+    out.est_access_cost = leg->access;
+    plan.uses_virtual_index = plan.uses_virtual_index || out.index_is_virtual;
+  }
+  return plan;
 }
 
-Result<Plan> Optimizer::PlanInsert(const engine::Statement& statement) const {
-  const engine::InsertSpec& ins = statement.insert_spec();
-  Plan p;
-  p.kind = Plan::Kind::kInsert;
-  p.est_cost = cost_model_.DocumentInsertCost(
-      static_cast<double>(ins.document_text.size()),
-      EstimateNodesFromText(ins.document_text));
-  p.est_result_docs = 1;
-  return p;
-}
-
-Result<Plan> Optimizer::PlanDelete(const engine::Statement& statement,
-                                   bool allow_indexes) const {
-  auto normalized = engine::NormalizeDeleteMatch(statement);
-  if (!normalized.ok()) return normalized.status();
-  auto find_plan = PlanNormalizedQuery(*normalized, allow_indexes);
-  if (!find_plan.ok()) return find_plan.status();
-
-  auto data_result = statistics_->Get(normalized->collection);
-  if (!data_result.ok()) return data_result.status();
-  const storage::CollectionStatistics& data = **data_result;
-  const double docs = find_plan->est_result_docs;
-  const double avg_doc_bytes =
-      data.document_count() == 0
-          ? 0.0
-          : static_cast<double>(data.data_pages()) *
-                static_cast<double>(cost_model_.constants().page_size) /
-                static_cast<double>(data.document_count());
-
-  Plan p = *find_plan;
-  p.kind = Plan::Kind::kDelete;
-  p.est_cost += cost_model_.DocumentRemoveCost(docs, avg_doc_bytes);
-  p.est_result_docs = docs;
-  return p;
-}
-
-Result<Plan> Optimizer::PlanUpdate(const engine::Statement& statement,
-                                   bool allow_indexes) const {
-  auto normalized = engine::NormalizeUpdateMatch(statement);
-  if (!normalized.ok()) return normalized.status();
-  auto find_plan = PlanNormalizedQuery(*normalized, allow_indexes);
-  if (!find_plan.ok()) return find_plan.status();
-
-  auto data_result = statistics_->Get(normalized->collection);
-  if (!data_result.ok()) return data_result.status();
-  const storage::CollectionStatistics& data = **data_result;
-  const double docs = find_plan->est_result_docs;
-  // Modified nodes per touched document.
-  const double target_nodes_per_doc =
-      data.document_count() == 0
-          ? 0.0
-          : data.EstimatePathCardinality(statement.update_spec().target) /
-                static_cast<double>(data.document_count());
-
-  Plan p = *find_plan;
-  p.kind = Plan::Kind::kUpdate;
-  p.est_cost += docs * std::max(1.0, target_nodes_per_doc) *
-                cost_model_.constants().index_write_cost;
-  p.est_result_docs = docs;
-  return p;
-}
-
-Result<Plan> Optimizer::OptimizeImpl(const engine::Statement& statement,
+Result<Plan> Optimizer::OptimizeImpl(const PreparedStatement& prepared,
                                      bool allow_indexes) const {
   XIA_FAULT_INJECT(fault::points::kOptimizerPlan);
   XIA_RETURN_IF_ERROR(fault::CheckInterrupt(options_.deadline));
   optimize_calls_.Add(1);
   XIA_OBS_COUNT("xia.optimizer.optimize_calls", 1);
-  if (statement.is_insert()) return PlanInsert(statement);
-  if (statement.is_delete()) return PlanDelete(statement, allow_indexes);
-  if (statement.is_update()) return PlanUpdate(statement, allow_indexes);
-  auto normalized = engine::Normalize(statement);
-  if (!normalized.ok()) return normalized.status();
-  return PlanNormalizedQuery(*normalized, allow_indexes);
+  const engine::Statement& statement = *prepared.statement;
+  if (statement.is_insert()) return prepared.scan;
+  Plan plan = allow_indexes ? BestFindPlan(prepared) : prepared.scan;
+  if (statement.is_delete() || statement.is_update()) {
+    plan.kind =
+        statement.is_delete() ? Plan::Kind::kDelete : Plan::Kind::kUpdate;
+    plan.est_cost += prepared.write_surcharge;
+  }
+  return plan;
+}
+
+Result<Plan> Optimizer::Optimize(const PreparedStatement& prepared) const {
+  return OptimizeImpl(prepared, /*allow_indexes=*/true);
+}
+
+Result<Plan> Optimizer::OptimizeWithoutIndexes(
+    const PreparedStatement& prepared) const {
+  return OptimizeImpl(prepared, /*allow_indexes=*/false);
 }
 
 Result<Plan> Optimizer::Optimize(const engine::Statement& statement) const {
-  return OptimizeImpl(statement, /*allow_indexes=*/true);
+  XIA_ASSIGN_OR_RETURN(const PreparedStatement prepared, Prepare(statement));
+  return Optimize(prepared);
 }
 
 Result<Plan> Optimizer::OptimizeWithoutIndexes(
     const engine::Statement& statement) const {
-  return OptimizeImpl(statement, /*allow_indexes=*/false);
+  XIA_ASSIGN_OR_RETURN(const PreparedStatement prepared, Prepare(statement));
+  return OptimizeWithoutIndexes(prepared);
 }
 
 Result<std::vector<xpath::IndexPattern>> Optimizer::EnumerateIndexes(
@@ -279,11 +285,7 @@ Result<std::vector<xpath::IndexPattern>> Optimizer::EnumerateIndexes(
   XIA_OBS_COUNT("xia.optimizer.enumerate_calls", 1);
   if (statement.is_insert()) return std::vector<xpath::IndexPattern>{};
 
-  Result<engine::NormalizedQuery> normalized =
-      statement.is_delete()
-          ? engine::NormalizeDeleteMatch(statement)
-          : (statement.is_update() ? engine::NormalizeUpdateMatch(statement)
-                                   : engine::Normalize(statement));
+  auto normalized = NormalizeMatch(statement);
   if (!normalized.ok()) return normalized.status();
 
   // Plant the //* virtual universal index (one per value type) and run the
@@ -317,13 +319,12 @@ Result<std::vector<xpath::IndexPattern>> Optimizer::EnumerateIndexes(
 }
 
 double Optimizer::MaintenanceCost(
-    const engine::Statement& statement,
+    const PreparedStatement& prepared,
     const xpath::IndexPattern& index_pattern,
     const storage::IndexStats& index_stats) const {
-  if (statement.is_query()) return 0.0;
-  auto data_result = statistics_->Get(statement.collection());
-  if (!data_result.ok()) return 0.0;
-  const storage::CollectionStatistics& data = **data_result;
+  const engine::Statement& statement = *prepared.statement;
+  if (statement.is_query() || prepared.data == nullptr) return 0.0;
+  const storage::CollectionStatistics& data = *prepared.data;
 
   if (statement.is_update()) {
     // A value update touches the index only if the index can contain the
@@ -338,9 +339,7 @@ double Optimizer::MaintenanceCost(
       }
     }
     if (affected_nodes == 0) return 0.0;
-    auto normalized = engine::NormalizeUpdateMatch(statement);
-    const double docs_touched =
-        normalized.ok() ? EstimateResultDocs(*normalized, data) : 1.0;
+    const double docs_touched = prepared.scan.est_result_docs;
     const double nodes_per_doc =
         data.document_count() == 0
             ? 0.0
@@ -358,15 +357,20 @@ double Optimizer::MaintenanceCost(
     return 2.0 * docs_touched * nodes_per_doc * per_entry;
   }
 
-  double docs_touched = 1.0;  // insert: one document
-  if (statement.is_delete()) {
-    auto normalized = engine::NormalizeDeleteMatch(statement);
-    if (normalized.ok()) {
-      docs_touched = EstimateResultDocs(*normalized, data);
-    }
-  }
+  // An insert adds one document; a delete removes the ones it matches.
+  const double docs_touched =
+      statement.is_delete() ? prepared.scan.est_result_docs : 1.0;
   return cost_model_.MaintenanceCost(
       index_stats, static_cast<double>(data.document_count()), docs_touched);
+}
+
+double Optimizer::MaintenanceCost(
+    const engine::Statement& statement,
+    const xpath::IndexPattern& index_pattern,
+    const storage::IndexStats& index_stats) const {
+  auto prepared = Prepare(statement);
+  if (!prepared.ok()) return 0.0;
+  return MaintenanceCost(*prepared, index_pattern, index_stats);
 }
 
 }  // namespace xia::optimizer

@@ -13,8 +13,19 @@
 // Optimizer calls are counted so experiments can measure the §VI-C call
 // reduction.
 //
+// Planning is split in two. Prepare() does the work that depends only on
+// the statement and the data statistics: normalization, the no-index
+// plan, predicate extraction and each predicate's qualifying-entry
+// estimate. Optimize(prepared) does the configuration-dependent rest:
+// index matching, leg costing and index ANDing. Optimize(statement) is
+// exactly Optimize(Prepare(statement)); the advisor prepares each
+// workload statement once and probes it under many configurations, the
+// split INUM (Papadomanolakis et al., VLDB 2007) makes for the same
+// reason. Only the Optimize/OptimizeWithoutIndexes/EnumerateIndexes calls
+// count as optimizer calls; Prepare does not.
+//
 // Thread affinity: an Optimizer instance is immutable after construction —
-// the planning entry points (Optimize, OptimizeWithoutIndexes,
+// the planning entry points (Prepare, Optimize, OptimizeWithoutIndexes,
 // EnumerateIndexes, MaintenanceCost) are const, never mutate the catalog,
 // and record calls through an atomic obs::Counter. Concurrent planning is
 // therefore safe as long as each thread either shares a catalog that is
@@ -42,6 +53,39 @@
 #include "util/status.h"
 
 namespace xia::optimizer {
+
+/// The configuration-independent half of planning one statement (see the
+/// header comment). Valid while the statement it was prepared from is
+/// alive and the StatisticsCatalog it was prepared against is unchanged;
+/// it carries no statistics epoch, so a caller that re-collects
+/// statistics must prepare again. The catalog's indexes are not part of
+/// it: any optimizer over the same statistics and cost constants plans it
+/// correctly under any index configuration.
+struct PreparedStatement {
+  /// The statement this was prepared from (not owned).
+  const engine::Statement* statement = nullptr;
+  /// Statistics of the statement's collection (not owned). Null only for
+  /// an insert into a collection without statistics.
+  const storage::CollectionStatistics* data = nullptr;
+  /// The normalized query, or a delete's/update's normalized match path;
+  /// empty for inserts.
+  engine::NormalizedQuery query;
+  /// The plan with no indexes: the collection scan that finds the
+  /// qualifying documents (before any write surcharge), or the finished
+  /// plan of an insert.
+  Plan scan;
+  /// Cost of fetching one candidate document and re-evaluating the query
+  /// on it (CostModel::FetchCostPerDocument).
+  double fetch_cost_per_doc = 0;
+  /// What a delete or update adds to whichever find plan wins: removing
+  /// the documents, or rewriting the target nodes. Zero for queries.
+  double write_surcharge = 0;
+  /// Indexable predicates of `query`, and for each the index entries that
+  /// truly satisfy it, estimated against its own pattern's value
+  /// distribution (the floor of any covering index's scan).
+  std::vector<IndexablePredicate> predicates;
+  std::vector<double> pattern_entries;
+};
 
 /// Cost-based optimizer over one catalog.
 class Optimizer {
@@ -76,11 +120,23 @@ class Optimizer {
             const storage::StatisticsCatalog* statistics)
       : Optimizer(store, catalog, statistics, Options()) {}
 
-  /// Plans a statement and returns the best plan with its cost estimate.
+  /// The statement-only half of planning. Not an optimizer call: it
+  /// neither counts, nor checks the deadline, nor hits the
+  /// kOptimizerPlan fault point.
+  Result<PreparedStatement> Prepare(const engine::Statement& statement) const;
+
+  /// Plans a prepared statement against the catalog's current indexes and
+  /// returns the best plan with its cost estimate.
+  Result<Plan> Optimize(const PreparedStatement& prepared) const;
+
+  /// Plans a prepared statement pretending no indexes exist (the baseline
+  /// cost s_old of §III).
+  Result<Plan> OptimizeWithoutIndexes(const PreparedStatement& prepared) const;
+
+  /// Optimize(Prepare(statement)).
   Result<Plan> Optimize(const engine::Statement& statement) const;
 
-  /// Plans a statement pretending no indexes exist (the baseline cost
-  /// s_old of §III).
+  /// OptimizeWithoutIndexes(Prepare(statement)).
   Result<Plan> OptimizeWithoutIndexes(const engine::Statement& statement) const;
 
   /// Enumerate Indexes mode: candidate index patterns for one statement.
@@ -93,6 +149,12 @@ class Optimizer {
   /// Inserts and deletes maintain every index of the statement's
   /// collection; value updates only maintain indexes whose pattern can
   /// reach the updated nodes.
+  double MaintenanceCost(const PreparedStatement& prepared,
+                         const xpath::IndexPattern& index_pattern,
+                         const storage::IndexStats& index_stats) const;
+
+  /// MaintenanceCost of Prepare(statement); zero when it cannot be
+  /// prepared.
   double MaintenanceCost(const engine::Statement& statement,
                          const xpath::IndexPattern& index_pattern,
                          const storage::IndexStats& index_stats) const;
@@ -107,19 +169,11 @@ class Optimizer {
   void ResetCallCount() { optimize_calls_.Reset(); }
 
  private:
-  Result<Plan> PlanNormalizedQuery(const engine::NormalizedQuery& query,
-                                   bool allow_indexes) const;
-  Result<Plan> PlanInsert(const engine::Statement& statement) const;
-  Result<Plan> PlanDelete(const engine::Statement& statement,
-                          bool allow_indexes) const;
-  Result<Plan> PlanUpdate(const engine::Statement& statement,
-                          bool allow_indexes) const;
-  Result<Plan> OptimizeImpl(const engine::Statement& statement,
+  Result<Plan> OptimizeImpl(const PreparedStatement& prepared,
                             bool allow_indexes) const;
-
-  /// Estimated documents that truly satisfy the normalized query.
-  double EstimateResultDocs(const engine::NormalizedQuery& query,
-                            const storage::CollectionStatistics& data) const;
+  /// The cheapest find plan of a prepared query, delete or update under
+  /// the catalog's indexes.
+  Plan BestFindPlan(const PreparedStatement& prepared) const;
 
   const storage::DocumentStore* store_;
   const storage::Catalog* catalog_;

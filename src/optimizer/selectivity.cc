@@ -77,12 +77,4 @@ double ValueSelectivity(const storage::IndexStats& stats, xpath::CompareOp op,
   return 1.0;
 }
 
-double PredicateSelectivity(const IndexablePredicate& pred,
-                            const storage::CollectionStatistics& data_stats,
-                            const storage::CostConstants& cc) {
-  const storage::IndexStats pattern_stats =
-      data_stats.DeriveIndexStats(pred.AsIndexPattern(), cc);
-  return ValueSelectivity(pattern_stats, pred.op, pred.literal);
-}
-
 }  // namespace xia::optimizer

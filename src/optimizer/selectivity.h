@@ -5,6 +5,9 @@
 //    determines how much of the index a lookup scans;
 //  * value selectivity against the *predicate pattern's* data distribution —
 //    determines how many truly-qualifying nodes (and documents) come out.
+//
+// Both are ValueSelectivity; Optimizer::Prepare derives each predicate
+// pattern's statistics once per statement for the second.
 
 #ifndef XIA_OPTIMIZER_SELECTIVITY_H_
 #define XIA_OPTIMIZER_SELECTIVITY_H_
@@ -25,12 +28,6 @@ inline constexpr double kMinSelectivity = 1e-9;
 /// 1/distinct for equality.
 double ValueSelectivity(const storage::IndexStats& stats, xpath::CompareOp op,
                         const xpath::Literal& literal);
-
-/// Selectivity of `pred` against the value distribution of its own pattern
-/// in the data (derives pattern statistics on the fly).
-double PredicateSelectivity(const IndexablePredicate& pred,
-                            const storage::CollectionStatistics& data_stats,
-                            const storage::CostConstants& cc);
 
 }  // namespace xia::optimizer
 

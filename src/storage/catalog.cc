@@ -75,19 +75,22 @@ void Catalog::DetachSideLog(const IndexSideLog* log) {
 
 Result<const IndexDef*> Catalog::CreateVirtualIndex(
     const std::string& name, const std::string& collection,
-    const xpath::IndexPattern& pattern) {
+    const xpath::IndexPattern& pattern, const IndexStats* stats) {
   if (indexes_.count(name) != 0) {
     return Status::AlreadyExists("index " + name + " exists");
   }
-  auto stats = statistics_->Get(collection);
-  if (!stats.ok()) return stats.status();
-
   IndexDef def;
+  if (stats != nullptr) {
+    def.stats = *stats;
+  } else {
+    auto data = statistics_->Get(collection);
+    if (!data.ok()) return data.status();
+    def.stats = (*data)->DeriveIndexStats(pattern, cc_);
+  }
   def.name = name;
   def.collection = collection;
   def.pattern = pattern;
   def.is_virtual = true;
-  def.stats = (*stats)->DeriveIndexStats(pattern, cc_);
   XIA_OBS_COUNT("xia.storage.catalog.virtual_indexes_created", 1);
   auto [it, _] = indexes_.emplace(name, std::move(def));
   return &it->second;

@@ -69,11 +69,14 @@ class Catalog {
   /// Number of attached side logs (== in-flight online builds).
   size_t attached_side_logs() const { return side_logs_.size(); }
 
-  /// Creates a virtual index whose statistics are derived from the
-  /// collection's data statistics (RunStats must have been run).
+  /// Creates a virtual index. Its statistics are `stats` when given —
+  /// callers that already derived them (the advisor's candidates) pass
+  /// them in — and otherwise derived from the collection's data
+  /// statistics (RunStats must have been run).
   Result<const IndexDef*> CreateVirtualIndex(const std::string& name,
                                              const std::string& collection,
-                                             const xpath::IndexPattern& pattern);
+                                             const xpath::IndexPattern& pattern,
+                                             const IndexStats* stats = nullptr);
 
   /// Drops an index by name.
   Status DropIndex(const std::string& name);

@@ -14,6 +14,7 @@
 #include "engine/query_parser.h"
 #include "tpox/synthetic.h"
 #include "tpox/tpox_data.h"
+#include "tpox/tpox_workload.h"
 #include "util/random.h"
 #include "xpath/containment.h"
 
@@ -203,6 +204,53 @@ TEST_P(AdvisorPropertyTest, DecomposedBenefitEqualsNaiveBenefit) {
         << "config size " << config.size();
   }
   EXPECT_LT(fast.optimizer_calls(), naive.optimizer_calls());
+}
+
+TEST_P(AdvisorPropertyTest, MaintenanceChargeEqualsDirectCostSums) {
+  // The evaluator costs each (write statement, candidate) pair once; the
+  // charge of any configuration must still equal, bit for bit, the sum of
+  // direct MaintenanceCost calls in statement-then-member order.
+  Random mix_rng(GetParam() * 17 + 9);
+  auto mix = tpox::TpoxTransactionMix(3, 400, 500, 150, &mix_rng);
+  ASSERT_TRUE(mix.ok()) << mix.status();
+  auto queries = tpox::TpoxQueries();
+  ASSERT_TRUE(queries.ok()) << queries.status();
+  engine::Workload workload = std::move(*queries);
+  for (engine::Statement& stmt : *mix) workload.push_back(std::move(stmt));
+
+  auto set = advisor_->BuildCandidates(workload, /*generalize=*/true);
+  ASSERT_TRUE(set.ok()) << set.status();
+  storage::Catalog catalog(&store_, &stats_);
+  BenefitEvaluator evaluator(&workload, &*set, &catalog, &stats_, &store_,
+                             BenefitEvaluator::Options{});
+  ASSERT_TRUE(evaluator.Initialize().ok());
+
+  storage::Catalog direct_catalog(&store_, &stats_);
+  const optimizer::Optimizer direct(&store_, &direct_catalog, &stats_);
+  Random rng(GetParam() * 29 + 7);
+  size_t charged = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    std::vector<int> config;
+    for (size_t i = 0; i < set->size(); ++i) {
+      if (rng.Bernoulli(0.05 + 0.05 * (trial % 8))) {
+        config.push_back(static_cast<int>(i));
+      }
+    }
+    double expected = 0;
+    for (const engine::Statement& stmt : workload) {
+      if (stmt.is_query()) continue;
+      for (int id : config) {
+        const Candidate& c = (*set)[static_cast<size_t>(id)];
+        if (c.collection != stmt.collection()) continue;
+        expected += stmt.frequency *
+                    direct.MaintenanceCost(stmt, c.pattern, c.stats);
+      }
+    }
+    EXPECT_EQ(evaluator.MaintenanceCharge(config), expected)
+        << "config size " << config.size();
+    if (expected > 0) ++charged;
+  }
+  EXPECT_GT(charged, 0u);
 }
 
 // The §VI-C decomposition as first written: pairwise overlap tests with
