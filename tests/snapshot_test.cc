@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <iterator>
 #include <sstream>
 
 #include "fault/fault.h"
@@ -300,6 +301,54 @@ TEST_F(SnapshotTest, StatisticsOverRestoredStoreMatch) {
     const auto& other = sb.paths().at(path);
     EXPECT_EQ(stats.count, other.count) << path;
     EXPECT_EQ(stats.distinct_values, other.distinct_values) << path;
+  }
+}
+
+// Golden bytes: pins SaveSnapshot's exact output over a small TPoX store
+// with a tombstone, attribute-bearing order documents and values rewritten
+// both longer and shorter in place. Any change to the document layout or
+// to the snapshot encoder must leave every byte unchanged. On a mismatch
+// the actual bytes are written to the test temp directory for inspection
+// (and, after a deliberate format change, for copying over
+// tests/testdata/tpox_snapshot.golden).
+TEST(SnapshotGoldenTest, TpoxStoreBytesArePinned) {
+  DocumentStore store;
+  StatisticsCatalog stats;
+  tpox::TpoxScale scale;
+  scale.security_docs = 3;
+  scale.order_docs = 3;
+  scale.custacc_docs = 2;
+  ASSERT_TRUE(tpox::BuildTpoxDatabase(scale, &store, &stats).ok());
+  auto securities = store.GetCollection(tpox::kSecurityCollection);
+  ASSERT_TRUE(securities.ok());
+  ASSERT_TRUE((*securities)->Remove(1).ok());
+  (*securities)->Mutate(2, [](xml::Document* doc) {
+    doc->SetValue(1, "a value longer than any generated symbol");
+    doc->SetValue(2, "");
+  });
+  auto orders = store.GetCollection(tpox::kOrderCollection);
+  ASSERT_TRUE(orders.ok());
+  (*orders)->Mutate(0, [](xml::Document* doc) { doc->SetValue(2, "9"); });
+
+  std::stringstream buffer;
+  ASSERT_TRUE(SaveSnapshot(store, buffer).ok());
+  const std::string actual = buffer.str();
+
+  std::ifstream in(XIA_TESTDATA_DIR "/tpox_snapshot.golden", std::ios::binary);
+  ASSERT_TRUE(in) << "missing golden file";
+  const std::string golden((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+  if (actual != golden) {
+    const std::string path = ::testing::TempDir() + "tpox_snapshot.actual";
+    std::ofstream(path, std::ios::binary) << actual;
+    size_t at = 0;
+    while (at < actual.size() && at < golden.size() &&
+           actual[at] == golden[at]) {
+      ++at;
+    }
+    FAIL() << "snapshot bytes differ from the golden file at offset " << at
+           << " (actual " << actual.size() << " bytes, golden "
+           << golden.size() << "); actual bytes written to " << path;
   }
 }
 
