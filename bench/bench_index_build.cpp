@@ -19,11 +19,12 @@
 //     seed extraction (fresh result vector per document per pattern),
 //     and per-document incremental index insertion. The "after" pipeline
 //     is this tree's fast path: memchr-scanning interning parser into
-//     the intrusively-linked node arena, O(1)-accounted batch adds, and
-//     one BuildBulk per index at the end. Both parsers emit nodes in the
-//     same order and both stores assign ids 0..N-1, so the before-side
-//     incremental indexes and the after-side bulk indexes must agree on
-//     every content digest (target: >= 2x end-to-end docs/sec).
+//     compact pre-order node records and a values arena, O(1)-accounted
+//     batch adds, and one BuildBulk per index at the end. Both parsers
+//     emit nodes in the same order and both stores assign ids 0..N-1, so
+//     the before-side incremental indexes and the after-side bulk indexes
+//     must agree on every content digest (target: >= 2x end-to-end
+//     docs/sec).
 //
 //  3. online build stall window — build an index online while a mutator
 //     thread writes under the exclusive lock; report the write-stall

@@ -1,9 +1,13 @@
 // Micro-benchmarks (google-benchmark): XPath parsing, evaluation over
-// generated documents, and the containment test at the heart of index
-// matching.
+// generated documents, whole collection scans, and the containment test
+// at the heart of index matching.
 
 #include <benchmark/benchmark.h>
 
+#include "engine/executor.h"
+#include "engine/query_parser.h"
+#include "optimizer/plan.h"
+#include "storage/catalog.h"
 #include "tpox/tpox_data.h"
 #include "util/random.h"
 #include "xpath/containment.h"
@@ -121,6 +125,87 @@ void BM_XPathEvaluatePredicate(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_XPathEvaluatePredicate)->DenseRange(0, 4);
+
+// The same five shapes as whole statements (perfbench's scan text), each
+// executed through the executor's collection scan over a full
+// 20k/40k/10k-document TPoX store: every document is visited, so the
+// structure and values a scan touches (tens of MB) stream through the
+// caches instead of staying resident as in the 256-document rows above.
+// Reports ns per examined document. The store is generated once per
+// process, without statistics: the plan is a collection scan, so the
+// optimizer has nothing to choose.
+struct ScanStore {
+  storage::DocumentStore store;
+  storage::StatisticsCatalog statistics;
+  storage::Catalog catalog{&store, &statistics};
+};
+
+ScanStore& FullTpoxStore() {
+  static ScanStore* const db = [] {
+    auto* s = new ScanStore;
+    Random rng(42);
+    const auto fill = [&](const char* name, size_t count, auto generate) {
+      storage::Collection* coll = *s->store.CreateCollection(name);
+      for (size_t i = 0; i < count; ++i) coll->Add(generate(i));
+    };
+    fill(tpox::kSecurityCollection, 20000, [&](size_t i) {
+      return tpox::GenerateSecurityDocument(i, &rng);
+    });
+    fill(tpox::kOrderCollection, 40000, [&](size_t i) {
+      return tpox::GenerateOrderDocument(i, 20000, &rng);
+    });
+    fill(tpox::kCustAccCollection, 10000, [&](size_t i) {
+      return tpox::GenerateCustAccDocument(i, &rng);
+    });
+    return s;
+  }();
+  return *db;
+}
+
+void BM_CollectionScan(benchmark::State& state) {
+  struct Shape {
+    const char* name;
+    const char* statement;
+  };
+  static const Shape kShapes[] = {
+      {"yield",
+       "for $s in SECURITY('SDOC')/Security[Yield > 5.05] return $s/Symbol"},
+      {"pe",
+       "for $s in SECURITY('SDOC')/Security where $s/PE > 31.05 "
+       "return $s/Symbol"},
+      {"sector",
+       "for $s in SECURITY('SDOC')/Security "
+       "where $s/SecInfo/*/Sector = \"Energy\" return $s/Symbol"},
+      {"qty",
+       "for $o in ORDER('ODOC')/FIXML/Order[OrdQty/@Qty >= 2510] "
+       "return $o/@ID"},
+      {"amount",
+       "for $c in CUSTACC('CADOC')/Customer "
+       "where $c/Accounts/Account/Balance/OnlineActualBal/Amount > "
+       "500000.005 return $c/Id"},
+  };
+  const Shape& shape = kShapes[state.range(0)];
+  ScanStore& db = FullTpoxStore();
+  const auto statement = *engine::ParseStatement(shape.statement);
+  optimizer::Plan plan;
+  plan.kind = optimizer::Plan::Kind::kCollectionScan;
+  engine::Executor executor(&db.store, &db.catalog);
+  uint64_t docs = 0;
+  for (auto _ : state) {
+    const auto result = executor.Execute(statement, plan);
+    if (!result.ok()) {
+      state.SkipWithError("scan failed");
+      break;
+    }
+    docs += result->docs_examined;
+    benchmark::DoNotOptimize(result->result_count);
+  }
+  state.SetLabel(shape.name);
+  state.counters["per_doc"] = benchmark::Counter(
+      static_cast<double>(docs),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_CollectionScan)->DenseRange(0, 4)->Unit(benchmark::kMillisecond);
 
 void BM_ContainmentShallow(benchmark::State& state) {
   const auto index = *xpath::ParsePattern("/Security//*");

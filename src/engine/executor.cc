@@ -25,10 +25,11 @@ struct RowSink {
 
   void Emit(const xml::Document& doc, xml::NodeIndex node) {
     if (!materialize || rows->size() >= max_rows) return;
-    const xml::Node& n = doc.node(node);
     // Leaf-ish results render as their value; subtrees as XML fragments.
-    if (!n.has_children() || n.is_attribute()) {
-      rows->push_back(n.label + "=" + n.value);
+    if (!doc.has_children(node) || doc.is_attribute(node)) {
+      std::string row = doc.label(node) + "=";
+      row.append(doc.value(node));
+      rows->push_back(std::move(row));
     } else {
       rows->push_back(xml::Serialize(doc, node));
     }

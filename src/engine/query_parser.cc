@@ -216,16 +216,12 @@ class StatementParser {
       ++pos_;
       return xpath::Literal::String(std::move(s));
     }
-    const size_t start = pos_;
-    if (!Eof() && (Peek() == '-' || Peek() == '+')) ++pos_;
-    while (!Eof() && (std::isdigit(static_cast<unsigned char>(Peek())) ||
-                      Peek() == '.')) {
-      ++pos_;
-    }
+    const size_t len = NumericTokenLength(text_.substr(pos_));
     double v = 0;
-    if (pos_ == start || !ParseDouble(text_.substr(start, pos_ - start), &v)) {
+    if (len == 0 || !ParseDouble(text_.substr(pos_, len), &v)) {
       return Error("expected literal");
     }
+    pos_ += len;
     return xpath::Literal::Number(v);
   }
 

@@ -11,6 +11,9 @@ xml::DocId Collection::Add(xml::Document doc) {
   total_bytes_ += doc.ApproximateByteSize();
   total_nodes_ += doc.size();
   ++live_count_;
+  // A resident document keeps only what it holds: builders reserve
+  // generously for the duration of a build.
+  doc.ShrinkToFit();
   docs_.push_back(std::make_unique<xml::Document>(std::move(doc)));
   return static_cast<xml::DocId>(docs_.size() - 1);
 }

@@ -41,7 +41,7 @@ void PathValueIndex::ExtractKeys(xml::DocId id, const xml::Document& doc,
   static thread_local std::vector<xml::NodeIndex> scratch;
   xpath::EvaluateLinearInto(doc, pattern_.path, &scratch);
   for (xml::NodeIndex n : scratch) {
-    const std::string& value = doc.node(n).value;
+    const std::string_view value = doc.value(n);
     IndexKey key;
     key.type = pattern_.type;
     key.rid = {id, n};

@@ -3,12 +3,14 @@
 #include <cstring>
 #include <fstream>
 #include <istream>
+#include <iterator>
 #include <ostream>
 #include <sstream>
 
 #include "fault/fault.h"
 #include "util/atomic_file.h"
 #include "util/crc32.h"
+#include "wal/wire.h"
 
 namespace xia::storage {
 
@@ -17,141 +19,111 @@ namespace {
 constexpr char kMagicV1[8] = {'X', 'I', 'A', 'S', 'N', 'A', 'P', '1'};
 constexpr char kMagicV2[8] = {'X', 'I', 'A', 'S', 'N', 'A', 'P', '2'};
 
-constexpr uint32_t kMaxString = 64u << 20;   // 64 MiB per string
 constexpr uint32_t kMaxSection = 1u << 30;   // 1 GiB per collection section
 
-void WriteU8(std::ostream& out, uint8_t v) {
-  out.put(static_cast<char>(v));
-}
-
 void WriteU32(std::ostream& out, uint32_t v) {
-  char buf[4];
-  for (int i = 0; i < 4; ++i) buf[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-  out.write(buf, 4);
-}
-
-void WriteI32(std::ostream& out, int32_t v) {
-  WriteU32(out, static_cast<uint32_t>(v));
-}
-
-void WriteString(std::ostream& out, const std::string& s) {
-  WriteU32(out, static_cast<uint32_t>(s.size()));
-  out.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-
-bool ReadU8(std::istream& in, uint8_t* v) {
-  const int c = in.get();
-  if (c == EOF) return false;
-  *v = static_cast<uint8_t>(c);
-  return true;
+  std::string buf;
+  wal::PutU32(&buf, v);
+  out.write(buf.data(), static_cast<std::streamsize>(buf.size()));
 }
 
 bool ReadU32(std::istream& in, uint32_t* v) {
   char buf[4];
   if (!in.read(buf, 4)) return false;
-  *v = 0;
-  for (int i = 0; i < 4; ++i) {
-    *v |= static_cast<uint32_t>(static_cast<unsigned char>(buf[i]))
-          << (8 * i);
-  }
+  *v = wal::LoadLE<uint32_t>(buf);
   return true;
 }
 
-bool ReadI32(std::istream& in, int32_t* v) {
-  uint32_t u = 0;
-  if (!ReadU32(in, &u)) return false;
-  *v = static_cast<int32_t>(u);
-  return true;
+/// A node as a snapshot stores it, in document (pre-)order. One instance
+/// is reused across a whole collection body, so its strings keep their
+/// capacity from node to node.
+struct SnapshotNode {
+  xml::NodeKind kind = xml::NodeKind::kElement;
+  std::string label;
+  std::string value;
+  uint32_t parent = 0;  // the NodeIndex's bits: the root's is -1
+};
+
+template <class IO>
+bool Fields(IO& io, SnapshotNode& n) {
+  return io(n.kind, xml::NodeKind::kAttribute) && io(n.label) &&
+         io(n.value) && io(n.parent);
 }
 
-bool ReadString(std::istream& in, std::string* s, uint32_t max_len) {
-  uint32_t len = 0;
-  if (!ReadU32(in, &len)) return false;
-  if (len > max_len) return false;  // corrupt or hostile
-  s->resize(len);
-  return static_cast<bool>(in.read(s->data(),
-                                   static_cast<std::streamsize>(len)));
-}
-
-/// Serializes one collection body: str name, u32 slot_count, slots.
+/// Appends one collection body: str name, u32 slot_count, then per slot
+/// u8 live and, if live, u32 node_count + node_count SnapshotNodes.
 /// Shared between the v2 section payload and nothing else (v1 wrote the
 /// same bytes inline, which is why v2 sections parse with the same code).
-Status WriteCollectionBody(const Collection& coll, std::ostream& out) {
-  WriteString(out, coll.name());
+void WriteCollectionBody(const Collection& coll, std::string* out) {
+  wal::Writer w(out);
+  w(coll.name());
   const xml::DocId bound = coll.id_bound();
-  WriteU32(out, static_cast<uint32_t>(bound));
+  w(static_cast<uint32_t>(bound));
+  SnapshotNode node;
   for (xml::DocId id = 0; id < bound; ++id) {
-    if (!coll.IsLive(id)) {
-      WriteU8(out, 0);
-      continue;
-    }
-    WriteU8(out, 1);
+    w(coll.IsLive(id));
+    if (!coll.IsLive(id)) continue;
     const xml::Document& doc = coll.Get(id);
-    WriteU32(out, static_cast<uint32_t>(doc.size()));
-    for (size_t n = 0; n < doc.size(); ++n) {
-      const xml::Node& node = doc.node(static_cast<xml::NodeIndex>(n));
-      WriteU8(out, static_cast<uint8_t>(node.kind));
-      WriteString(out, node.label);
-      WriteString(out, node.value);
-      WriteI32(out, node.parent);
+    w(static_cast<uint32_t>(doc.size()));
+    for (xml::NodeIndex n = 0; n < static_cast<xml::NodeIndex>(doc.size());
+         ++n) {
+      node.kind = doc.is_attribute(n) ? xml::NodeKind::kAttribute
+                                      : xml::NodeKind::kElement;
+      node.label.assign(doc.label(n).view());
+      node.value.assign(doc.value(n));
+      node.parent = static_cast<uint32_t>(doc.parent(n));
+      w(node);
     }
   }
-  if (!out) return Status::Internal("snapshot write failed");
-  return Status::OK();
 }
 
 /// Parses one collection body (name + slots) from `in` into `store`.
-Status ReadCollectionBody(std::istream& in, DocumentStore* store) {
+Status ReadCollectionBody(wal::Reader& in, DocumentStore* store) {
   std::string name;
-  if (!ReadString(in, &name, kMaxString) || name.empty()) {
+  if (!in(name) || name.empty()) {
     return Status::ParseError("bad collection name");
   }
   XIA_ASSIGN_OR_RETURN(Collection * coll, store->CreateCollection(name));
   uint32_t slots = 0;
-  if (!ReadU32(in, &slots)) return Status::ParseError("bad slot count");
+  if (!in(slots)) return Status::ParseError("bad slot count");
+  SnapshotNode node;
   for (uint32_t s = 0; s < slots; ++s) {
-    uint8_t live = 0;
-    if (!ReadU8(in, &live)) return Status::ParseError("truncated slot");
+    bool live = false;
+    if (!in(live)) return Status::ParseError("truncated slot");
     if (!live) {
       coll->AddTombstone();
       continue;
     }
     uint32_t node_count = 0;
-    if (!ReadU32(in, &node_count)) {
-      return Status::ParseError("bad node count");
-    }
+    if (!in(node_count)) return Status::ParseError("bad node count");
     xml::Document doc;
     for (uint32_t n = 0; n < node_count; ++n) {
-      uint8_t kind = 0;
-      std::string label;
-      std::string value;
-      int32_t parent = 0;
-      if (!ReadU8(in, &kind) || !ReadString(in, &label, kMaxString) ||
-          !ReadString(in, &value, kMaxString) || !ReadI32(in, &parent)) {
-        return Status::ParseError("truncated node record");
-      }
-      if (kind > static_cast<uint8_t>(xml::NodeKind::kAttribute)) {
-        return Status::ParseError("bad node kind");
-      }
-      // Nodes are stored parent-before-child, so rebuilding in order is
-      // valid. The first node must be the root.
+      if (!in(node)) return Status::ParseError("bad node record");
+      const auto parent = static_cast<xml::NodeIndex>(node.parent);
+      // Nodes are stored in pre-order, so rebuilding in order is valid
+      // exactly when each parent is on the document's open path. The
+      // first node must be the root.
       if (n == 0) {
         if (parent != xml::kInvalidNode) {
           return Status::ParseError("first node must be the root");
         }
-        doc.AddRoot(label);
-        doc.SetValue(0, value);
+        doc.AddRoot(node.label);
+        doc.SetValue(0, node.value);
       } else {
-        if (parent < 0 || static_cast<uint32_t>(parent) >= n) {
+        if (!doc.OnOpenPath(parent)) {
           return Status::ParseError("node parent out of order");
         }
-        if (static_cast<xml::NodeKind>(kind) == xml::NodeKind::kElement) {
-          doc.AddElement(parent, label, value);
+        if (doc.is_attribute(parent)) {
+          return Status::ParseError("attribute node with children");
+        }
+        if (node.kind == xml::NodeKind::kElement) {
+          doc.AddElement(parent, node.label, node.value);
         } else {
-          if (label.empty() || label[0] != '@') {
+          if (node.label.empty() || node.label[0] != '@') {
             return Status::ParseError("attribute label must start with @");
           }
-          doc.AddAttribute(parent, label.substr(1), value);
+          doc.AddAttribute(parent, std::string_view(node.label).substr(1),
+                           node.value);
         }
       }
     }
@@ -187,9 +159,9 @@ Status LoadV2Body(std::istream& in, DocumentStore* staging) {
     if (actual_crc != stored_crc) {
       return Status::DataLoss("snapshot section checksum mismatch");
     }
-    std::istringstream body(payload);
+    wal::Reader body(payload);
     XIA_RETURN_IF_ERROR(ReadCollectionBody(body, staging));
-    if (body.peek() != EOF) {
+    if (!body.AtEnd()) {
       return Status::ParseError("trailing bytes in snapshot section");
     }
   }
@@ -205,10 +177,13 @@ Status LoadV1Body(std::istream& in, DocumentStore* staging) {
   if (!ReadU32(in, &collections)) {
     return Status::ParseError("truncated snapshot header");
   }
+  const std::string rest((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  wal::Reader body(rest);
   for (uint32_t c = 0; c < collections; ++c) {
-    XIA_RETURN_IF_ERROR(ReadCollectionBody(in, staging));
+    XIA_RETURN_IF_ERROR(ReadCollectionBody(body, staging));
   }
-  if (in.peek() != EOF) {
+  if (!body.AtEnd()) {
     return Status::ParseError("trailing bytes after snapshot");
   }
   return Status::OK();
@@ -224,9 +199,8 @@ Status SaveSnapshot(const DocumentStore& store, std::ostream& out) {
   for (const std::string& name : names) {
     auto coll = store.GetCollection(name);
     if (!coll.ok()) return coll.status();
-    std::ostringstream section;
-    XIA_RETURN_IF_ERROR(WriteCollectionBody(**coll, section));
-    const std::string payload = section.str();
+    std::string payload;
+    WriteCollectionBody(**coll, &payload);
     if (payload.size() > kMaxSection) {
       return Status::ResourceExhausted("collection too large for snapshot: " +
                                        name);

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <string_view>
 #include <unordered_set>
 
 #include "util/random.h"
@@ -21,11 +23,25 @@ std::string PathStats::PathString() const {
 
 namespace {
 
+// Distinct-value sets probed with a node's value view: transparent
+// hashing copies a value into a string only when it is new.
+struct ViewHash {
+  using is_transparent = void;
+  size_t operator()(std::string_view s) const {
+    return std::hash<std::string_view>{}(s);
+  }
+};
+using DistinctSet = std::unordered_set<std::string, ViewHash, std::equal_to<>>;
+
+void InsertDistinct(std::string_view value, DistinctSet* set) {
+  if (!set->contains(value)) set->emplace(value);
+}
+
 // Mutable accumulation state per path during collection.
 struct PathAccum {
   PathStats stats;
-  std::unordered_set<std::string> distinct;
-  std::unordered_set<std::string> distinct_numeric;
+  DistinctSet distinct;
+  DistinctSet distinct_numeric;
   double value_length_sum = 0.0;
   bool distinct_saturated = false;
   bool distinct_numeric_saturated = false;
@@ -97,36 +113,38 @@ void CollectionStatistics::Collect(const Collection& collection,
     // (nodes are stored parent-before-child).
     std::vector<std::string> node_paths(doc.size());
     for (size_t i = 0; i < doc.size(); ++i) {
-      const xml::Node& n = doc.node(static_cast<xml::NodeIndex>(i));
+      const auto node = static_cast<xml::NodeIndex>(i);
+      const xml::NodeIndex parent = doc.parent(node);
       const std::string& parent_path =
-          n.parent == xml::kInvalidNode ? std::string()
-                                        : node_paths[static_cast<size_t>(
-                                              n.parent)];
-      node_paths[i] = parent_path + "/" + n.label;
+          parent == xml::kInvalidNode
+              ? std::string()
+              : node_paths[static_cast<size_t>(parent)];
+      node_paths[i] = parent_path + "/" + doc.label(node);
+      const std::string_view value = doc.value(node);
 
       PathAccum& pa = accum[node_paths[i]];
       if (pa.stats.count == 0) {
-        pa.stats.labels = doc.LabelPath(static_cast<xml::NodeIndex>(i));
+        pa.stats.labels = doc.LabelPath(node);
       }
       ++pa.stats.count;
-      if (!n.value.empty()) {
+      if (!value.empty()) {
         ++pa.stats.valued_count;
-        pa.value_length_sum += static_cast<double>(n.value.size());
+        pa.value_length_sum += static_cast<double>(value.size());
         if (!pa.distinct_saturated) {
-          pa.distinct.insert(n.value);
+          InsertDistinct(value, &pa.distinct);
           if (pa.distinct.size() >= distinct_cap) {
             pa.distinct_saturated = true;
           }
         }
         if (pa.stats.valued_count == 1) {
-          pa.stats.min_string = n.value;
-          pa.stats.max_string = n.value;
+          pa.stats.min_string = value;
+          pa.stats.max_string = value;
         } else {
-          if (n.value < pa.stats.min_string) pa.stats.min_string = n.value;
-          if (n.value > pa.stats.max_string) pa.stats.max_string = n.value;
+          if (value < pa.stats.min_string) pa.stats.min_string = value;
+          if (value > pa.stats.max_string) pa.stats.max_string = value;
         }
         double num = 0.0;
-        if (ParseDouble(n.value, &num)) {
+        if (ParseDouble(value, &num)) {
           if (pa.stats.numeric_count == 0) {
             pa.stats.min_numeric = num;
             pa.stats.max_numeric = num;
@@ -136,7 +154,7 @@ void CollectionStatistics::Collect(const Collection& collection,
           }
           ++pa.stats.numeric_count;
           if (!pa.distinct_numeric_saturated) {
-            pa.distinct_numeric.insert(n.value);
+            InsertDistinct(value, &pa.distinct_numeric);
             if (pa.distinct_numeric.size() >= distinct_cap) {
               pa.distinct_numeric_saturated = true;
             }

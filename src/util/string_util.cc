@@ -81,6 +81,25 @@ bool ParseDouble(std::string_view s, double* out) {
   return ParseDoubleSlow(s, out);
 }
 
+size_t NumericTokenLength(std::string_view s) {
+  const auto digit = [&](size_t i) {
+    return i < s.size() && s[i] >= '0' && s[i] <= '9';
+  };
+  size_t i = (!s.empty() && (s[0] == '-' || s[0] == '+')) ? 1 : 0;
+  const size_t mantissa = i;
+  while (digit(i) || (i < s.size() && s[i] == '.')) ++i;
+  if (i == mantissa) return 0;
+  if (i < s.size() && (s[i] == 'e' || s[i] == 'E')) {
+    size_t j = i + 1;
+    if (j < s.size() && (s[j] == '-' || s[j] == '+')) ++j;
+    if (digit(j)) {
+      while (digit(j)) ++j;
+      i = j;
+    }
+  }
+  return i;
+}
+
 bool LooksNumeric(std::string_view s) {
   double ignored;
   return ParseDouble(s, &ignored);

@@ -32,6 +32,14 @@ bool ParseDouble(std::string_view s, double* out);
 /// does). Values exact in 6 digits keep their "%.6g" text.
 std::string FormatDouble(double v);
 
+/// Length of the numeric-literal token at the start of `s`: an optional
+/// sign, a run of digits and dots, then an optional exponent ('e' or 'E',
+/// an optional sign, at least one digit). This is every spelling
+/// FormatDouble gives a finite value. Returns 0 when there is no digit or
+/// dot after the sign. The token is not validated: ParseDouble decides
+/// whether it is a number.
+size_t NumericTokenLength(std::string_view s);
+
 /// Returns true if the whole string parses as a (possibly signed,
 /// possibly fractional) numeric literal.
 bool LooksNumeric(std::string_view s);

@@ -1,97 +1,139 @@
 #include "xml/document.h"
 
 #include <cassert>
+#include <cstring>
+#include <limits>
+#include <stdexcept>
 
 namespace xia::xml {
 
 namespace {
 
-// Links freshly appended node `idx` as the last child of `parent`.
-// Callers must pass a nodes vector that will not reallocate between the
-// child's emplacement and this call (the references alias the arena).
-void LinkChild(std::vector<Node>* nodes, NodeIndex parent, NodeIndex idx) {
-  Node& p = (*nodes)[static_cast<size_t>(parent)];
-  if (p.first_child == kInvalidNode) {
-    p.first_child = idx;
-  } else {
-    (*nodes)[static_cast<size_t>(p.last_child)].next_sibling = idx;
-  }
-  p.last_child = idx;
-}
+// A value's size is a 31-bit field and its arena offset a 32-bit one.
+constexpr size_t kMaxValueSize = (size_t{1} << 31) - 1;
+constexpr size_t kMaxArenaBytes = std::numeric_limits<uint32_t>::max();
 
 }  // namespace
 
+void Document::ShrinkToFit() {
+  nodes_.shrink_to_fit();
+  if (dead_value_bytes_ > 0) CompactValues();
+  values_.shrink_to_fit();
+}
+
 NodeIndex Document::AddRoot(std::string_view label) {
   assert(nodes_.empty());
-  Node n;
-  n.label = label;
-  nodes_.push_back(std::move(n));
-  approx_bytes_ += NodeBytes(nodes_.back());
+  if (!nodes_.empty()) return kInvalidNode;
+  Record& r = nodes_.emplace_back();
+  r.label = Tag(label);
+  r.end = 1;
+  approx_bytes_ += NodeBytes(r.label.size(), 0);
   return 0;
-}
-
-NodeIndex Document::AddElement(NodeIndex parent, std::string_view label,
-                               std::string_view value) {
-  return AddElement(parent, label, std::string(value));
-}
-
-NodeIndex Document::AddElement(NodeIndex parent, std::string_view label,
-                               std::string&& value) {
-  assert(parent >= 0 && static_cast<size_t>(parent) < nodes_.size());
-  const NodeIndex idx = static_cast<NodeIndex>(nodes_.size());
-  // Emplace and fill in place: a local Node pushed by move would cost a
-  // 72-byte move plus a moved-from destructor per node.
-  Node& n = nodes_.emplace_back();
-  n.label = label;
-  n.value = std::move(value);
-  n.parent = parent;
-  approx_bytes_ += NodeBytes(n);
-  LinkChild(&nodes_, parent, idx);
-  return idx;
 }
 
 NodeIndex Document::AddAttribute(NodeIndex parent, std::string_view name,
                                  std::string_view value) {
-  return AddAttribute(parent, name, std::string(value));
-}
-
-NodeIndex Document::AddAttribute(NodeIndex parent, std::string_view name,
-                                 std::string&& value) {
-  assert(parent >= 0 && static_cast<size_t>(parent) < nodes_.size());
-  // Build the "@name" spelling in one pre-sized buffer; "@" + string(name)
-  // would allocate twice per attribute.
+  // Build the "@name" spelling in one pre-sized buffer for the intern
+  // probe; "@" + string(name) would allocate twice per attribute.
   std::string prefixed;
   prefixed.reserve(name.size() + 1);
   prefixed.push_back('@');
   prefixed.append(name);
+  return Append(parent, Tag(prefixed), value, /*attribute=*/true);
+}
+
+NodeIndex Document::Append(NodeIndex parent, Tag label,
+                           std::string_view value, bool attribute) {
+  assert(OnOpenPath(parent) && !is_attribute(parent));
+  if (!OnOpenPath(parent) || is_attribute(parent)) return kInvalidNode;
+  if (InArena(value)) {
+    // Copy first: appending may reallocate the arena under the view.
+    const std::string copy(value);
+    return Append(parent, label, copy, attribute);
+  }
   const NodeIndex idx = static_cast<NodeIndex>(nodes_.size());
-  Node& n = nodes_.emplace_back();
-  n.kind = NodeKind::kAttribute;
-  n.label = prefixed;
-  n.value = std::move(value);
-  n.parent = parent;
-  approx_bytes_ += NodeBytes(n);
-  LinkChild(&nodes_, parent, idx);
+  Record& r = nodes_.emplace_back();
+  r.label = label;
+  r.parent = parent;
+  r.end = idx + 1;
+  r.attribute = attribute;
+  AppendValue(&r, value);
+  approx_bytes_ += NodeBytes(label.size(), value.size());
+  // The new node extends the subtree of every node on its ancestor path.
+  for (NodeIndex a = parent; a != kInvalidNode;
+       a = nodes_[static_cast<size_t>(a)].parent) {
+    nodes_[static_cast<size_t>(a)].end = idx + 1;
+  }
   return idx;
 }
 
-void Document::SetValue(NodeIndex node, std::string_view value) {
-  std::string& slot = nodes_[static_cast<size_t>(node)].value;
-  approx_bytes_ += value.size() - slot.size();
-  slot = std::string(value);
+void Document::AppendValue(Record* r, std::string_view value) {
+  // Empty values take no arena position, so no offset can ever point past
+  // the arena's end.
+  r->value_offset = 0;
+  r->value_size = 0;
+  if (value.empty()) return;
+  if (value.size() > kMaxValueSize ||
+      values_.size() + value.size() > kMaxArenaBytes) {
+    throw std::length_error("xml document values exceed the arena limit");
+  }
+  r->value_offset = static_cast<uint32_t>(values_.size());
+  r->value_size = static_cast<uint32_t>(value.size());
+  values_.append(value);
 }
 
-void Document::SetValue(NodeIndex node, std::string&& value) {
-  std::string& slot = nodes_[static_cast<size_t>(node)].value;
-  approx_bytes_ += value.size() - slot.size();
-  slot = std::move(value);
+void Document::SetValue(NodeIndex node, std::string_view value) {
+  if (InArena(value)) {
+    const std::string copy(value);
+    SetValue(node, copy);
+    return;
+  }
+  Record& r = nodes_[static_cast<size_t>(node)];
+  const size_t old_size = r.value_size;
+  approx_bytes_ = approx_bytes_ - old_size + value.size();
+  if (r.value_offset + old_size == values_.size()) {
+    // The value is the arena's tail (always so while a parser fills in
+    // the text of the node it just added): resize it in place.
+    values_.resize(r.value_offset);
+    AppendValue(&r, value);
+  } else if (value.size() <= old_size) {
+    if (value.empty()) {
+      r.value_offset = 0;
+    } else {
+      std::memcpy(values_.data() + r.value_offset, value.data(),
+                  value.size());
+    }
+    r.value_size = static_cast<uint32_t>(value.size());
+    dead_value_bytes_ += old_size - value.size();
+  } else {
+    dead_value_bytes_ += old_size;
+    AppendValue(&r, value);
+  }
+  if (dead_value_bytes_ > values_.size() - dead_value_bytes_) {
+    CompactValues();
+  }
+}
+
+void Document::CompactValues() {
+  std::string packed;
+  packed.reserve(values_.size() - dead_value_bytes_);
+  for (Record& r : nodes_) {
+    if (r.value_size == 0) {
+      r.value_offset = 0;
+      continue;
+    }
+    const auto offset = static_cast<uint32_t>(packed.size());
+    packed.append(values_, r.value_offset, r.value_size);
+    r.value_offset = offset;
+  }
+  values_.swap(packed);
+  dead_value_bytes_ = 0;
 }
 
 std::vector<std::string> Document::LabelPath(NodeIndex i) const {
   std::vector<std::string> rev;
-  for (NodeIndex cur = i; cur != kInvalidNode;
-       cur = nodes_[static_cast<size_t>(cur)].parent) {
-    rev.push_back(nodes_[static_cast<size_t>(cur)].label);
+  for (NodeIndex cur = i; cur != kInvalidNode; cur = parent(cur)) {
+    rev.push_back(label(cur));
   }
   return {rev.rbegin(), rev.rend()};
 }
@@ -107,10 +149,7 @@ std::string Document::LabelPathString(NodeIndex i) const {
 
 int Document::Depth(NodeIndex i) const {
   int d = 0;
-  for (NodeIndex cur = i; cur != kInvalidNode;
-       cur = nodes_[static_cast<size_t>(cur)].parent) {
-    ++d;
-  }
+  for (NodeIndex cur = i; cur != kInvalidNode; cur = parent(cur)) ++d;
   return d;
 }
 

@@ -1,16 +1,17 @@
 // XML data model.
 //
-// A Document owns a flat arena of Nodes. Node indices are stable for the
-// lifetime of the document, so (document id, node index) pairs — NodeRef —
-// serve as the record identifiers stored in indexes, mirroring the
-// (docid, nodeid) RIDs of native XML stores.
+// A Document stores its nodes as one pre-order array of compact records
+// plus a per-document values arena (see xml/document.h). Node indices are
+// stable for the lifetime of the document, so (document id, node index)
+// pairs — NodeRef — serve as the record identifiers stored in indexes,
+// mirroring the (docid, nodeid) RIDs of native XML stores.
 
 #ifndef XIA_XML_NODE_H_
 #define XIA_XML_NODE_H_
 
 #include <cstdint>
 #include <string>
-#include <vector>
+#include <string_view>
 
 #include "xml/tag.h"
 
@@ -24,38 +25,43 @@ enum class NodeKind : uint8_t {
   kAttribute = 1,
 };
 
-/// Index of a node within its document's arena.
+/// Index of a node within its document: its pre-order rank.
 using NodeIndex = int32_t;
 
 /// Sentinel for "no node" (e.g. the parent of the root).
 inline constexpr NodeIndex kInvalidNode = -1;
 
-/// A single XML node. Element values hold the concatenated immediate text
-/// content (mixed content is concatenated, which is sufficient for
-/// data-centric documents). Attribute nodes have label "@name".
-///
-/// Children are threaded through the arena as an intrusive
-/// first-child/next-sibling list rather than a per-node vector: a
-/// document's entire structure then lives in the one node arena, so
-/// building a node never heap-allocates for structure and a resident
-/// document costs no per-parent vector blocks. Construction is
-/// append-only, so a child is always linked at the tail (last_child
-/// makes that O(1)) and document order is preserved.
+/// A node's text: a view into its document's values arena. It reads like
+/// a std::string_view, and it also converts implicitly to std::string, so
+/// code that keeps a value (in a vector of strings, as a map key) copies
+/// it out just by its type. The view is invalidated by the next mutation
+/// of the document.
+class NodeValue : public std::string_view {
+ public:
+  NodeValue() = default;
+  NodeValue(std::string_view v) : std::string_view(v) {}  // NOLINT
+  operator std::string() const { return std::string(data(), size()); }
+};
+
+/// Read-only view of one node, assembled from its record and the values
+/// arena by Document::node(). Element values hold the concatenated
+/// immediate text content (mixed content is concatenated, which is
+/// sufficient for data-centric documents). Attribute nodes have label
+/// "@name". Hot paths read single fields through Document's accessors
+/// instead of building the whole view.
 struct Node {
   NodeKind kind = NodeKind::kElement;
   /// Element tag name, or "@name" for attributes. Interned: comparing two
-  /// labels is a pointer compare, and a node costs no per-label allocation.
+  /// labels is a pointer compare.
   Tag label;
   /// Text content (elements) or attribute value (attributes).
-  std::string value;
+  NodeValue value;
   NodeIndex parent = kInvalidNode;
-  NodeIndex first_child = kInvalidNode;
-  NodeIndex last_child = kInvalidNode;
-  NodeIndex next_sibling = kInvalidNode;
+  /// One past the node's last descendant.
+  NodeIndex end = kInvalidNode;
 
   bool is_element() const { return kind == NodeKind::kElement; }
   bool is_attribute() const { return kind == NodeKind::kAttribute; }
-  bool has_children() const { return first_child != kInvalidNode; }
 };
 
 /// Identifier of a document within a DocumentStore.

@@ -31,6 +31,8 @@ constexpr std::array<bool, 256> MakeNameCharTable() {
 constexpr std::array<bool, 256> kNameStart = MakeNameStartTable();
 constexpr std::array<bool, 256> kNameChar = MakeNameCharTable();
 
+constexpr size_t kMaxDocumentBytes = (size_t{1} << 31) - 1;
+
 inline bool IsSpaceByte(unsigned char c) {
   return c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == '\v' ||
          c == '\f';
@@ -41,15 +43,22 @@ class ParserImpl {
   explicit ParserImpl(std::string_view text) : text_(text) {}
 
   Result<Document> Run() {
+    // Values are slices of the input, so an input below 2 GiB keeps every
+    // value and the whole values arena within the document's offset
+    // limits.
+    if (text_.size() > kMaxDocumentBytes) {
+      return Error("document larger than 2 GiB");
+    }
     SkipProlog();
     Document doc;
-    // Pre-size the node arena: compact data-centric XML runs ~25-60
-    // serialized bytes per node (tags + text + markup). Sizing at the
-    // dense end of that range over-reserves on sparse documents by ~2x
-    // for the duration of the parse, but guarantees the common case
-    // appends reallocation-free — a mid-parse arena growth moves every
-    // node already built, strings and all.
+    // Pre-size the node array and values arena: compact data-centric XML
+    // runs ~25-60 serialized bytes per node (tags + text + markup) and
+    // well under half its bytes are text. Sizing at the dense end
+    // over-reserves on sparse documents for the duration of the parse
+    // (Collection::Add trims a stored document), but the common case
+    // appends reallocation-free.
     doc.ReserveNodes(text_.size() / 24 + 8);
+    doc.ReserveValues(text_.size() / 2);
     XIA_RETURN_IF_ERROR(ParseElement(&doc, kInvalidNode));
     SkipWhitespaceAndMisc();
     if (pos_ != text_.size()) {
@@ -298,11 +307,7 @@ class ParserImpl {
     }
     const std::string_view trimmed = Trim(text);
     if (!trimmed.empty()) {
-      // Trim in place (the view aliases `text`) and move the buffer into
-      // the node instead of copying it.
-      text.erase(static_cast<size_t>(trimmed.end() - text.data()));
-      text.erase(0, static_cast<size_t>(trimmed.begin() - text.data()));
-      doc->SetValue(element, std::move(text));
+      doc->SetValue(element, trimmed);
     }
     return Status::OK();
   }

@@ -2,36 +2,34 @@
 
 namespace xia::xml {
 
-std::string EscapeText(const std::string& raw) {
-  std::string out;
-  out.reserve(raw.size());
+namespace {
+
+void AppendEscaped(std::string_view raw, std::string* out) {
   for (char c : raw) {
     switch (c) {
       case '<':
-        out += "&lt;";
+        out->append("&lt;");
         break;
       case '>':
-        out += "&gt;";
+        out->append("&gt;");
         break;
       case '&':
-        out += "&amp;";
+        out->append("&amp;");
         break;
       case '"':
-        out += "&quot;";
+        out->append("&quot;");
         break;
       default:
-        out += c;
+        out->push_back(c);
     }
   }
-  return out;
 }
-
-namespace {
 
 void SerializeNode(const Document& doc, NodeIndex idx,
                    const SerializeOptions& options, int depth,
                    std::string* out) {
-  const Node& n = doc.node(idx);
+  const Tag& label = doc.label(idx);
+  const NodeValue value = doc.value(idx);
   const std::string pad =
       options.pretty ? std::string(static_cast<size_t>(depth) *
                                        static_cast<size_t>(options.indent_width),
@@ -39,42 +37,49 @@ void SerializeNode(const Document& doc, NodeIndex idx,
                      : std::string();
   out->append(pad);
   out->push_back('<');
-  out->append(n.label);
-  // Attributes first.
-  std::vector<NodeIndex> element_children;
+  out->append(label);
+  // Attributes first, then element children: two passes over the
+  // children, each in document order.
+  bool has_element_children = false;
   for (NodeIndex c : doc.children(idx)) {
-    const Node& child = doc.node(c);
-    if (child.is_attribute()) {
+    if (doc.is_attribute(c)) {
       out->push_back(' ');
-      out->append(child.label.substr(1));
+      out->append(doc.label(c).view().substr(1));
       out->append("=\"");
-      out->append(EscapeText(child.value));
+      AppendEscaped(doc.value(c), out);
       out->push_back('"');
     } else {
-      element_children.push_back(c);
+      has_element_children = true;
     }
   }
-  if (element_children.empty() && n.value.empty()) {
+  if (!has_element_children && value.empty()) {
     out->append("/>");
     if (options.pretty) out->push_back('\n');
     return;
   }
   out->push_back('>');
-  if (!n.value.empty()) out->append(EscapeText(n.value));
-  if (!element_children.empty()) {
+  AppendEscaped(value, out);
+  if (has_element_children) {
     if (options.pretty) out->push_back('\n');
-    for (NodeIndex c : element_children) {
-      SerializeNode(doc, c, options, depth + 1, out);
+    for (NodeIndex c : doc.children(idx)) {
+      if (doc.is_element(c)) SerializeNode(doc, c, options, depth + 1, out);
     }
     out->append(pad);
   }
   out->append("</");
-  out->append(n.label);
+  out->append(label);
   out->push_back('>');
   if (options.pretty) out->push_back('\n');
 }
 
 }  // namespace
+
+std::string EscapeText(std::string_view raw) {
+  std::string out;
+  out.reserve(raw.size());
+  AppendEscaped(raw, &out);
+  return out;
+}
 
 std::string Serialize(const Document& doc, NodeIndex node,
                       const SerializeOptions& options) {

@@ -4,6 +4,7 @@
 #define XIA_XML_SERIALIZER_H_
 
 #include <string>
+#include <string_view>
 
 #include "xml/document.h"
 
@@ -21,7 +22,7 @@ std::string Serialize(const Document& doc,
                       const SerializeOptions& options = {});
 
 /// Escapes XML-significant characters in character data.
-std::string EscapeText(const std::string& raw);
+std::string EscapeText(std::string_view raw);
 
 }  // namespace xia::xml
 

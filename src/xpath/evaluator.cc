@@ -26,7 +26,7 @@ bool PredicateHolds(const xml::Document& doc, xml::NodeIndex n,
                     const Predicate& pred) {
   auto qualifies = [&](xml::NodeIndex t) {
     return !pred.is_comparison() ||
-           CompareValue(doc.node(t).value, *pred.op, pred.literal);
+           CompareValue(doc.value(t), *pred.op, pred.literal);
   };
   if (pred.relative_steps.empty()) return qualifies(n);
   return WalkSteps(doc, n, pred.relative_steps, 0, qualifies);
@@ -74,7 +74,7 @@ void EvaluatePrefix(const xml::Document& doc, const PathQuery& query,
 
 }  // namespace
 
-bool CompareValue(const std::string& node_value, CompareOp op,
+bool CompareValue(std::string_view node_value, CompareOp op,
                   const Literal& literal) {
   if (literal.type == ValueType::kNumeric) {
     double v = 0;

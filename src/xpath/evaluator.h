@@ -9,6 +9,7 @@
 #define XIA_XPATH_EVALUATOR_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "xml/document.h"
@@ -60,7 +61,7 @@ bool Exists(const xml::Document& doc, const PathQuery& query,
 /// Evaluates a single comparison between a node's text value and a literal.
 /// Numeric comparisons coerce the node value; non-numeric node values never
 /// satisfy a numeric comparison. String comparisons are lexicographic.
-bool CompareValue(const std::string& node_value, CompareOp op,
+bool CompareValue(std::string_view node_value, CompareOp op,
                   const Literal& literal);
 
 }  // namespace xia::xpath

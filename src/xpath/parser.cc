@@ -148,20 +148,14 @@ class PathParser {
       ++pos_;
       return Literal::String(std::move(s));
     }
-    // Number: [-]?digits[.digits]
-    const size_t start = pos_;
-    if (Peek() == '-' || Peek() == '+') ++pos_;
-    bool any = false;
-    while (!Eof() && (std::isdigit(static_cast<unsigned char>(Peek())) ||
-                      Peek() == '.')) {
-      ++pos_;
-      any = true;
-    }
-    if (!any) return Error("expected numeric or string literal");
+    // Number: [+-]?[digits.]+([eE][+-]?digits)?
+    const size_t len = NumericTokenLength(text_.substr(pos_));
+    if (len == 0) return Error("expected numeric or string literal");
     double v = 0;
-    if (!ParseDouble(text_.substr(start, pos_ - start), &v)) {
+    if (!ParseDouble(text_.substr(pos_, len), &v)) {
       return Error("malformed number");
     }
+    pos_ += len;
     return Literal::Number(v);
   }
 

@@ -72,9 +72,9 @@ const char* CompareOpToString(CompareOp op) {
 
 std::string Literal::ToString() const {
   if (type == ValueType::kNumeric) {
-    // Trim trailing zeros for readability.
-    std::string s = StringPrintf("%.6g", numeric_value);
-    return s;
+    // Every digit reading back needs, so a statement's text re-parses to
+    // the same literal (the lexers accept FormatDouble's exponent form).
+    return FormatDouble(numeric_value);
   }
   return "\"" + string_value + "\"";
 }

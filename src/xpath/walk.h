@@ -28,24 +28,20 @@ bool WalkSteps(const xml::Document& doc, xml::NodeIndex start, Steps steps,
 // without deduplication. `descend` handles a pending descendant axis: when
 // true, steps[step_index] may match at any depth below `parent`. Returns
 // true — and stops walking — as soon as `visit` returns true.
+//
+// Nodes are stored in pre-order with their subtree ends, so the children
+// of `parent` are reached by hopping from subtree end to subtree end, and
+// its descendants are simply the index range (parent, end(parent)).
 template <typename Visit>
 bool WalkFrom(const xml::Document& doc, xml::NodeIndex parent, Steps steps,
               size_t step_index, bool descend, Visit& visit) {
   const Step& step = steps[step_index];
-  for (xml::NodeIndex c : doc.children(parent)) {
-    const xml::Node& child = doc.node(c);
-    if (step.MatchesLabel(child.label)) {
-      if (step_index + 1 == steps.size()) {
-        if (visit(c)) return true;
-      } else if (WalkSteps(doc, c, steps, step_index + 1, visit)) {
-        return true;
-      }
-    }
-    // Descendant axis: also look deeper, regardless of a match here.
-    // Attributes have no element children, so recursing is harmless but
-    // pointless; skip them.
-    if (descend && child.is_element() &&
-        WalkFrom(doc, c, steps, step_index, /*descend=*/true, visit)) {
+  const bool last = step_index + 1 == steps.size();
+  const xml::NodeIndex end = doc.end(parent);
+  for (xml::NodeIndex c = parent + 1; c < end;
+       c = descend ? c + 1 : doc.end(c)) {
+    if (step.MatchesLabel(doc.label(c)) &&
+        (last ? visit(c) : WalkSteps(doc, c, steps, step_index + 1, visit))) {
       return true;
     }
   }
@@ -68,7 +64,7 @@ bool WalkAbsolute(const xml::Document& doc, Steps steps, Visit& visit) {
   const Step& first = steps[0];
   const xml::NodeIndex root = doc.root();
   // Child axis from the document node: only the root element.
-  if (first.MatchesLabel(doc.node(root).label) &&
+  if (first.MatchesLabel(doc.label(root)) &&
       (steps.size() == 1 ? visit(root)
                          : WalkSteps(doc, root, steps, 1, visit))) {
     return true;

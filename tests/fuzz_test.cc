@@ -22,7 +22,9 @@
 #include "storage/snapshot.h"
 #include "tpox/tpox_data.h"
 #include "tpox/xmark.h"
+#include "util/crc32.h"
 #include "util/random.h"
+#include "wal/wire.h"
 #include "workload/workload_io.h"
 #include "xml/parser.h"
 #include "xml/serializer.h"
@@ -140,6 +142,33 @@ std::string Mutate(const std::string& bytes, int mutations, Random* rng) {
   return out;
 }
 
+// A v2 snapshot of one collection holding `doc`, encoded field by field
+// (see storage/snapshot.h), with node `moved`'s parent replaced by
+// `new_parent`. The section CRC covers the edited bytes, so only the
+// loader's structural checks can reject it.
+std::string SnapshotWithParent(const xml::Document& doc, xml::NodeIndex moved,
+                               xml::NodeIndex new_parent) {
+  std::string body;
+  wal::PutString(&body, "C");
+  wal::PutU32(&body, 1);  // one slot
+  wal::PutU8(&body, 1);   // live
+  wal::PutU32(&body, static_cast<uint32_t>(doc.size()));
+  for (xml::NodeIndex n = 0; n < static_cast<xml::NodeIndex>(doc.size());
+       ++n) {
+    wal::PutU8(&body, doc.is_attribute(n) ? 1 : 0);
+    wal::PutString(&body, doc.label(n).view());
+    wal::PutString(&body, doc.value(n));
+    wal::PutU32(&body,
+                static_cast<uint32_t>(n == moved ? new_parent : doc.parent(n)));
+  }
+  std::string out = "XIASNAP2";
+  wal::PutU32(&out, 1);  // one collection
+  wal::PutU32(&out, static_cast<uint32_t>(body.size()));
+  out += body;
+  wal::PutU32(&out, Crc32(body));
+  return out;
+}
+
 TEST_P(FuzzTest, MutatedSnapshotsNeverCrashOrPartiallyLoad) {
   Random rng(GetParam() * 131 + 17);
   storage::DocumentStore store;
@@ -166,6 +195,37 @@ TEST_P(FuzzTest, MutatedSnapshotsNeverCrashOrPartiallyLoad) {
       EXPECT_TRUE(restored.CollectionNames().empty()) << "trial " << trial;
     }
   }
+
+  // A checksum-valid snapshot whose node hangs under a node that is no
+  // longer on the open path (its subtree closed before the node) is not
+  // pre-order: the load is rejected and leaves the target untouched.
+  auto coll = store.GetCollection(tpox::kOrderCollection);
+  ASSERT_TRUE(coll.ok());
+  const xml::Document& doc =
+      (*coll)->Get(static_cast<xml::DocId>(rng.Uniform(10)));
+  std::vector<std::pair<xml::NodeIndex, xml::NodeIndex>> off_path;
+  for (xml::NodeIndex n = 1; n < static_cast<xml::NodeIndex>(doc.size());
+       ++n) {
+    for (xml::NodeIndex j = 0; j < n; ++j) {
+      if (doc.end(j) < n) off_path.emplace_back(n, j);
+    }
+  }
+  ASSERT_FALSE(off_path.empty());
+  const auto [moved, closed] = off_path[rng.Uniform(off_path.size())];
+  {
+    std::stringstream unchanged(
+        SnapshotWithParent(doc, moved, doc.parent(moved)));
+    storage::DocumentStore restored;
+    ASSERT_TRUE(storage::LoadSnapshot(unchanged, &restored).ok());
+  }
+  std::stringstream in(SnapshotWithParent(doc, moved, closed));
+  storage::DocumentStore restored;
+  const auto status = storage::LoadSnapshot(in, &restored);
+  EXPECT_EQ(status.code(), StatusCode::kParseError) << status;
+  EXPECT_NE(status.message().find("node parent out of order"),
+            std::string::npos)
+      << status;
+  EXPECT_TRUE(restored.CollectionNames().empty());
 }
 
 TEST_P(FuzzTest, MutatedWorkloadFilesNeverCrash) {

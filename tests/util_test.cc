@@ -193,6 +193,24 @@ TEST(StringUtilTest, HumanBytes) {
   EXPECT_EQ(HumanBytes(3.5 * 1024 * 1024), "3.5 MB");
 }
 
+TEST(StringUtilTest, NumericTokenLengthCoversFormatDoubleSpellings) {
+  EXPECT_EQ(NumericTokenLength("12 and"), 2u);
+  EXPECT_EQ(NumericTokenLength("-3.20335e+06]"), 12u);
+  EXPECT_EQ(NumericTokenLength("4.94066e-324 "), 12u);
+  EXPECT_EQ(NumericTokenLength("+1E5"), 4u);
+  EXPECT_EQ(NumericTokenLength("5e"), 1u);      // no exponent digits
+  EXPECT_EQ(NumericTokenLength("5e+]"), 1u);
+  EXPECT_EQ(NumericTokenLength("5eq"), 1u);
+  EXPECT_EQ(NumericTokenLength("1.2.3"), 5u);   // ParseDouble rejects it
+  EXPECT_EQ(NumericTokenLength("-"), 0u);
+  EXPECT_EQ(NumericTokenLength("e5"), 0u);
+  EXPECT_EQ(NumericTokenLength(""), 0u);
+  for (double v : {3203350.0, -1e300, 1e-300, 4.9406564584124654e-324}) {
+    const std::string text = FormatDouble(v);
+    EXPECT_EQ(NumericTokenLength(text), text.size()) << text;
+  }
+}
+
 TEST(StringUtilTest, FormatDoubleShortestRoundTripFromSixDigits) {
   EXPECT_EQ(FormatDouble(12345.67), "12345.67");
   EXPECT_EQ(FormatDouble(199.99), "199.99");

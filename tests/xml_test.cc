@@ -57,8 +57,9 @@ TEST(ParserTest, SimpleDocument) {
   EXPECT_EQ(c.label, "c");
   EXPECT_EQ(c.value, "two");
   ASSERT_EQ(doc->ChildCount(2), 1u);
-  EXPECT_EQ(doc->node(c.first_child).label, "@attr");
-  EXPECT_EQ(doc->node(c.first_child).value, "x");
+  EXPECT_EQ(doc->node(3).label, "@attr");
+  EXPECT_EQ(doc->node(3).value, "x");
+  EXPECT_EQ(c.end, 4);
 }
 
 TEST(ParserTest, DeclarationCommentsCdata) {

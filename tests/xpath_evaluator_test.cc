@@ -340,7 +340,9 @@ TEST(EvaluateDifferentialTest, TpoxDocuments) {
   std::set<std::string> labels = {"*"};
   std::set<std::string> value_set;
   for (const xml::Document& doc : docs) {
-    for (const xml::Node& n : doc.nodes()) {
+    for (xml::NodeIndex i = 0; i < static_cast<xml::NodeIndex>(doc.size());
+         ++i) {
+      const xml::Node n = doc.node(i);
       labels.insert(n.label);
       if (!n.value.empty() && rng.Bernoulli(0.05)) value_set.insert(n.value);
     }
