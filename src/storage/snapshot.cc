@@ -3,7 +3,6 @@
 #include <cstring>
 #include <fstream>
 #include <istream>
-#include <iterator>
 #include <ostream>
 #include <sstream>
 
@@ -19,6 +18,7 @@ namespace {
 constexpr char kMagicV1[8] = {'X', 'I', 'A', 'S', 'N', 'A', 'P', '1'};
 constexpr char kMagicV2[8] = {'X', 'I', 'A', 'S', 'N', 'A', 'P', '2'};
 
+constexpr uint32_t kMaxString = 64u << 20;   // 64 MiB per string
 constexpr uint32_t kMaxSection = 1u << 30;   // 1 GiB per collection section
 
 void WriteU32(std::ostream& out, uint32_t v) {
@@ -47,7 +47,9 @@ struct SnapshotNode {
 template <class IO>
 bool Fields(IO& io, SnapshotNode& n) {
   return io(n.kind, xml::NodeKind::kAttribute) && io(n.label) &&
-         io(n.value) && io(n.parent);
+         io(n.value) && io(n.parent) && io.Check([&] {
+           return n.label.size() <= kMaxString && n.value.size() <= kMaxString;
+         });
 }
 
 /// Appends one collection body: str name, u32 slot_count, then per slot
@@ -80,7 +82,7 @@ void WriteCollectionBody(const Collection& coll, std::string* out) {
 /// Parses one collection body (name + slots) from `in` into `store`.
 Status ReadCollectionBody(wal::Reader& in, DocumentStore* store) {
   std::string name;
-  if (!in(name) || name.empty()) {
+  if (!in(name) || name.empty() || name.size() > kMaxString) {
     return Status::ParseError("bad collection name");
   }
   XIA_ASSIGN_OR_RETURN(Collection * coll, store->CreateCollection(name));
@@ -177,8 +179,16 @@ Status LoadV1Body(std::istream& in, DocumentStore* staging) {
   if (!ReadU32(in, &collections)) {
     return Status::ParseError("truncated snapshot header");
   }
-  const std::string rest((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
+  // v1 bodies are unframed, so the whole rest is read first, bounded like
+  // one v2 section.
+  std::string rest;
+  char buf[1 << 16];
+  while (in.read(buf, sizeof(buf)) || in.gcount() > 0) {
+    rest.append(buf, static_cast<size_t>(in.gcount()));
+    if (rest.size() > kMaxSection) {
+      return Status::ParseError("legacy snapshot too large");
+    }
+  }
   wal::Reader body(rest);
   for (uint32_t c = 0; c < collections; ++c) {
     XIA_RETURN_IF_ERROR(ReadCollectionBody(body, staging));

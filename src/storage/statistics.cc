@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <string_view>
 #include <unordered_set>
 
@@ -23,25 +22,11 @@ std::string PathStats::PathString() const {
 
 namespace {
 
-// Distinct-value sets probed with a node's value view: transparent
-// hashing copies a value into a string only when it is new.
-struct ViewHash {
-  using is_transparent = void;
-  size_t operator()(std::string_view s) const {
-    return std::hash<std::string_view>{}(s);
-  }
-};
-using DistinctSet = std::unordered_set<std::string, ViewHash, std::equal_to<>>;
-
-void InsertDistinct(std::string_view value, DistinctSet* set) {
-  if (!set->contains(value)) set->emplace(value);
-}
-
 // Mutable accumulation state per path during collection.
 struct PathAccum {
   PathStats stats;
-  DistinctSet distinct;
-  DistinctSet distinct_numeric;
+  std::unordered_set<std::string> distinct;
+  std::unordered_set<std::string> distinct_numeric;
   double value_length_sum = 0.0;
   bool distinct_saturated = false;
   bool distinct_numeric_saturated = false;
@@ -131,7 +116,7 @@ void CollectionStatistics::Collect(const Collection& collection,
         ++pa.stats.valued_count;
         pa.value_length_sum += static_cast<double>(value.size());
         if (!pa.distinct_saturated) {
-          InsertDistinct(value, &pa.distinct);
+          pa.distinct.insert(std::string(value));
           if (pa.distinct.size() >= distinct_cap) {
             pa.distinct_saturated = true;
           }
@@ -154,7 +139,7 @@ void CollectionStatistics::Collect(const Collection& collection,
           }
           ++pa.stats.numeric_count;
           if (!pa.distinct_numeric_saturated) {
-            InsertDistinct(value, &pa.distinct_numeric);
+            pa.distinct_numeric.insert(std::string(value));
             if (pa.distinct_numeric.size() >= distinct_cap) {
               pa.distinct_numeric_saturated = true;
             }

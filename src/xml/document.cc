@@ -91,12 +91,7 @@ void Document::SetValue(NodeIndex node, std::string_view value) {
   Record& r = nodes_[static_cast<size_t>(node)];
   const size_t old_size = r.value_size;
   approx_bytes_ = approx_bytes_ - old_size + value.size();
-  if (r.value_offset + old_size == values_.size()) {
-    // The value is the arena's tail (always so while a parser fills in
-    // the text of the node it just added): resize it in place.
-    values_.resize(r.value_offset);
-    AppendValue(&r, value);
-  } else if (value.size() <= old_size) {
+  if (value.size() <= old_size) {
     if (value.empty()) {
       r.value_offset = 0;
     } else {

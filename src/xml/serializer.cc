@@ -1,5 +1,7 @@
 #include "xml/serializer.h"
 
+#include <string_view>
+
 namespace xia::xml {
 
 namespace {
@@ -73,13 +75,6 @@ void SerializeNode(const Document& doc, NodeIndex idx,
 }
 
 }  // namespace
-
-std::string EscapeText(std::string_view raw) {
-  std::string out;
-  out.reserve(raw.size());
-  AppendEscaped(raw, &out);
-  return out;
-}
 
 std::string Serialize(const Document& doc, NodeIndex node,
                       const SerializeOptions& options) {

@@ -4,7 +4,6 @@
 #define XIA_XML_SERIALIZER_H_
 
 #include <string>
-#include <string_view>
 
 #include "xml/document.h"
 
@@ -20,9 +19,6 @@ struct SerializeOptions {
 std::string Serialize(const Document& doc,
                       NodeIndex node = 0,
                       const SerializeOptions& options = {});
-
-/// Escapes XML-significant characters in character data.
-std::string EscapeText(std::string_view raw);
 
 }  // namespace xia::xml
 

@@ -253,6 +253,59 @@ TEST_F(TinySnapshotTest, LegacyV1SnapshotStillLoads) {
   EXPECT_FALSE((*coll)->IsLive(0));
 }
 
+// A v1 snapshot of one collection "C" holding one root-only document
+// whose value has `value_len` declared bytes, of which `value_bytes` are
+// present.
+std::string V1SingleValueSnapshot(uint32_t value_len, size_t value_bytes) {
+  std::string out = "XIASNAP1";
+  const auto put_u32 = [&](uint32_t v) {
+    for (int i = 0; i < 4; ++i) {
+      out.push_back(static_cast<char>(v >> (8 * i)));
+    }
+  };
+  put_u32(1);          // collections
+  put_u32(1);          // name length
+  out += 'C';
+  put_u32(1);          // slots
+  out.push_back(1);    // live
+  put_u32(1);          // nodes
+  out.push_back(0);    // element
+  put_u32(1);          // label length
+  out += 'r';
+  put_u32(value_len);
+  out.append(value_bytes, 'v');
+  put_u32(0xFFFFFFFFu);  // the root's parent
+  return out;
+}
+
+TEST(SnapshotLimitsTest, OversizedLegacyValuesAreParseErrors) {
+  constexpr uint32_t kMaxString = 64u << 20;
+  {
+    // The hand-made encoding itself loads.
+    std::istringstream in(V1SingleValueSnapshot(5, 5));
+    DocumentStore restored;
+    ASSERT_TRUE(LoadSnapshot(in, &restored).ok());
+    auto coll = restored.GetCollection("C");
+    ASSERT_TRUE(coll.ok());
+    EXPECT_EQ(std::string((*coll)->Get(0).value(0)), "vvvvv");
+  }
+  struct Case {
+    uint32_t declared;
+    size_t present;
+  };
+  // A 2 GiB declared length with a short body, and a value one byte over
+  // the 64 MiB string bound with every byte present.
+  for (const Case c :
+       {Case{0x80000000u, 16}, Case{kMaxString + 1, kMaxString + 1}}) {
+    std::istringstream in(V1SingleValueSnapshot(c.declared, c.present));
+    DocumentStore restored;
+    const Status status = LoadSnapshot(in, &restored);
+    EXPECT_EQ(status.code(), StatusCode::kParseError)
+        << c.declared << ": " << status.ToString();
+    EXPECT_TRUE(restored.CollectionNames().empty()) << c.declared;
+  }
+}
+
 TEST_F(SnapshotTest, FailedSaveLeavesPreviousFileIntact) {
   // Atomic-save regression: a save that fails (here via the injected
   // fault, which fires before any byte is written) must leave the
