@@ -572,6 +572,16 @@ const char* SearchAlgorithmName(SearchAlgorithm a) {
   return "?";
 }
 
+Result<SearchAlgorithm> ParseSearchAlgorithm(std::string_view name) {
+  if (name == "greedy") return SearchAlgorithm::kGreedy;
+  if (name == "heuristics") return SearchAlgorithm::kGreedyWithHeuristics;
+  if (name == "topdown-lite") return SearchAlgorithm::kTopDownLite;
+  if (name == "topdown-full") return SearchAlgorithm::kTopDownFull;
+  if (name == "dp") return SearchAlgorithm::kDynamicProgramming;
+  return Status::InvalidArgument("unknown advise algorithm: " +
+                                 std::string(name));
+}
+
 Result<SearchOutcome> RunSearch(SearchAlgorithm algorithm,
                                 const CandidateSet& set,
                                 const std::vector<int>& roots,

@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "advisor/benefit.h"
@@ -43,6 +44,10 @@ enum class SearchAlgorithm {
 };
 
 const char* SearchAlgorithmName(SearchAlgorithm a);
+
+/// Parses the command-line / wire name of a search algorithm: "greedy",
+/// "heuristics", "topdown-lite", "topdown-full" or "dp".
+Result<SearchAlgorithm> ParseSearchAlgorithm(std::string_view name);
 
 /// Search tuning knobs.
 struct SearchOptions {

@@ -94,14 +94,12 @@ class Executor {
   /// Publishes every successful execution to `sink` (nullptr disables).
   /// The executor does not own the sink.
   void set_sink(QuerySink* sink) { sink_ = sink; }
-  QuerySink* sink() const { return sink_; }
 
   /// Commits every successful mutation through `log` (nullptr disables).
   /// The executor does not own the log. Ordering: WAL commit first, then
   /// metrics and the capture sink — a statement the sink observed is
   /// always durable.
   void set_commit_log(CommitLog* log) { commit_log_ = log; }
-  CommitLog* commit_log() const { return commit_log_; }
 
   /// Executes `statement` under `plan`.
   Result<ExecResult> Execute(const Statement& statement,
@@ -121,10 +119,6 @@ class Executor {
   Result<std::string> ExplainAnalyze(const Statement& statement,
                                      const optimizer::Plan& plan,
                                      const ExecOptions& options);
-  Result<std::string> ExplainAnalyze(const Statement& statement,
-                                     const optimizer::Plan& plan) {
-    return ExplainAnalyze(statement, plan, ExecOptions());
-  }
 
  private:
   Result<ExecResult> ExecuteQuery(const Statement& statement,

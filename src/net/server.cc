@@ -4,21 +4,12 @@
 #include <chrono>
 #include <utility>
 
-#include <sstream>
-#include <vector>
-
-#include "advisor/advisor.h"
 #include "engine/query_parser.h"
 #include "fault/fault.h"
 #include "obs/metrics.h"
-#include "optimizer/optimizer.h"
 #include "repl/stream.h"
-#include "storage/online_build.h"
-#include "storage/snapshot.h"
 #include "util/atomic_file.h"
-#include "util/crc32.h"
 #include "util/stopwatch.h"
-#include "wal/writer.h"
 #include "workload/workload_io.h"
 #include "xpath/parser.h"
 
@@ -29,19 +20,6 @@ namespace {
 constexpr size_t kRecvChunk = 64 * 1024;
 constexpr uint32_t kMaxRows = 10000;
 constexpr double kMaxPingSleepMs = 10000;
-
-Result<advisor::SearchAlgorithm> ParseAlgorithm(const std::string& name) {
-  if (name.empty() || name == "topdown-full") {
-    return advisor::SearchAlgorithm::kTopDownFull;
-  }
-  if (name == "greedy") return advisor::SearchAlgorithm::kGreedy;
-  if (name == "heuristics") {
-    return advisor::SearchAlgorithm::kGreedyWithHeuristics;
-  }
-  if (name == "topdown-lite") return advisor::SearchAlgorithm::kTopDownLite;
-  if (name == "dp") return advisor::SearchAlgorithm::kDynamicProgramming;
-  return Status::InvalidArgument("unknown advise algorithm: " + name);
-}
 
 void Count(const std::string& name, uint64_t delta = 1) {
   if constexpr (obs::kObsEnabled) {
@@ -63,6 +41,16 @@ void ObserveLatency(const std::string& name, double seconds) {
   }
 }
 
+ExecReply ToExecReply(const engine::ExecResult& result) {
+  ExecReply reply;
+  reply.result_count = result.result_count;
+  reply.docs_examined = result.docs_examined;
+  reply.index_entries_scanned = result.index_entries_scanned;
+  reply.wall_seconds = result.wall_seconds;
+  reply.rows = result.rows;
+  return reply;
+}
+
 }  // namespace
 
 Server::Server(ServerOptions options)
@@ -70,11 +58,9 @@ Server::Server(ServerOptions options)
       max_inflight_(options_.max_inflight_requests > 0
                         ? options_.max_inflight_requests
                         : options_.max_connections),
-      catalog_(&store_, &statistics_),
-      executor_(&store_, &catalog_),
-      repl_hub_(options_.follower_ttl_s) {
-  executor_.set_sink(&capture_);
-}
+      db_(DatabaseOptions{options_.data_dir, options_.fsync_policy,
+                          options_.repl_test_hook}),
+      repl_hub_(options_.follower_ttl_s) {}
 
 Server::~Server() {
   if (running_.load(std::memory_order_acquire)) (void)Stop();
@@ -86,47 +72,24 @@ Status Server::InitDatabase() {
         "a follower needs a data_dir: its local WAL is what makes "
         "rejoin crash-safe");
   }
-  if (!options_.data_dir.empty()) {
-    wal::WalManagerOptions wal_options;
-    if (!options_.fsync_policy.empty()) {
-      XIA_ASSIGN_OR_RETURN(wal_options.writer.policy,
-                           wal::ParseFsyncPolicy(options_.fsync_policy));
-    }
-    wal_options.writer.test_hook = options_.repl_test_hook;
-    wal_ = std::make_unique<wal::WalManager>(options_.data_dir, wal_options);
-    XIA_ASSIGN_OR_RETURN(recovery_,
-                         wal_->Open(&store_, &catalog_, &statistics_));
-    executor_.set_commit_log(wal_.get());
-  }
+  XIA_RETURN_IF_ERROR(db_.Open());
   // A follower never seeds demo data: everything it holds must come
   // from the leader, or its LSN space would conflict with the stream.
-  if (!options_.demo.empty() && !options_.is_follower() &&
-      store_.CollectionNames().empty()) {
-    if (options_.demo == "tpox") {
-      XIA_RETURN_IF_ERROR(tpox::BuildTpoxDatabase(options_.demo_tpox_scale,
-                                                  &store_, &statistics_));
-    } else if (options_.demo == "xmark") {
-      XIA_RETURN_IF_ERROR(tpox::BuildXmarkDatabase(options_.demo_xmark_scale,
-                                                   &store_, &statistics_));
-    } else {
-      return Status::InvalidArgument("unknown demo database: " +
-                                     options_.demo);
-    }
-    // Fold the bulk load into a checkpoint so a restart replays zero
-    // records instead of regenerating nothing (the load bypassed the
-    // WAL). Log one record per collection first so the checkpoint owns
-    // an LSN >= 1: a checkpoint at LSN 0 holding bulk data would be
-    // invisible to a follower subscribing from LSN 1 (it asks for the
-    // log tail, never the snapshot) and the replica would silently miss
-    // the entire seed.
-    if (wal_) {
-      for (const std::string& coll : store_.CollectionNames()) {
-        XIA_RETURN_IF_ERROR(wal_->LogStatsRefresh(coll));
-      }
-      XIA_RETURN_IF_ERROR(wal_->Checkpoint(store_, catalog_));
-    }
+  if (options_.demo.empty() || options_.is_follower() ||
+      !db_.store().CollectionNames().empty()) {
+    return Status::OK();
   }
-  return Status::OK();
+  if (options_.demo != "tpox" && options_.demo != "xmark") {
+    return Status::InvalidArgument("unknown demo database: " + options_.demo);
+  }
+  return db_.BulkLoad([&](storage::DocumentStore* store,
+                          storage::StatisticsCatalog* statistics) {
+    return options_.demo == "tpox"
+               ? tpox::BuildTpoxDatabase(options_.demo_tpox_scale, store,
+                                         statistics)
+               : tpox::BuildXmarkDatabase(options_.demo_xmark_scale, store,
+                                          statistics);
+  });
 }
 
 Status Server::Start() {
@@ -135,7 +98,7 @@ Status Server::Start() {
   }
   XIA_RETURN_IF_ERROR(InitDatabase());
   XIA_RETURN_IF_ERROR(listener_.Listen(options_.host, options_.port));
-  capture_.set_enabled(true);
+  db_.capture().set_enabled(true);
   stopping_.store(false, std::memory_order_release);
   running_.store(true, std::memory_order_release);
   acceptor_ = std::thread(&Server::AcceptLoop, this);
@@ -159,9 +122,8 @@ void Server::StartApplierLocked() {
   applier_options.follower_id = options_.follower_id;
   applier_options.checkpoint_every_records = options_.repl_checkpoint_every;
   applier_options.test_hook = options_.repl_test_hook;
-  applier_ = std::make_unique<repl::Applier>(
-      std::move(applier_options), wal_.get(), &db_mu_, &store_, &catalog_,
-      &statistics_);
+  applier_ =
+      std::make_unique<repl::Applier>(std::move(applier_options), &db_);
   applier_->Start();
 }
 
@@ -302,16 +264,16 @@ std::string Server::HandleFrame(Session* session, const Frame& frame) {
       payload = HandlePing(session, frame, MakeDeadline(0));
       break;
     case MsgType::kQuery:
-      payload = HandleQuery(session, frame, fault::Deadline::Infinite());
+      payload = HandleQuery(session, frame);
       break;
     case MsgType::kMutation:
-      payload = HandleMutation(session, frame, fault::Deadline::Infinite());
+      payload = HandleMutation(session, frame);
       break;
     case MsgType::kAdvise:
-      payload = HandleAdvise(session, frame, fault::Deadline::Infinite());
+      payload = HandleAdvise(session, frame);
       break;
     case MsgType::kExplain:
-      payload = HandleExplain(session, frame, fault::Deadline::Infinite());
+      payload = HandleExplain(session, frame);
       break;
     case MsgType::kMetrics:
       payload = HandleMetrics(frame);
@@ -326,7 +288,7 @@ std::string Server::HandleFrame(Session* session, const Frame& frame) {
       payload = HandleFollow(frame);
       break;
     case MsgType::kCreateIndex:
-      payload = HandleCreateIndex(session, frame);
+      payload = HandleCreateIndex(frame);
       break;
     default:
       break;
@@ -379,7 +341,7 @@ std::string Server::HandleReplSubscribe(Session* session,
     return reject(Status::ReadOnly(
         "follower cannot serve replication subscriptions"));
   }
-  if (!wal_) {
+  if (!db_.wal()) {
     return reject(Status::FailedPrecondition(
         "replication requires a durable data dir"));
   }
@@ -389,8 +351,7 @@ std::string Server::HandleReplSubscribe(Session* session,
 
   Count("xia.net.requests.repl_subscribe");
   repl::StreamContext ctx;
-  ctx.wal = wal_.get();
-  ctx.db_mu = &db_mu_;
+  ctx.db = &db_;
   ctx.hub = &repl_hub_;
   ctx.stopping = &stopping_;
   ctx.demoted = &follower_mode_;
@@ -431,45 +392,30 @@ Result<std::string> Server::HandlePing(Session* session, const Frame& frame,
   return body;  // echo
 }
 
-Result<std::string> Server::HandleQuery(Session* session, const Frame& frame,
-                                        const fault::Deadline&) {
+Result<std::string> Server::HandleQuery(Session* session, const Frame& frame) {
   XIA_ASSIGN_OR_RETURN(const QueryRequest req,
                        DecodeQueryRequest(frame.payload));
-  const fault::Deadline deadline = MakeDeadline(req.budget_ms);
+  RunOptions run;
+  run.deadline = MakeDeadline(req.budget_ms);
   XIA_ASSIGN_OR_RETURN(const engine::Statement stmt,
                        engine::ParseStatement(req.statement));
   if (!stmt.is_query()) {
     return Status::InvalidArgument(
         "not a read-only statement; use a mutation request");
   }
-  std::shared_lock<std::shared_mutex> lock(db_mu_);
-  optimizer::Optimizer::Options opt_options;
-  opt_options.deadline = deadline;
-  const optimizer::Optimizer optimizer(&store_, &catalog_, &statistics_,
-                                       opt_options);
-  XIA_ASSIGN_OR_RETURN(const optimizer::Plan plan, optimizer.Optimize(stmt));
-  engine::ExecOptions exec;
-  exec.materialize_rows = req.materialize_rows;
-  exec.max_rows = std::min(req.max_rows, kMaxRows);
-  exec.deadline = deadline;
-  exec.cancel = &session->cancel;
-  XIA_ASSIGN_OR_RETURN(const engine::ExecResult result,
-                       executor_.Execute(stmt, plan, exec));
-  ExecReply reply;
-  reply.result_count = result.result_count;
-  reply.docs_examined = result.docs_examined;
-  reply.index_entries_scanned = result.index_entries_scanned;
-  reply.wall_seconds = result.wall_seconds;
-  reply.rows = result.rows;
-  return EncodeExecReply(reply);
+  run.materialize_rows = req.materialize_rows;
+  run.max_rows = std::min(req.max_rows, kMaxRows);
+  run.cancel = &session->cancel;
+  XIA_ASSIGN_OR_RETURN(const RunResult result, db_.Run(stmt, run));
+  return EncodeExecReply(ToExecReply(result.exec));
 }
 
 Result<std::string> Server::HandleMutation(Session* session,
-                                           const Frame& frame,
-                                           const fault::Deadline&) {
+                                           const Frame& frame) {
   XIA_ASSIGN_OR_RETURN(const MutationRequest req,
                        DecodeMutationRequest(frame.payload));
-  const fault::Deadline deadline = MakeDeadline(req.budget_ms);
+  RunOptions run;
+  run.deadline = MakeDeadline(req.budget_ms);
   XIA_ASSIGN_OR_RETURN(const engine::Statement stmt,
                        engine::ParseStatement(req.statement));
   if (stmt.is_query()) {
@@ -480,44 +426,19 @@ Result<std::string> Server::HandleMutation(Session* session,
     return Status::ReadOnly(
         "this node is a read replica; send mutations to the leader");
   }
-  std::unique_lock<std::shared_mutex> lock(db_mu_);
-  // Epoch fence (checked under the exclusive lock, so a promotion
-  // serialized before us cannot slip a stale-epoch write through).
-  if (req.expected_epoch != 0) {
-    const uint64_t epoch = wal_ ? wal_->repl_epoch() : 1;
-    if (req.expected_epoch != epoch) {
-      return Status::Fenced(
-          "mutation fenced: expected epoch " +
-          std::to_string(req.expected_epoch) + ", server is in epoch " +
-          std::to_string(epoch));
-    }
-  }
-  optimizer::Optimizer::Options opt_options;
-  opt_options.deadline = deadline;
-  const optimizer::Optimizer optimizer(&store_, &catalog_, &statistics_,
-                                       opt_options);
-  XIA_ASSIGN_OR_RETURN(const optimizer::Plan plan, optimizer.Optimize(stmt));
-  engine::ExecOptions exec;
-  exec.deadline = deadline;
-  exec.cancel = &session->cancel;
-  XIA_ASSIGN_OR_RETURN(const engine::ExecResult result,
-                       executor_.Execute(stmt, plan, exec));
-  ExecReply reply;
-  reply.result_count = result.result_count;
-  reply.docs_examined = result.docs_examined;
-  reply.index_entries_scanned = result.index_entries_scanned;
-  reply.wall_seconds = result.wall_seconds;
+  run.cancel = &session->cancel;
+  run.expected_epoch = req.expected_epoch;
+  XIA_ASSIGN_OR_RETURN(const RunResult result, db_.Run(stmt, run));
 
-  // Quorum commit (DESIGN §15): capture this mutation's LSN while still
-  // holding the exclusive lock, release it, then wait on the hub for K
+  // Quorum commit (DESIGN §15): Run captured this mutation's LSN under
+  // the exclusive lock and released it; now wait on the hub for K
   // follower acks — the wait must not block other requests. A timeout
   // fails the request loudly (kUnavailable) instead of silently
   // downgrading to async: the mutation IS durable locally and WILL
   // reach followers, but the client was promised K-replicated.
-  if (options_.sync_replicas > 0 && wal_ &&
+  if (options_.sync_replicas > 0 && db_.wal() &&
       !follower_mode_.load(std::memory_order_acquire)) {
-    const uint64_t lsn = wal_->GetStatus().next_lsn - 1;
-    lock.unlock();
+    const uint64_t lsn = result.lsn;
     if (options_.repl_test_hook) {
       options_.repl_test_hook("repl.quorum.before_wait");
     }
@@ -541,12 +462,10 @@ Result<std::string> Server::HandleMutation(Session* session,
       options_.repl_test_hook("repl.quorum.after_ack");
     }
   }
-  return EncodeExecReply(reply);
+  return EncodeExecReply(ToExecReply(result.exec));
 }
 
-Result<std::string> Server::HandleCreateIndex(Session* session,
-                                              const Frame& frame) {
-  (void)session;
+Result<std::string> Server::HandleCreateIndex(const Frame& frame) {
   XIA_ASSIGN_OR_RETURN(const CreateIndexRequest req,
                        DecodeCreateIndexRequest(frame.payload));
   if (follower_mode_.load(std::memory_order_acquire)) {
@@ -554,58 +473,33 @@ Result<std::string> Server::HandleCreateIndex(Session* session,
         "this node is a read replica; send DDL to the leader");
   }
   XIA_ASSIGN_OR_RETURN(xpath::Path path, xpath::ParsePattern(req.pattern));
-  xpath::IndexPattern pattern{std::move(path),
-                              static_cast<xpath::ValueType>(req.value_type)};
-  pattern.structural = req.structural;
-
+  engine::CreateIndexSpec spec{
+      req.name, req.collection,
+      xpath::IndexPattern{std::move(path),
+                          static_cast<xpath::ValueType>(req.value_type)},
+      req.is_virtual, req.online};
+  spec.pattern.structural = req.structural;
+  XIA_ASSIGN_OR_RETURN(const IndexBuildResult built, db_.CreateIndex(spec));
   CreateIndexReply reply;
-  const storage::IndexDef* def = nullptr;
-  if (req.is_virtual) {
-    std::unique_lock<std::shared_mutex> lock(db_mu_);
-    XIA_ASSIGN_OR_RETURN(
-        def, catalog_.CreateVirtualIndex(req.name, req.collection, pattern));
-  } else if (req.online) {
-    // Non-blocking build (DESIGN §16): queries keep running under shared
-    // locks while the scan proceeds; the WAL record is written inside
-    // the swap's exclusive section so crash recovery either replays the
-    // whole index build or none of it.
-    storage::OnlineBuildReport report;
-    auto commit = [&]() -> Status {
-      if (wal_) {
-        return wal_->LogCreateIndex(req.name, req.collection, pattern);
-      }
-      return Status::OK();
-    };
-    XIA_ASSIGN_OR_RETURN(
-        def, storage::BuildIndexOnline(&catalog_, &db_mu_, req.name,
-                                       req.collection, pattern, {}, commit,
-                                       &report));
+  reply.entry_count = built.stats.entry_count;
+  reply.size_bytes = built.stats.size_bytes;
+  reply.build_seconds = built.build_seconds;
+  if (req.online && !req.is_virtual) {
     reply.online = true;
-    reply.build_seconds = report.total_seconds;
-    reply.stall_seconds = report.exclusive_seconds;
-    reply.delta_ops = report.delta_ops_applied;
-  } else {
-    Stopwatch sw;
-    std::unique_lock<std::shared_mutex> lock(db_mu_);
-    XIA_ASSIGN_OR_RETURN(
-        def, catalog_.CreateIndex(req.name, req.collection, pattern));
-    if (wal_) {
-      XIA_RETURN_IF_ERROR(
-          wal_->LogCreateIndex(req.name, req.collection, pattern));
-    }
-    reply.build_seconds = sw.ElapsedSeconds();
+    reply.stall_seconds = built.online.exclusive_seconds;
+    reply.delta_ops = built.online.delta_ops_applied;
   }
-  reply.entry_count = def->stats.entry_count;
-  reply.size_bytes = def->stats.size_bytes;
   return EncodeCreateIndexReply(reply);
 }
 
-Result<std::string> Server::HandleAdvise(Session* session, const Frame& frame,
-                                         const fault::Deadline&) {
+Result<std::string> Server::HandleAdvise(Session* session, const Frame& frame) {
   XIA_ASSIGN_OR_RETURN(const AdviseRequest req,
                        DecodeAdviseRequest(frame.payload));
   advisor::AdvisorOptions options;
-  XIA_ASSIGN_OR_RETURN(options.algorithm, ParseAlgorithm(req.algorithm));
+  if (!req.algorithm.empty()) {
+    XIA_ASSIGN_OR_RETURN(options.algorithm,
+                         advisor::ParseSearchAlgorithm(req.algorithm));
+  }
   if (req.disk_budget_bytes <= 0) {
     return Status::InvalidArgument("disk budget must be positive");
   }
@@ -621,7 +515,7 @@ Result<std::string> Server::HandleAdvise(Session* session, const Frame& frame,
     // Advise on the captured workload: fold the pending capture batch
     // into the templatizer (leaf lock) and advise on the templates.
     std::lock_guard<std::mutex> tlock(tmpl_mu_);
-    templates_.AddBatch(capture_.Drain());
+    templates_.AddBatch(db_.capture().Drain());
     if (templates_.empty()) {
       return Status::FailedPrecondition(
           "no captured workload yet; send statements or a workload text");
@@ -632,13 +526,8 @@ Result<std::string> Server::HandleAdvise(Session* session, const Frame& frame,
                          workload::DeserializeWorkload(req.workload_text));
   }
 
-  // Shared lock: what-if advising coexists with queries; each request's
-  // IndexAdvisor owns a private scratch catalog (DESIGN §12) so nothing
-  // it hypothesizes touches the system catalog.
-  std::shared_lock<std::shared_mutex> lock(db_mu_);
-  advisor::IndexAdvisor advisor(&store_, &statistics_);
   XIA_ASSIGN_OR_RETURN(const advisor::Recommendation rec,
-                       advisor.Recommend(workload, options));
+                       db_.Advise(workload, options));
   AdviseReply reply;
   reply.total_size_bytes = static_cast<uint64_t>(rec.total_size_bytes);
   reply.est_speedup = rec.est_speedup;
@@ -652,48 +541,25 @@ Result<std::string> Server::HandleAdvise(Session* session, const Frame& frame,
 }
 
 Result<std::string> Server::HandleExplain(Session* session,
-                                          const Frame& frame,
-                                          const fault::Deadline&) {
+                                          const Frame& frame) {
   XIA_ASSIGN_OR_RETURN(const ExplainRequest req,
                        DecodeExplainRequest(frame.payload));
-  const fault::Deadline deadline = MakeDeadline(req.budget_ms);
+  engine::ExecOptions exec;
+  exec.deadline = MakeDeadline(req.budget_ms);
   XIA_ASSIGN_OR_RETURN(const engine::Statement stmt,
                        engine::ParseStatement(req.statement));
-
-  const auto run = [&](auto& lock) -> Result<std::string> {
-    (void)lock;
-    optimizer::Optimizer::Options opt_options;
-    opt_options.deadline = deadline;
-    const optimizer::Optimizer optimizer(&store_, &catalog_, &statistics_,
-                                         opt_options);
-    XIA_ASSIGN_OR_RETURN(const optimizer::Plan plan,
-                         optimizer.Optimize(stmt));
-    engine::ExecOptions exec;
-    exec.deadline = deadline;
-    exec.cancel = &session->cancel;
-    std::string text;
-    if (req.analyze) {
-      XIA_ASSIGN_OR_RETURN(text, executor_.ExplainAnalyze(stmt, plan, exec));
-    } else {
-      text = plan.Describe();
-    }
-    return EncodeTextReply(TextReply{text});
-  };
-
-  // EXPLAIN ANALYZE of a mutation executes it — that needs the writer
-  // lock (and is a mutation for read-only purposes); everything else is
-  // read-only.
-  if (req.analyze && stmt.is_modification()) {
-    if (follower_mode_.load(std::memory_order_acquire)) {
-      return Status::ReadOnly(
-          "EXPLAIN ANALYZE of a mutation executes it; this node is a "
-          "read replica");
-    }
-    std::unique_lock<std::shared_mutex> lock(db_mu_);
-    return run(lock);
+  // EXPLAIN ANALYZE of a mutation executes it: a mutation for read-only
+  // purposes.
+  if (req.analyze && stmt.is_modification() &&
+      follower_mode_.load(std::memory_order_acquire)) {
+    return Status::ReadOnly(
+        "EXPLAIN ANALYZE of a mutation executes it; this node is a "
+        "read replica");
   }
-  std::shared_lock<std::shared_mutex> lock(db_mu_);
-  return run(lock);
+  exec.cancel = &session->cancel;
+  XIA_ASSIGN_OR_RETURN(std::string text,
+                       db_.Explain(stmt, req.analyze, exec));
+  return EncodeTextReply(TextReply{std::move(text)});
 }
 
 Result<std::string> Server::HandleMetrics(const Frame& frame) {
@@ -719,27 +585,21 @@ Result<std::string> Server::HandleMetrics(const Frame& frame) {
 
 Result<std::string> Server::HandleReplStatus(const Frame& frame) {
   XIA_RETURN_IF_ERROR(DecodeReplStatusRequest(frame.payload).status());
+  const ReplStatus status = GetReplStatus();
   ReplStatusReply reply;
-  const bool follower = follower_mode_.load(std::memory_order_acquire);
-  reply.role = follower ? "follower" : "leader";
-  if (wal_) {
-    const wal::WalStatus wal_status = wal_->GetStatus();
-    reply.repl_epoch = wal_status.repl_epoch;
-    reply.epoch_start_lsn = wal_status.epoch_start_lsn;
-    reply.durable_lsn = wal_status.durable_lsn;
-    reply.checkpoint_lsn = wal_status.checkpoint_lsn;
-  }
+  reply.role = status.is_follower ? "follower" : "leader";
+  reply.repl_epoch = status.repl_epoch;
+  reply.epoch_start_lsn = status.epoch_start_lsn;
+  reply.durable_lsn = status.durable_lsn;
+  reply.checkpoint_lsn = status.checkpoint_lsn;
   reply.leader_endpoint = LeaderEndpointHint();
-  if (follower) {
-    std::lock_guard<std::mutex> lock(role_mu_);
-    if (applier_) reply.applied_lsn = applier_->GetStats().applied_lsn;
+  if (status.is_follower) {
+    reply.applied_lsn = status.applier.applied_lsn;
   } else {
-    for (const repl::FollowerInfo& info : repl_hub_.Snapshot()) {
-      ReplStatusFollower f;
-      f.follower_id = info.follower_id;
-      f.acked_lsn = info.acked_lsn;
-      f.connected = info.streaming;
-      reply.followers.push_back(std::move(f));
+    for (const repl::FollowerInfo& info : status.followers) {
+      reply.followers.push_back(
+          ReplStatusFollower{info.follower_id, "", info.acked_lsn,
+                             info.streaming});
     }
   }
   return EncodeReplStatusReply(reply);
@@ -761,7 +621,7 @@ Result<std::string> Server::HandleFollow(const Frame& frame) {
 }
 
 Status Server::Promote(uint64_t* epoch, uint64_t* barrier_lsn) {
-  if (!wal_) {
+  if (!db_.wal()) {
     return Status::FailedPrecondition(
         "promotion requires a durable data dir");
   }
@@ -770,8 +630,8 @@ Status Server::Promote(uint64_t* epoch, uint64_t* barrier_lsn) {
   if (!follower_mode_.load(std::memory_order_acquire)) {
     // Already the leader: report the current epoch, do not bump again
     // (a promote retried after a timeout must not burn an epoch).
-    *epoch = wal_->repl_epoch();
-    *barrier_lsn = wal_->epoch_start_lsn();
+    *epoch = db_.repl_epoch();
+    *barrier_lsn = db_.wal()->epoch_start_lsn();
     return Status::OK();
   }
   // Quiesce the applier before touching the log: it takes the exclusive
@@ -780,11 +640,8 @@ Status Server::Promote(uint64_t* epoch, uint64_t* barrier_lsn) {
     applier_->Stop();
     applier_.reset();
   }
-  {
-    std::unique_lock<std::shared_mutex> lock(db_mu_);
-    XIA_ASSIGN_OR_RETURN(*barrier_lsn, wal_->BumpEpoch());
-  }
-  *epoch = wal_->repl_epoch();
+  XIA_ASSIGN_OR_RETURN(*barrier_lsn, db_.BumpEpoch());
+  *epoch = db_.repl_epoch();
   leader_host_.clear();
   leader_port_ = 0;
   follower_mode_.store(false, std::memory_order_release);
@@ -793,7 +650,7 @@ Status Server::Promote(uint64_t* epoch, uint64_t* barrier_lsn) {
 }
 
 Status Server::Follow(const std::string& host, uint16_t port) {
-  if (!wal_) {
+  if (!db_.wal()) {
     return Status::FailedPrecondition(
         "a follower needs a data_dir: its local WAL is what makes "
         "rejoin crash-safe");
@@ -904,14 +761,8 @@ Status Server::Stop() {
   }
 
   // 5. Checkpoint and close the WAL so restart recovery is instant.
-  Status result = Status::OK();
-  if (wal_) {
-    std::unique_lock<std::shared_mutex> lock(db_mu_);
-    result = wal_->Checkpoint(store_, catalog_);
-    const Status closed = wal_->Close();
-    if (result.ok()) result = closed;
-  }
-  capture_.set_enabled(false);
+  const Status result = db_.Close();
+  db_.capture().set_enabled(false);
   return result;
 }
 
@@ -923,8 +774,8 @@ ReplStatus Server::GetReplStatus() const {
     if (applier_) status.applier = applier_->GetStats();
   }
   status.followers = repl_hub_.Snapshot();
-  if (wal_) {
-    const wal::WalStatus wal_status = wal_->GetStatus();
+  if (db_.wal()) {
+    const wal::WalStatus wal_status = db_.wal()->GetStatus();
     status.durable_lsn = wal_status.durable_lsn;
     status.checkpoint_lsn = wal_status.checkpoint_lsn;
     status.repl_epoch = wal_status.repl_epoch;
@@ -933,38 +784,9 @@ ReplStatus Server::GetReplStatus() const {
   return status;
 }
 
-Result<std::string> Server::StoreDigest() {
-  std::shared_lock<std::shared_mutex> lock(db_mu_);
-  std::ostringstream out;
-  XIA_RETURN_IF_ERROR(storage::SaveSnapshot(store_, out));
-  std::string bytes = out.str();
-  // Index definitions are digested name-sorted: a follower loads its
-  // catalog from a name-ordered file while the leader built its by
-  // replay order, so only the set — not the order — is comparable.
-  std::vector<std::string> defs;
-  for (const std::string& coll : store_.CollectionNames()) {
-    for (const storage::IndexDef* def : catalog_.IndexesFor(coll)) {
-      if (def->is_virtual) continue;
-      defs.push_back(def->name + "@" + def->collection + ":" +
-                     def->pattern.ToString());
-    }
-  }
-  std::sort(defs.begin(), defs.end());
-  bytes += "|indexes:";
-  for (const std::string& def : defs) {
-    bytes += def;
-    bytes += ';';
-  }
-  return std::to_string(Crc32(bytes)) + "-" + std::to_string(bytes.size());
-}
+Result<std::string> Server::StoreDigest() { return db_.Digest(); }
 
-Status Server::CheckpointNow() {
-  if (!wal_) {
-    return Status::FailedPrecondition("no WAL to checkpoint (volatile)");
-  }
-  std::unique_lock<std::shared_mutex> lock(db_mu_);
-  return wal_->Checkpoint(store_, catalog_);
-}
+Status Server::CheckpointNow() { return db_.Checkpoint(); }
 
 ServerStats Server::GetStats() const {
   ServerStats stats;

@@ -1,22 +1,21 @@
 // xia::net::Server — the engine's concurrent network front door.
 //
-// One Server owns a full engine stack (DocumentStore, statistics, catalog,
-// optimizer, executor, workload capture, optional WAL) and serves the
-// framed wire protocol (net/wire.h) over TCP:
+// One Server owns one xia::Database (store, statistics, catalog,
+// executor, workload capture, optional WAL — the request path shared
+// with the shell and the crash harness, DESIGN §18) and serves the
+// framed wire protocol (net/wire.h) over TCP. The server keeps only its
+// own concerns: framing, admission, sessions, role/epoch and
+// replication state, and the quorum wait.
 //
 //   * Front end: an acceptor thread plus one session thread per
 //     connection (connections are long-lived and bounded by
 //     max_connections, so thread-per-connection keeps the request path
 //     free of queue hops; the heavy advise work is itself parallelized
 //     through xia::util::ThreadPool via AdvisorOptions.threads).
-//   * Reader/writer isolation: a std::shared_mutex over the database.
-//     Queries, EXPLAIN, what-if advising and metrics run under the shared
-//     lock — concurrently with each other; mutations (and EXPLAIN ANALYZE
-//     of a mutation, which executes it) take the exclusive lock and
-//     commit through the WAL before acking. The advisor side is safe
-//     under the shared lock because each advise request builds its own
-//     IndexAdvisor (private scratch catalog — the same per-context
-//     isolation the parallel advisor uses, DESIGN §12).
+//   * Reader/writer isolation: the Database's std::shared_mutex, in
+//     the lock mode Database documents per operation — queries, EXPLAIN
+//     and what-if advising run concurrently; mutations are exclusive and
+//     commit through the WAL before acking.
 //   * Admission control: at most max_inflight_requests are dispatched at
 //     once; beyond that the server answers kResourceExhausted instead of
 //     queueing unboundedly. Every admitted request runs under a Deadline
@@ -28,11 +27,11 @@
 //     stragglers through their CancelTokens, join everything, checkpoint
 //     the WAL, and close it.
 //
-// Lock order (extends the DESIGN §9/§12 order): db_mu_ (shared or
-// exclusive) -> WAL internals. sessions_mu_ and capture/templatizer locks
-// are leaves and are never held while a request executes or while
-// db_mu_ is held. Session threads never take sessions_mu_ while holding
-// db_mu_.
+// Lock order (extends the DESIGN §9/§12 order): role_mu_ -> Database
+// lock (shared or exclusive) -> WAL internals. sessions_mu_ and
+// capture/templatizer locks are leaves and are never held while a
+// request executes or while the Database lock is held. Session threads
+// never take sessions_mu_ while holding the Database lock.
 //
 // Observability: xia.net.* counters/gauges/histograms — connections
 // (current/total), per-type request counters and latency histograms,
@@ -51,24 +50,18 @@
 #include <list>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <string>
 #include <thread>
 
-#include "engine/executor.h"
+#include "db/database.h"
 #include "fault/deadline.h"
 #include "net/socket.h"
 #include "net/wire.h"
 #include "repl/applier.h"
 #include "repl/hub.h"
-#include "storage/catalog.h"
-#include "storage/document_store.h"
-#include "storage/statistics.h"
 #include "tpox/tpox_data.h"
 #include "tpox/xmark.h"
 #include "util/status.h"
-#include "wal/manager.h"
-#include "workload/capture.h"
 #include "workload/templatizer.h"
 
 namespace xia::net {
@@ -188,7 +181,7 @@ class Server {
 
   /// The recovery report from opening the data dir (fresh_start for
   /// volatile servers).
-  const wal::RecoveryReport& recovery() const { return recovery_; }
+  const wal::RecoveryReport& recovery() const { return db_.recovery(); }
 
   /// Replication progress; safe while running.
   ReplStatus GetReplStatus() const;
@@ -251,15 +244,11 @@ class Server {
 
   Result<std::string> HandlePing(Session* session, const Frame& frame,
                                  const fault::Deadline& deadline);
-  Result<std::string> HandleQuery(Session* session, const Frame& frame,
-                                  const fault::Deadline& deadline);
-  Result<std::string> HandleMutation(Session* session, const Frame& frame,
-                                     const fault::Deadline& deadline);
-  Result<std::string> HandleAdvise(Session* session, const Frame& frame,
-                                   const fault::Deadline& deadline);
-  Result<std::string> HandleExplain(Session* session, const Frame& frame,
-                                    const fault::Deadline& deadline);
-  Result<std::string> HandleCreateIndex(Session* session, const Frame& frame);
+  Result<std::string> HandleQuery(Session* session, const Frame& frame);
+  Result<std::string> HandleMutation(Session* session, const Frame& frame);
+  Result<std::string> HandleAdvise(Session* session, const Frame& frame);
+  Result<std::string> HandleExplain(Session* session, const Frame& frame);
+  Result<std::string> HandleCreateIndex(const Frame& frame);
   Result<std::string> HandleMetrics(const Frame& frame);
   Result<std::string> HandleReplStatus(const Frame& frame);
   Result<std::string> HandlePromote(const Frame& frame);
@@ -280,14 +269,7 @@ class Server {
   const ServerOptions options_;
   const size_t max_inflight_;
 
-  // ---- database (guarded by db_mu_; see the lock-order note above) ----
-  std::shared_mutex db_mu_;
-  storage::DocumentStore store_;
-  storage::StatisticsCatalog statistics_;
-  storage::Catalog catalog_;
-  engine::Executor executor_;
-  std::unique_ptr<wal::WalManager> wal_;
-  wal::RecoveryReport recovery_;
+  Database db_;
 
   // ---- replication ----
   /// mutable: every hub call (reads included) prunes expired
@@ -299,16 +281,16 @@ class Server {
   /// flip it. Streams watch it as their demotion signal.
   std::atomic<bool> follower_mode_{false};
   /// Guards applier_ swaps and the leader endpoint below. Lock order:
-  /// role_mu_ -> db_mu_ (Promote holds role_mu_ across the epoch bump);
-  /// request handlers never take role_mu_ while holding db_mu_.
+  /// role_mu_ -> Database lock (Promote holds role_mu_ across the epoch
+  /// bump); request handlers never take role_mu_ while holding the
+  /// Database lock.
   mutable std::mutex role_mu_;
   std::unique_ptr<repl::Applier> applier_;  // guarded by role_mu_
   std::string leader_host_;                 // guarded by role_mu_
   uint16_t leader_port_ = 0;                // guarded by role_mu_
 
-  /// Thread-safe capture sink fed by the executor; advise-on-captured
-  /// folds drained batches into templates_ under tmpl_mu_ (leaf lock).
-  workload::WorkloadCapture capture_;
+  /// Advise-on-captured folds batches drained from the Database's
+  /// capture into templates_ under tmpl_mu_ (leaf lock).
   std::mutex tmpl_mu_;
   workload::Templatizer templates_;
 

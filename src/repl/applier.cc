@@ -21,16 +21,8 @@ constexpr double kConnectTimeoutSeconds = 2.0;
 constexpr double kPollSeconds = 0.05;
 }  // namespace
 
-Applier::Applier(ApplierOptions options, wal::WalManager* wal,
-                 std::shared_mutex* db_mu, storage::DocumentStore* store,
-                 storage::Catalog* catalog,
-                 storage::StatisticsCatalog* statistics)
-    : options_(std::move(options)),
-      wal_(wal),
-      db_mu_(db_mu),
-      store_(store),
-      catalog_(catalog),
-      statistics_(statistics) {}
+Applier::Applier(ApplierOptions options, Database* db)
+    : options_(std::move(options)), db_(db), wal_(db->wal()) {}
 
 Applier::~Applier() { Stop(); }
 
@@ -211,8 +203,7 @@ Status Applier::RunOnce() {
 
     if (options_.checkpoint_every_records > 0 &&
         since_checkpoint_ >= options_.checkpoint_every_records) {
-      std::unique_lock<std::shared_mutex> lock(*db_mu_);
-      XIA_RETURN_IF_ERROR(wal_->Checkpoint(*store_, *catalog_));
+      XIA_RETURN_IF_ERROR(db_->Checkpoint());
       since_checkpoint_ = 0;
     }
 
@@ -259,7 +250,7 @@ Status Applier::HandleRecordFrame(const std::string& payload) {
         ", expected " + std::to_string(applied + 1));
   }
 
-  std::unique_lock<std::shared_mutex> lock(*db_mu_);
+  std::unique_lock<std::shared_mutex> lock(db_->mutex());
   XIA_FAULT_INJECT(fault::points::kReplApply);
   Hook("repl.apply.before_wal");
   // Log first, then apply: a crash between the two replays the record
@@ -273,7 +264,8 @@ Status Applier::HandleRecordFrame(const std::string& payload) {
     return status;
   }
   Hook("repl.apply.mid_apply");
-  status = wal::ApplyRecord(record, store_, catalog_, statistics_);
+  status = wal::ApplyRecord(record, &db_->store(), &db_->catalog(),
+                            &db_->statistics());
   if (!status.ok()) {
     std::lock_guard<std::mutex> slock(stats_mu_);
     stats_.sticky_error =
@@ -305,11 +297,11 @@ Status Applier::HandleSnapshotFrame(const std::string& payload) {
   image.repl_epoch = snap.repl_epoch;
   image.epoch_start_lsn = snap.epoch_start_lsn;
   {
-    std::unique_lock<std::shared_mutex> lock(*db_mu_);
+    std::unique_lock<std::shared_mutex> lock(db_->mutex());
     // Fail-closed: a corrupt image returns kDataLoss with nothing
     // touched, and the retry loop resubscribes.
-    XIA_RETURN_IF_ERROR(
-        wal_->InstallCheckpoint(image, store_, catalog_, statistics_));
+    XIA_RETURN_IF_ERROR(wal_->InstallCheckpoint(
+        image, &db_->store(), &db_->catalog(), &db_->statistics()));
   }
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
@@ -350,10 +342,11 @@ Status Applier::HandleHelloFrame(const std::string& payload) {
     if (wal_->checkpoint_lsn() < hello.epoch_start_lsn) {
       uint64_t truncated = 0;
       {
-        std::unique_lock<std::shared_mutex> lock(*db_mu_);
+        std::unique_lock<std::shared_mutex> lock(db_->mutex());
         XIA_ASSIGN_OR_RETURN(
-            truncated, wal_->TruncateSuffix(hello.epoch_start_lsn, store_,
-                                            catalog_, statistics_));
+            truncated,
+            wal_->TruncateSuffix(hello.epoch_start_lsn, &db_->store(),
+                                 &db_->catalog(), &db_->statistics()));
       }
       {
         std::lock_guard<std::mutex> lock(stats_mu_);
@@ -369,9 +362,9 @@ Status Applier::HandleHelloFrame(const std::string& payload) {
     // A local checkpoint already swallowed the divergent records; they
     // cannot be unwound in place, so fall back to a full resync.
     {
-      std::unique_lock<std::shared_mutex> lock(*db_mu_);
-      XIA_RETURN_IF_ERROR(
-          wal_->ResetForResync(store_, catalog_, statistics_));
+      std::unique_lock<std::shared_mutex> lock(db_->mutex());
+      XIA_RETURN_IF_ERROR(wal_->ResetForResync(
+          &db_->store(), &db_->catalog(), &db_->statistics()));
     }
     {
       std::lock_guard<std::mutex> lock(stats_mu_);

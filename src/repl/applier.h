@@ -33,8 +33,8 @@
 // local log — the exact window the crash harness's mid-apply kill
 // exercises. A record is acked only after both succeeded.
 //
-// Lock order: db_mu (exclusive, per record/snapshot) -> WAL internals.
-// The applier never holds db_mu while blocked on the network.
+// Lock order: the Database lock (exclusive, per record/snapshot) -> WAL
+// internals. The applier never holds it while blocked on the network.
 
 #ifndef XIA_REPL_APPLIER_H_
 #define XIA_REPL_APPLIER_H_
@@ -46,9 +46,7 @@
 #include <string>
 #include <thread>
 
-#include "storage/catalog.h"
-#include "storage/document_store.h"
-#include "storage/statistics.h"
+#include "db/database.h"
 #include "util/status.h"
 #include "wal/manager.h"
 #include "wal/writer.h"
@@ -99,9 +97,8 @@ struct ApplierStats {
 /// The follower's replication client. Owns one background thread.
 class Applier {
  public:
-  Applier(ApplierOptions options, wal::WalManager* wal,
-          std::shared_mutex* db_mu, storage::DocumentStore* store,
-          storage::Catalog* catalog, storage::StatisticsCatalog* statistics);
+  /// Applies into `db`, which must have its data dir open.
+  Applier(ApplierOptions options, Database* db);
   ~Applier();
 
   Applier(const Applier&) = delete;
@@ -126,11 +123,8 @@ class Applier {
   void RecordError(const Status& status);
 
   const ApplierOptions options_;
+  Database* const db_;
   wal::WalManager* const wal_;
-  std::shared_mutex* const db_mu_;
-  storage::DocumentStore* const store_;
-  storage::Catalog* const catalog_;
-  storage::StatisticsCatalog* const statistics_;
 
   std::thread thread_;
   std::atomic<bool> stop_{false};

@@ -54,7 +54,7 @@ void ReadAcks(net::Socket* socket, const StreamContext& ctx,
         return fail(Status::InvalidArgument(
             "unexpected frame type from subscribed follower"));
       }
-      const uint64_t leader_epoch = ctx.wal->repl_epoch();
+      const uint64_t leader_epoch = ctx.db->repl_epoch();
       if (frame.request_id > leader_epoch) {
         // The follower has witnessed a newer epoch than ours: we are a
         // deposed leader that has not heard yet. Stop streaming.
@@ -79,8 +79,8 @@ Status SendSnapshot(net::Socket* socket, const StreamContext& ctx,
                     uint64_t leader_epoch, uint64_t* resume_lsn) {
   wal::CheckpointImage image;
   {
-    std::shared_lock<std::shared_mutex> lock(*ctx.db_mu);
-    XIA_ASSIGN_OR_RETURN(image, ctx.wal->ReadCheckpointImage());
+    std::shared_lock<std::shared_mutex> lock(ctx.db->mutex());
+    XIA_ASSIGN_OR_RETURN(image, ctx.db->wal()->ReadCheckpointImage());
   }
   XIA_FAULT_INJECT(fault::points::kReplSnapshotXfer);
   net::ReplSnapshotPayload payload;
@@ -112,7 +112,7 @@ Status RunReplStream(net::Socket* socket,
   // Fence a subscriber from the future: if the follower has witnessed a
   // newer epoch than ours, this node was deposed and must not stream.
   // The follower gets a kError(kFenced) frame so it knows why.
-  const uint64_t leader_epoch = ctx.wal->repl_epoch();
+  const uint64_t leader_epoch = ctx.db->repl_epoch();
   if (subscribe.epoch > leader_epoch) {
     net::ErrorReply fenced;
     fenced.code = StatusCode::kFenced;
@@ -142,7 +142,7 @@ Status RunReplStream(net::Socket* socket,
   // deposed leader can locate the divergence point before any frame.
   net::ReplHelloPayload hello;
   hello.leader_epoch = leader_epoch;
-  hello.epoch_start_lsn = ctx.wal->epoch_start_lsn();
+  hello.epoch_start_lsn = ctx.db->wal()->epoch_start_lsn();
   Status result = socket->SendAll(
       net::EncodeFrame(net::MsgType::kReplHello, leader_epoch,
                        net::EncodeReplHelloPayload(hello)));
@@ -161,10 +161,10 @@ Status RunReplStream(net::Socket* socket,
     }
     // Re-read per batch: a self-promotion bumps the epoch mid-stream
     // and the frames after the barrier must carry the new stamp.
-    const uint64_t cur_epoch = ctx.wal->repl_epoch();
+    const uint64_t cur_epoch = ctx.db->repl_epoch();
 
     Result<wal::TailBatch> batch =
-        ctx.wal->ReadTail(&cursor, kBatchRecords, kTailWaitSeconds);
+        ctx.db->wal()->ReadTail(&cursor, kBatchRecords, kTailWaitSeconds);
     if (!batch.ok()) {
       result = batch.status();
       break;

@@ -26,8 +26,8 @@
 #define XIA_REPL_STREAM_H_
 
 #include <atomic>
-#include <shared_mutex>
 
+#include "db/database.h"
 #include "net/socket.h"
 #include "net/wire.h"
 #include "repl/hub.h"
@@ -38,9 +38,9 @@ namespace xia::repl {
 
 /// Everything a stream needs from its server.
 struct StreamContext {
-  wal::WalManager* wal = nullptr;
-  /// The server's database lock (shared while reading checkpoint files).
-  std::shared_mutex* db_mu = nullptr;
+  /// The leader's database: its WAL is tailed, and its lock is taken
+  /// shared while reading checkpoint files.
+  Database* db = nullptr;
   ReplHub* hub = nullptr;
   /// Server shutdown flag; the stream exits promptly once set.
   std::atomic<bool>* stopping = nullptr;

@@ -6,6 +6,8 @@
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 
 namespace xia {
 
@@ -22,6 +24,14 @@ Status FsyncFd(int fd, const std::string& what) {
 }
 
 }  // namespace
+
+Result<std::string> ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return Status::NotFound("cannot open " + path);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
 
 Status FsyncParentDirectory(const std::string& path) {
   fs::path dir = fs::path(path).parent_path();

@@ -22,6 +22,9 @@ namespace xia {
 /// `path + ".tmp"`; a stale temp from an earlier crash is overwritten.
 Status WriteFileAtomic(const std::string& path, std::string_view contents);
 
+/// Reads the whole file at `path`; kNotFound when it cannot be opened.
+Result<std::string> ReadFile(const std::string& path);
+
 /// fsyncs the directory containing `path` (making a rename durable).
 /// Best-effort: filesystems that reject directory fsync are ignored.
 Status FsyncParentDirectory(const std::string& path);

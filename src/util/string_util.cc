@@ -6,6 +6,7 @@
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
+#include <utility>
 
 namespace xia {
 
@@ -79,6 +80,24 @@ bool ParseDouble(std::string_view s, double* out) {
     return true;
   }
   return ParseDoubleSlow(s, out);
+}
+
+bool ParseByteSize(std::string_view s, double* out) {
+  static constexpr std::pair<std::string_view, double> kUnits[] = {
+      {"KB", 1024.0}, {"kb", 1024.0}, {"MB", 1048576.0}, {"mb", 1048576.0},
+      {"GB", 1073741824.0}, {"gb", 1073741824.0}};
+  double multiplier = 1;
+  for (const auto& [unit, bytes] : kUnits) {
+    if (EndsWith(s, unit)) {
+      multiplier = bytes;
+      s.remove_suffix(unit.size());
+      break;
+    }
+  }
+  double v = 0;
+  if (!ParseDouble(s, &v) || v < 0) return false;
+  *out = v * multiplier;
+  return true;
 }
 
 size_t NumericTokenLength(std::string_view s) {

@@ -27,6 +27,11 @@ bool EndsWith(std::string_view s, std::string_view suffix);
 /// denormal); returns false on empty text or any trailing garbage.
 bool ParseDouble(std::string_view s, double* out);
 
+/// Parses a non-negative byte count: a number as ParseDouble reads it,
+/// optionally followed by KB, MB or GB (or kb, mb, gb; powers of 1024).
+/// Returns false on an empty number, a negative value or other text.
+bool ParseByteSize(std::string_view s, double* out);
+
 /// Formats `v` with the fewest significant digits, at least 6, that
 /// read back through ParseDouble as exactly `v` (NaN prints as "%.6g"
 /// does). Values exact in 6 digits keep their "%.6g" text.

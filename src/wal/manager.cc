@@ -41,14 +41,6 @@ std::string EncodeFramedFile(const char (&magic)[8],
   return out;
 }
 
-Result<std::string> ReadWholeFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::NotFound(path + " not found");
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
-
 /// Validates magic + frame CRC over in-memory file contents. `where`
 /// names the source (a path, or "replication catalog image") for the
 /// kDataLoss message.
@@ -74,7 +66,7 @@ Result<std::string> ParseFramedBytes(std::string_view data,
 
 Result<std::string> ReadFramedFile(const std::string& path,
                                    const char (&magic)[8]) {
-  XIA_ASSIGN_OR_RETURN(const std::string data, ReadWholeFile(path));
+  XIA_ASSIGN_OR_RETURN(const std::string data, ReadFile(path));
   return ParseFramedBytes(data, magic, path);
 }
 
@@ -228,7 +220,6 @@ Result<RecoveryReport> WalManager::Open(storage::DocumentStore* store,
     open_.store(true, std::memory_order_release);
     report.fresh_start = true;
     report.seconds = timer.ElapsedSeconds();
-    last_recovery_ = report;
     return report;
   }
 
@@ -331,7 +322,6 @@ Result<RecoveryReport> WalManager::Open(storage::DocumentStore* store,
   open_.store(true, std::memory_order_release);
 
   report.seconds = timer.ElapsedSeconds();
-  last_recovery_ = report;
   XIA_OBS_COUNT("xia.wal.recovery.records_replayed", report.records_replayed);
   XIA_OBS_COUNT("xia.wal.recovery.records_skipped", report.records_skipped);
   XIA_OBS_COUNT("xia.wal.recovery.bytes_salvaged", report.bytes_salvaged);
@@ -633,12 +623,12 @@ Result<CheckpointImage> WalManager::ReadCheckpointImage() const {
   image.repl_epoch = manifest.repl_epoch;
   image.epoch_start_lsn = manifest.epoch_start_lsn;
   if (manifest.has_snapshot) {
-    auto bytes = ReadWholeFile(SnapshotPath(manifest.checkpoint_lsn));
+    auto bytes = ReadFile(SnapshotPath(manifest.checkpoint_lsn));
     if (!bytes.ok()) return AsCheckpointDataLoss(bytes.status());
     image.snapshot_bytes = std::move(*bytes);
   }
   if (manifest.has_catalog) {
-    auto bytes = ReadWholeFile(CatalogPath(manifest.checkpoint_lsn));
+    auto bytes = ReadFile(CatalogPath(manifest.checkpoint_lsn));
     if (!bytes.ok()) return AsCheckpointDataLoss(bytes.status());
     image.catalog_bytes = std::move(*bytes);
   }

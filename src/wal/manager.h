@@ -245,7 +245,6 @@ class WalManager : public engine::CommitLog {
   Status Close();
 
   WalStatus GetStatus() const;
-  const RecoveryReport& last_recovery() const { return last_recovery_; }
   const std::string& data_dir() const { return data_dir_; }
 
   /// Paths inside the data dir (exposed for tests/tools).
@@ -269,7 +268,6 @@ class WalManager : public engine::CommitLog {
   /// GetStatus().
   std::atomic<uint64_t> checkpoints_{0};
   std::atomic<bool> open_{false};
-  RecoveryReport last_recovery_;
 
   /// Leaf lock coordinating commit/checkpoint publication with tail
   /// readers (lock order: db lock -> writer internals -> repl_mu_; never

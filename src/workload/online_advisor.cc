@@ -28,7 +28,7 @@ std::set<std::string> IndexKeys(const advisor::Recommendation& rec) {
 OnlineAdvisor::OnlineAdvisor(WorkloadCapture* capture,
                              advisor::IndexAdvisor* advisor,
                              OnlineAdvisorOptions options,
-                             std::mutex* db_mutex)
+                             std::shared_mutex* db_mutex)
     : capture_(capture),
       advisor_(advisor),
       options_(std::move(options)),
@@ -180,7 +180,7 @@ Status OnlineAdvisor::DrainAndAdviseLocked() {
     }
     rec = [&] {
       if (db_mutex_ != nullptr) {
-        std::lock_guard<std::mutex> db(*db_mutex_);
+        std::shared_lock<std::shared_mutex> db(*db_mutex_);
         return advisor_->Recommend(workload, options_.advisor);
       }
       return advisor_->Recommend(workload, options_.advisor);

@@ -19,12 +19,12 @@
 //   1. mu_        — templatizer, last recommendation, pass statistics;
 //                   held across a whole advise pass, so Snapshot() /
 //                   AdviseNow() serialize against the background pass.
-//   2. db_mutex   — optional, caller-owned; held while Recommend reads
-//                   the document store and statistics. The embedding
-//                   application (e.g. the shell) takes the same mutex
-//                   around store mutations (load / insert / delete /
-//                   update / index DDL), which is what makes online
-//                   advising safe next to a live write path.
+//   2. db_mutex   — optional, caller-owned (the xia::Database lock);
+//                   held shared while Recommend reads the document store
+//                   and statistics. Store mutations (load / insert /
+//                   delete / update / index DDL) take it exclusively,
+//                   which is what makes online advising safe next to a
+//                   live write path.
 //   3. leaf mutexes — internal to WorkloadCapture, and (when advising
 //      runs parallel) internal to the shared util::ThreadPool, the
 //      BenefitEvaluator's cache shards and its worker-context freelist.
@@ -45,6 +45,7 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
+#include <shared_mutex>
 #include <string>
 #include <thread>
 
@@ -88,7 +89,7 @@ struct OnlineAdvisorOptions {
   /// Durability: when set, the background thread invokes this at most
   /// once per `checkpoint_interval_seconds` to checkpoint the WAL and
   /// truncate the log. The callback must do its own locking (the shell's
-  /// takes the db mutex and calls WalManager::Checkpoint); it is called
+  /// calls Database::Checkpoint, which takes the db mutex); it is called
   /// with no OnlineAdvisor lock held.
   std::function<Status()> checkpoint_fn;
   double checkpoint_interval_seconds = 30.0;
@@ -133,11 +134,11 @@ struct OnlineAdvisorStatus {
 class OnlineAdvisor {
  public:
   /// Neither `capture` nor `advisor` is owned; both must outlive this.
-  /// `db_mutex` (optional, caller-owned) is held during each Recommend —
-  /// see the threading model above.
+  /// `db_mutex` (optional, caller-owned) is held shared during each
+  /// Recommend — see the threading model above.
   OnlineAdvisor(WorkloadCapture* capture, advisor::IndexAdvisor* advisor,
                 OnlineAdvisorOptions options = OnlineAdvisorOptions(),
-                std::mutex* db_mutex = nullptr);
+                std::shared_mutex* db_mutex = nullptr);
   ~OnlineAdvisor();
 
   OnlineAdvisor(const OnlineAdvisor&) = delete;
@@ -176,7 +177,7 @@ class OnlineAdvisor {
   /// Worker pool shared across advise passes; null when advising is
   /// serial or the caller supplied an external pool.
   std::unique_ptr<util::ThreadPool> pool_;
-  std::mutex* const db_mutex_;
+  std::shared_mutex* const db_mutex_;
 
   mutable std::mutex mu_;
   Templatizer templatizer_;

@@ -377,5 +377,25 @@ TEST(SearchAlgorithmNameTest, AllNamed) {
                "exhaustive");
 }
 
+
+TEST(SearchAlgorithmTest, ParsesEveryCommandLineName) {
+  const std::pair<const char*, SearchAlgorithm> names[] = {
+      {"greedy", SearchAlgorithm::kGreedy},
+      {"heuristics", SearchAlgorithm::kGreedyWithHeuristics},
+      {"topdown-lite", SearchAlgorithm::kTopDownLite},
+      {"topdown-full", SearchAlgorithm::kTopDownFull},
+      {"dp", SearchAlgorithm::kDynamicProgramming}};
+  for (const auto& [name, algorithm] : names) {
+    const Result<SearchAlgorithm> parsed = ParseSearchAlgorithm(name);
+    ASSERT_TRUE(parsed.ok()) << name;
+    EXPECT_EQ(*parsed, algorithm) << name;
+  }
+  for (const char* bad : {"", "exhaustive", "Greedy", "top-down full"}) {
+    const Result<SearchAlgorithm> parsed = ParseSearchAlgorithm(bad);
+    ASSERT_FALSE(parsed.ok()) << bad;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
 }  // namespace
 }  // namespace xia::advisor

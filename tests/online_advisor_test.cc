@@ -8,6 +8,7 @@
 
 #include <chrono>
 #include <mutex>
+#include <shared_mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -65,7 +66,7 @@ class OnlineAdvisorTest : public ::testing::Test {
     ASSERT_TRUE(queries.ok()) << queries.status();
     for (int r = 0; r < rounds; ++r) {
       for (const auto& stmt : *queries) {
-        std::lock_guard<std::mutex> db(db_mu_);
+        std::unique_lock<std::shared_mutex> db(db_mu_);
         auto result = executor_->ExecuteBest(stmt, *optimizer_);
         ASSERT_TRUE(result.ok()) << result.status();
       }
@@ -79,7 +80,7 @@ class OnlineAdvisorTest : public ::testing::Test {
   std::unique_ptr<engine::Executor> executor_;
   std::unique_ptr<advisor::IndexAdvisor> advisor_;
   WorkloadCapture capture_;
-  std::mutex db_mu_;
+  std::shared_mutex db_mu_;
 };
 
 TEST_F(OnlineAdvisorTest, OnlineMatchesBatchOverCapturedWorkload) {

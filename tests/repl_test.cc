@@ -18,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "db/database.h"
 #include "gtest/gtest.h"
 #include "net/client.h"
 #include "net/server.h"
@@ -141,6 +142,35 @@ TEST(ReplTest, FollowerJoinsViaSnapshotAndConverges) {
 
   follower.Stop();
   leader.Stop();
+}
+
+TEST(ReplTest, ShellSeededLeaderReplicatesItsBulkLoad) {
+  // The shell's demo/load/restore sequence: a bulk load through
+  // Database into a fresh data dir, closed, then served by a leader. The
+  // follower subscribes from LSN 1 and must receive the seed.
+  const std::string leader_dir = ScratchDir("seeded_leader");
+  {
+    Database db(DatabaseOptions{leader_dir, "", {}});
+    ASSERT_TRUE(db.Open().ok());
+    ASSERT_TRUE(db.BulkLoad([](storage::DocumentStore* store,
+                               storage::StatisticsCatalog* statistics) {
+                    return tpox::BuildTpoxDatabase(
+                        tpox::TpoxScale{30, 40, 20, 42}, store, statistics);
+                  })
+                    .ok());
+  }
+  ServerOptions leader_options;
+  leader_options.data_dir = leader_dir;
+  Server leader(leader_options);
+  ASSERT_TRUE(leader.Start().ok());
+  Server follower(FollowerOptions(ScratchDir("seeded_follower"),
+                                  leader.port()));
+  ASSERT_TRUE(follower.Start().ok());
+
+  EXPECT_TRUE(WaitFor([&] {
+    return MustDigest(&leader) == MustDigest(&follower);
+  })) << "err=" << follower.GetReplStatus().applier.last_error;
+  EXPECT_EQ(MustDigest(&leader), MustDigest(&follower));
 }
 
 TEST(ReplTest, FollowerStreamsLiveMutations) {

@@ -176,6 +176,35 @@ TEST(StringUtilTest, ParseDouble) {
   EXPECT_FALSE(ParseDouble("abc", &v));
 }
 
+TEST(StringUtilTest, ParseByteSize) {
+  double v = 0;
+  EXPECT_TRUE(ParseByteSize("512", &v));
+  EXPECT_DOUBLE_EQ(v, 512);
+  EXPECT_TRUE(ParseByteSize("0", &v));
+  EXPECT_DOUBLE_EQ(v, 0);
+  EXPECT_TRUE(ParseByteSize("2KB", &v));
+  EXPECT_DOUBLE_EQ(v, 2048);
+  EXPECT_TRUE(ParseByteSize("2kb", &v));
+  EXPECT_DOUBLE_EQ(v, 2048);
+  EXPECT_TRUE(ParseByteSize("1.5MB", &v));
+  EXPECT_DOUBLE_EQ(v, 1.5 * 1024 * 1024);
+  EXPECT_TRUE(ParseByteSize("3mb", &v));
+  EXPECT_DOUBLE_EQ(v, 3.0 * 1024 * 1024);
+  EXPECT_TRUE(ParseByteSize("1GB", &v));
+  EXPECT_DOUBLE_EQ(v, 1024.0 * 1024 * 1024);
+  EXPECT_TRUE(ParseByteSize("2gb", &v));
+  EXPECT_DOUBLE_EQ(v, 2.0 * 1024 * 1024 * 1024);
+  v = 7;
+  EXPECT_FALSE(ParseByteSize("-1", &v));
+  EXPECT_FALSE(ParseByteSize("-1MB", &v));
+  EXPECT_FALSE(ParseByteSize("MB", &v));
+  EXPECT_FALSE(ParseByteSize("", &v));
+  EXPECT_FALSE(ParseByteSize("1TB", &v));
+  EXPECT_FALSE(ParseByteSize("1Mb", &v));
+  EXPECT_FALSE(ParseByteSize("MB1", &v));
+  EXPECT_DOUBLE_EQ(v, 7);  // failures leave the output untouched
+}
+
 TEST(StringUtilTest, LooksNumeric) {
   EXPECT_TRUE(LooksNumeric("42"));
   EXPECT_TRUE(LooksNumeric("-1.5e3"));

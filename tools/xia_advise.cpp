@@ -77,44 +77,6 @@ int Fail(const Status& status) {
   return StatusExitCode(status);
 }
 
-bool ParseSize(const std::string& text, double* out) {
-  double multiplier = 1;
-  std::string num = text;
-  if (text.size() > 2) {
-    const std::string suffix = text.substr(text.size() - 2);
-    if (suffix == "KB" || suffix == "kb") {
-      multiplier = 1024;
-    } else if (suffix == "MB" || suffix == "mb") {
-      multiplier = 1024.0 * 1024;
-    } else if (suffix == "GB" || suffix == "gb") {
-      multiplier = 1024.0 * 1024 * 1024;
-    }
-    if (multiplier != 1) num = text.substr(0, text.size() - 2);
-  }
-  double v = 0;
-  if (!ParseDouble(num, &v) || v < 0) return false;
-  *out = v * multiplier;
-  return true;
-}
-
-bool ParseAlgorithm(const std::string& name,
-                    advisor::SearchAlgorithm* out) {
-  if (name == "greedy") {
-    *out = advisor::SearchAlgorithm::kGreedy;
-  } else if (name == "heuristics") {
-    *out = advisor::SearchAlgorithm::kGreedyWithHeuristics;
-  } else if (name == "topdown-lite") {
-    *out = advisor::SearchAlgorithm::kTopDownLite;
-  } else if (name == "topdown-full") {
-    *out = advisor::SearchAlgorithm::kTopDownFull;
-  } else if (name == "dp") {
-    *out = advisor::SearchAlgorithm::kDynamicProgramming;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 Status LoadDataDirectory(const std::string& dir,
                          storage::DocumentStore* store,
                          storage::StatisticsCatalog* statistics) {
@@ -231,7 +193,7 @@ int main(int argc, char** argv) {
       workload_file = v;
     } else if (arg == "--budget") {
       const char* v = next();
-      if (!v || !ParseSize(v, &options.disk_budget_bytes)) return Usage();
+      if (!v || !ParseByteSize(v, &options.disk_budget_bytes)) return Usage();
     } else if (arg == "--budget-ms") {
       const char* v = next();
       if (!v || !ParseDouble(v, &options.budget_ms) ||
@@ -240,7 +202,11 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--algorithm") {
       const char* v = next();
-      if (!v || !ParseAlgorithm(v, &options.algorithm)) return Usage();
+      if (!v) return Usage();
+      const Result<advisor::SearchAlgorithm> algorithm =
+          advisor::ParseSearchAlgorithm(v);
+      if (!algorithm.ok()) return Usage();
+      options.algorithm = *algorithm;
     } else if (arg == "--beta") {
       const char* v = next();
       if (!v || !ParseDouble(v, &options.beta)) return Usage();

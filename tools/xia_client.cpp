@@ -47,26 +47,6 @@ std::pair<std::string, std::string> SplitCommand(const std::string& line) {
   return {line.substr(0, space), std::string(Trim(line.substr(space)))};
 }
 
-Result<double> ParseSizeBytes(const std::string& text) {
-  double multiplier = 1;
-  std::string num = text;
-  if (EndsWith(num, "KB") || EndsWith(num, "kb")) {
-    multiplier = 1024;
-    num = num.substr(0, num.size() - 2);
-  } else if (EndsWith(num, "MB") || EndsWith(num, "mb")) {
-    multiplier = 1024.0 * 1024;
-    num = num.substr(0, num.size() - 2);
-  } else if (EndsWith(num, "GB") || EndsWith(num, "gb")) {
-    multiplier = 1024.0 * 1024 * 1024;
-    num = num.substr(0, num.size() - 2);
-  }
-  double v = 0;
-  if (!ParseDouble(num, &v) || v <= 0) {
-    return Status::InvalidArgument("bad budget: " + text);
-  }
-  return v * multiplier;
-}
-
 void PrintExecReply(const net::ExecReply& reply) {
   std::printf("count=%llu docs=%llu idx=%llu wall=%.6fs\n",
               static_cast<unsigned long long>(reply.result_count),
@@ -260,7 +240,10 @@ class ClientShell {
     auto [budget_text, tail] = SplitCommand(rest);
     auto [algo_text, ms_text] = SplitCommand(tail);
     if (!budget_text.empty()) {
-      XIA_ASSIGN_OR_RETURN(const double bytes, ParseSizeBytes(budget_text));
+      double bytes = 0;
+      if (!ParseByteSize(budget_text, &bytes) || bytes <= 0) {
+        return Status::InvalidArgument("bad budget: " + budget_text);
+      }
       request.disk_budget_bytes = static_cast<uint64_t>(bytes);
     }
     request.algorithm = algo_text;

@@ -19,7 +19,9 @@
 // reference state after K operations for some K >= the number of acked
 // operations (an acked op is durable; a crashed-mid-commit op may or may
 // not survive). The reference states come from replaying the identical
-// sequence in memory with no WAL. Exit 0 iff every run passes.
+// sequence in memory with no WAL. Both sequences run through the same
+// xia::Database calls as the server and the shell. Exit 0 iff every run
+// passes.
 //
 // Usage: xia_crash_harness [--seeds N] [--ops N] [--kind NAME]
 
@@ -32,32 +34,21 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <sstream>
+#include <functional>
 #include <string>
 #include <vector>
 
-#include "engine/executor.h"
+#include "db/database.h"
 #include "engine/query_parser.h"
 #include "fault/deadline.h"
-#include "storage/catalog.h"
-#include "storage/document_store.h"
-#include "storage/snapshot.h"
-#include "storage/statistics.h"
 #include "util/random.h"
 #include "util/status.h"
-#include "wal/manager.h"
 #include "xpath/parser.h"
 
 namespace xia {
 namespace {
 
 namespace fs = std::filesystem;
-
-struct Db {
-  storage::DocumentStore store;
-  storage::StatisticsCatalog stats;
-  storage::Catalog catalog{&store, &stats};
-};
 
 struct Op {
   enum Kind {
@@ -120,79 +111,63 @@ std::vector<Op> GenOps(uint64_t seed, int count) {
   return ops;
 }
 
-/// Applies one op. `wal` may be null (the reference run).
-Status ApplyOp(const Op& op, Db* db, wal::WalManager* wal) {
+/// Applies one op. A volatile `db` is the reference run.
+Status ApplyOp(const Op& op, Database* db) {
   switch (op.kind) {
     case Op::kStatement: {
-      engine::Executor executor(&db->store, &db->catalog);
-      if (wal != nullptr) executor.set_commit_log(wal);
       XIA_ASSIGN_OR_RETURN(const engine::Statement st,
                            engine::ParseStatement(op.text));
-      return executor.Execute(st, optimizer::Plan()).status();
+      return db->Run(st).status();
     }
     case Op::kCreateIndex: {
       XIA_ASSIGN_OR_RETURN(const xpath::Path path,
                            xpath::ParsePattern(op.pattern_text));
-      const xpath::IndexPattern pattern{path, xpath::ValueType::kNumeric};
-      XIA_RETURN_IF_ERROR(
-          db->catalog.CreateIndex(op.index_name, kCollection, pattern)
-              .status());
-      if (wal != nullptr) {
-        return wal->LogCreateIndex(op.index_name, kCollection, pattern);
-      }
-      return Status::OK();
+      return db
+          ->CreateIndex({op.index_name, kCollection,
+                         xpath::IndexPattern{path, xpath::ValueType::kNumeric}})
+          .status();
     }
     case Op::kDropIndex:
-      XIA_RETURN_IF_ERROR(db->catalog.DropIndex(op.index_name));
-      if (wal != nullptr) return wal->LogDropIndex(op.index_name);
-      return Status::OK();
-    case Op::kStatsRefresh: {
-      XIA_ASSIGN_OR_RETURN(const storage::Collection* coll,
-                           db->store.GetCollection(kCollection));
-      db->stats.RunStats(*coll);
-      if (wal != nullptr) return wal->LogStatsRefresh(kCollection);
-      return Status::OK();
-    }
+      return db->DropIndex(op.index_name);
+    case Op::kStatsRefresh:
+      return db->RunStats(kCollection);
     case Op::kCheckpoint:
       // Logically a no-op: the reference state does not change.
-      if (wal != nullptr) return wal->Checkpoint(db->store, db->catalog);
+      if (db->wal() != nullptr) return db->Checkpoint();
       return Status::OK();
   }
   return Status::Internal("unreachable");
 }
 
-/// Byte-exact logical state: full snapshot + sorted real-index defs.
-std::string Digest(Db* db) {
-  std::ostringstream snapshot;
-  if (!storage::SaveSnapshot(db->store, snapshot).ok()) return "<error>";
-  std::string out = snapshot.str();
-  out += "|indexes:";
-  for (const std::string& coll : db->store.CollectionNames()) {
-    for (const storage::IndexDef* def : db->catalog.IndexesFor(coll)) {
-      if (def->is_virtual) continue;
-      out += def->name + "=" + def->collection + ":" +
-             def->pattern.ToString() + ";";
-    }
+std::string Digest(Database* db) {
+  const Result<std::string> digest = db->Digest();
+  return digest.ok() ? *digest : "<error>";
+}
+
+/// Runs the whole sequence through `db` — op 0 creates the collection,
+/// then ops[0..n) — calling `committed(k)` after op k. The reference run
+/// and the crashing child both run it.
+Status RunOps(Database* db, const std::vector<Op>& ops,
+              const std::function<void(size_t)>& committed) {
+  XIA_RETURN_IF_ERROR(db->CreateCollection(kCollection));
+  committed(0);
+  for (size_t i = 0; i < ops.size(); ++i) {
+    XIA_RETURN_IF_ERROR(ApplyOp(ops[i], db));
+    committed(i + 1);
   }
-  return out;
+  return Status::OK();
 }
 
 /// Reference digests: digests[0] = empty db, digests[1] = after the
 /// create-collection op, digests[1 + k] = after ops[0..k].
 std::vector<std::string> ReferenceDigests(const std::vector<Op>& ops) {
-  Db db;
-  std::vector<std::string> digests;
-  digests.push_back(Digest(&db));
-  if (!db.store.CreateCollection(kCollection).ok()) return digests;
-  digests.push_back(Digest(&db));
-  for (const Op& op : ops) {
-    const Status s = ApplyOp(op, &db, nullptr);
-    if (!s.ok()) {
-      std::fprintf(stderr, "reference apply failed: %s\n",
-                   s.ToString().c_str());
-      return digests;
-    }
-    digests.push_back(Digest(&db));
+  Database db;
+  std::vector<std::string> digests{Digest(&db)};
+  const Status s =
+      RunOps(&db, ops, [&](size_t) { digests.push_back(Digest(&db)); });
+  if (!s.ok()) {
+    std::fprintf(stderr, "reference apply failed: %s\n",
+                 s.ToString().c_str());
   }
   return digests;
 }
@@ -231,36 +206,27 @@ void RunChild(const std::string& data_dir, const std::string& ack_path,
   if (ack_fd < 0) _exit(3);
 
   int remaining = countdown;
-  wal::WalManagerOptions options;
-  options.writer.policy = wal::FsyncPolicy::kAlways;
+  DatabaseOptions options{data_dir, "always", {}};
   if (kind.hook_point != nullptr) {
-    options.writer.test_hook = [&remaining, &kind](const char* point) {
+    options.test_hook = [&remaining, &kind](const char* point) {
       if (std::strcmp(point, kind.hook_point) == 0 && --remaining == 0) {
         ::kill(::getpid(), SIGKILL);
       }
     };
   }
 
-  wal::WalManager wal(data_dir, std::move(options));
-  Db db;
-  if (!wal.Open(&db.store, &db.catalog, &db.stats).ok()) _exit(4);
-
-  const auto ack = [ack_fd] { (void)!::write(ack_fd, "a", 1); };
-  if (!db.store.CreateCollection(kCollection).ok()) _exit(5);
-  if (!wal.LogCreateCollection(kCollection).ok()) _exit(5);
-  ack();
-
-  for (size_t i = 0; i < ops.size(); ++i) {
-    if (!ApplyOp(ops[i], &db, &wal).ok()) _exit(6);
-    ack();
-    if (kind.hook_point == nullptr &&
-        static_cast<int>(i) + 1 == countdown) {
+  Database db(std::move(options));
+  if (!db.Open().ok()) _exit(4);
+  const Status ran = RunOps(&db, ops, [&](size_t k) {
+    (void)!::write(ack_fd, "a", 1);
+    if (kind.hook_point == nullptr && static_cast<int>(k) == countdown) {
       ::kill(::getpid(), SIGKILL);
     }
-  }
+  });
+  if (!ran.ok()) _exit(6);
   // The crash point was never reached (possible for large countdowns);
   // a completed run is still a valid recovery case.
-  (void)wal.Close();
+  (void)db.wal()->Close();
   _exit(42);
 }
 
@@ -307,16 +273,14 @@ bool RunOne(const std::string& base_dir, const CrashKind& kind,
                              : 0;
 
   // Recover in-process, Deadline-bounded (the acceptance criterion).
-  wal::WalManager wal(data_dir);
-  Db db;
-  auto report =
-      wal.Open(&db.store, &db.catalog, &db.stats,
-               fault::Deadline::AfterSeconds(5));
-  if (!report.ok()) {
+  Database db(DatabaseOptions{data_dir, "", {}});
+  const Status opened = db.Open(fault::Deadline::AfterSeconds(5));
+  if (!opened.ok()) {
     std::fprintf(stderr, "[%s] recovery failed: %s\n", run_tag.c_str(),
-                 report.status().ToString().c_str());
+                 opened.ToString().c_str());
     return false;
   }
+  const wal::RecoveryReport& report = db.recovery();
 
   const std::string recovered = Digest(&db);
   const std::vector<std::string> reference = ReferenceDigests(ops);
@@ -334,7 +298,7 @@ bool RunOne(const std::string& base_dir, const CrashKind& kind,
                  "[%s] recovered state matches no reference prefix "
                  "(acked=%llu, %s)\n",
                  run_tag.c_str(), static_cast<unsigned long long>(acked),
-                 report->ToString().c_str());
+                 report.ToString().c_str());
     return false;
   }
   if (static_cast<uint64_t>(matched) < acked) {
@@ -343,11 +307,11 @@ bool RunOne(const std::string& base_dir, const CrashKind& kind,
                  "(durability violation; %s)\n",
                  run_tag.c_str(), matched,
                  static_cast<unsigned long long>(acked),
-                 report->ToString().c_str());
+                 report.ToString().c_str());
     return false;
   }
 
-  (void)wal.Close();
+  (void)db.wal()->Close();
   fs::remove_all(data_dir);
   fs::remove(ack_path);
   return true;

@@ -41,8 +41,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -61,14 +59,6 @@ namespace fs = std::filesystem;
 
 constexpr double kChildLifeTimeoutSeconds = 120.0;
 constexpr double kConvergeTimeoutSeconds = 90.0;
-
-Result<std::string> ReadFileText(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::NotFound("cannot open " + path);
-  std::ostringstream text;
-  text << in.rdbuf();
-  return text.str();
-}
 
 /// Where in the leader's commit/replication path the child kills itself.
 struct CrashKind {
@@ -193,7 +183,7 @@ struct NodeSpec {
       ::_exit(6);
     }
     if (target == 0) {
-      const Result<std::string> text = ReadFileText(prefix + ".target");
+      const Result<std::string> text = ReadFile(prefix + ".target");
       if (text.ok()) target = std::strtoull(text->c_str(), nullptr, 10);
     }
     if (target != 0) {
@@ -229,7 +219,7 @@ pid_t ForkNode(const NodeSpec& spec) {
 Result<uint16_t> WaitPortFile(const std::string& path, double timeout_s) {
   Stopwatch timer;
   while (timer.ElapsedSeconds() < timeout_s) {
-    const Result<std::string> text = ReadFileText(path);
+    const Result<std::string> text = ReadFile(path);
     if (text.ok()) {
       const uint64_t port = std::strtoull(text->c_str(), nullptr, 10);
       if (port >= 1 && port <= 65535) return static_cast<uint16_t>(port);
@@ -268,7 +258,7 @@ Result<std::string> ReapConverged(pid_t pid, const std::string& digest_path,
     return Status::Internal(std::string(who) + " died unexpectedly (wstatus " +
                             std::to_string(wstatus) + ")");
   }
-  return ReadFileText(digest_path);
+  return ReadFile(digest_path);
 }
 
 /// Polls the leader until `count` followers are connected.

@@ -35,8 +35,6 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -53,14 +51,6 @@ namespace xia {
 namespace {
 
 namespace fs = std::filesystem;
-
-Result<std::string> ReadFileText(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::NotFound("cannot open " + path);
-  std::ostringstream text;
-  text << in.rdbuf();
-  return text.str();
-}
 
 /// Where in the follower's apply path the child kills itself.
 struct CrashKind {
@@ -185,7 +175,7 @@ net::ServerOptions LeaderOptions(const std::string& data_dir) {
     // The leader-restart scenario publishes the target LSN only once the
     // post-restart mutations are in; poll for it.
     if (target_lsn == 0) {
-      const Result<std::string> text = ReadFileText(target_lsn_path);
+      const Result<std::string> text = ReadFile(target_lsn_path);
       if (text.ok()) target_lsn = std::strtoull(text->c_str(), nullptr, 10);
       if (target_lsn == 0) {
         std::this_thread::sleep_for(std::chrono::milliseconds(10));
@@ -302,7 +292,7 @@ bool RunOne(const CrashKind& kind, uint64_t seed, const std::string& base) {
         break;
       }
     }
-    const Result<std::string> follower_digest = ReadFileText(digest_path);
+    const Result<std::string> follower_digest = ReadFile(digest_path);
     if (!follower_digest.ok()) {
       std::fprintf(stderr, "  follower digest unreadable: %s\n",
                    follower_digest.status().ToString().c_str());
@@ -405,7 +395,7 @@ bool RunLeaderRestart(const std::string& base) {
                      wstatus);
         break;
       }
-      const Result<std::string> follower_digest = ReadFileText(digest_path);
+      const Result<std::string> follower_digest = ReadFile(digest_path);
       if (!follower_digest.ok() || *follower_digest != *leader_digest) {
         std::fprintf(stderr, "  DIVERGED after leader restart\n");
         break;

@@ -18,32 +18,23 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <mutex>
-#include <shared_mutex>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "advisor/advisor.h"
+#include "db/database.h"
 #include "engine/ddl.h"
-#include "engine/executor.h"
 #include "engine/query_parser.h"
 #include "fault/fault.h"
 #include "obs/metrics.h"
-#include "optimizer/optimizer.h"
-#include "storage/catalog.h"
-#include "storage/online_build.h"
 #include "storage/snapshot.h"
 #include "tpox/tpox_data.h"
 #include "tpox/xmark.h"
 #include "util/stopwatch.h"
 #include "util/string_util.h"
-#include "wal/manager.h"
-#include "workload/capture.h"
 #include "workload/online_advisor.h"
 #include "workload/workload_io.h"
 #include "xml/parser.h"
-#include "xpath/parser.h"
 
 namespace {
 
@@ -52,31 +43,19 @@ namespace fs = std::filesystem;
 
 class Shell {
  public:
-  Shell()
-      : catalog_(&store_, &statistics_),
-        optimizer_(&store_, &catalog_, &statistics_),
-        executor_(&store_, &catalog_),
-        advisor_(&store_, &statistics_) {
-    // Every executed statement flows into the capture sink; the sink is
-    // disabled until `monitor start` so the hot path pays one atomic load.
-    executor_.set_sink(&capture_);
-  }
+  /// The capture sink stays disabled until `monitor start`, so the hot
+  /// path pays one atomic load.
+  Shell(DatabaseOptions options, size_t advise_threads)
+      : db_(std::move(options)), advise_threads_(advise_threads) {}
 
-  /// Opens `dir` as a durable data directory: recovers (or initializes a
-  /// fresh WAL + empty store) and routes every later mutation through
-  /// the WAL. A torn log tail is salvaged and reported, never an error;
-  /// only real corruption (kDataLoss) fails the open.
-  Status OpenDataDir(const std::string& dir, const std::string& fsync_text) {
-    wal::WalManagerOptions options;
-    if (!fsync_text.empty()) {
-      XIA_ASSIGN_OR_RETURN(options.writer.policy,
-                           wal::ParseFsyncPolicy(fsync_text));
-    }
-    wal_ = std::make_unique<wal::WalManager>(dir, options);
-    XIA_ASSIGN_OR_RETURN(const wal::RecoveryReport report,
-                         wal_->Open(&store_, &catalog_, &statistics_));
-    std::printf("%s: %s\n", dir.c_str(), report.ToString().c_str());
-    executor_.set_commit_log(wal_.get());
+  /// Opens the --data-dir: recovers (or initializes a fresh WAL + empty
+  /// store) and routes every later mutation through the WAL. A torn log
+  /// tail is salvaged and reported, never an error; only real corruption
+  /// (kDataLoss) fails the open.
+  Status OpenDataDir() {
+    XIA_RETURN_IF_ERROR(db_.Open());
+    std::printf("%s: %s\n", db_.wal()->data_dir().c_str(),
+                db_.recovery().ToString().c_str());
     return Status::OK();
   }
 
@@ -103,10 +82,6 @@ class Shell {
     }
     return 0;
   }
-
-  /// Worker threads for advise / monitor passes (0 = one per hardware
-  /// thread, 1 = serial). Same recommendation at any setting.
-  void set_advise_threads(size_t threads) { advise_threads_ = threads; }
 
  private:
   static std::pair<std::string, std::string> SplitCommand(
@@ -187,96 +162,98 @@ class Shell {
   }
 
   Status Demo(const std::string& which) {
-    std::lock_guard<std::mutex> db(db_mu_);
-    if (which.empty() || which == "tpox") {
-      tpox::TpoxScale scale;
-      XIA_RETURN_IF_ERROR(
-          tpox::BuildTpoxDatabase(scale, &store_, &statistics_));
-      std::printf("TPoX demo database loaded (SDOC/ODOC/CADOC)\n");
-      return CheckpointAfterBulkLoadLocked();
+    const bool is_tpox = which.empty() || which == "tpox";
+    if (!is_tpox && which != "xmark") {
+      return Status::InvalidArgument("demo tpox|xmark");
     }
-    if (which == "xmark") {
-      tpox::XmarkScale scale;
+    return BulkLoad([is_tpox](storage::DocumentStore* store,
+                              storage::StatisticsCatalog* statistics) {
       XIA_RETURN_IF_ERROR(
-          tpox::BuildXmarkDatabase(scale, &store_, &statistics_));
-      std::printf("XMark demo database loaded (XITEM/XAUCTION/XPERSON)\n");
-      return CheckpointAfterBulkLoadLocked();
-    }
-    return Status::InvalidArgument("demo tpox|xmark");
+          is_tpox
+              ? tpox::BuildTpoxDatabase(tpox::TpoxScale(), store, statistics)
+              : tpox::BuildXmarkDatabase(tpox::XmarkScale(), store,
+                                         statistics));
+      std::printf("%s demo database loaded (%s)\n", is_tpox ? "TPoX" : "XMark",
+                  is_tpox ? "SDOC/ODOC/CADOC" : "XITEM/XAUCTION/XPERSON");
+      return Status::OK();
+    });
   }
 
   Status Load(const std::string& dir) {
-    std::lock_guard<std::mutex> db(db_mu_);
     std::error_code ec;
     if (!fs::is_directory(dir, ec)) {
       return Status::NotFound("not a directory: " + dir);
     }
-    for (const auto& entry : fs::directory_iterator(dir)) {
-      if (!entry.is_directory()) continue;
-      const std::string name = entry.path().filename().string();
-      XIA_ASSIGN_OR_RETURN(storage::Collection * coll,
-                           store_.CreateCollection(name));
-      size_t docs = 0;
-      for (const auto& file : fs::directory_iterator(entry.path())) {
-        if (!file.is_regular_file() || file.path().extension() != ".xml") {
-          continue;
+    return BulkLoad([&](storage::DocumentStore* store,
+                        storage::StatisticsCatalog* statistics) -> Status {
+      for (const auto& entry : fs::directory_iterator(dir)) {
+        if (!entry.is_directory()) continue;
+        const std::string name = entry.path().filename().string();
+        XIA_ASSIGN_OR_RETURN(storage::Collection * coll,
+                             store->CreateCollection(name));
+        size_t docs = 0;
+        for (const auto& file : fs::directory_iterator(entry.path())) {
+          if (!file.is_regular_file() || file.path().extension() != ".xml") {
+            continue;
+          }
+          std::ifstream f(file.path());
+          std::stringstream buffer;
+          buffer << f.rdbuf();
+          XIA_ASSIGN_OR_RETURN(xml::Document doc, xml::Parse(buffer.str()));
+          coll->Add(std::move(doc));
+          ++docs;
         }
-        std::ifstream f(file.path());
-        std::stringstream buffer;
-        buffer << f.rdbuf();
-        XIA_ASSIGN_OR_RETURN(xml::Document doc, xml::Parse(buffer.str()));
-        coll->Add(std::move(doc));
-        ++docs;
+        statistics->RunStats(*coll);
+        std::printf("loaded %s: %zu documents\n", name.c_str(), docs);
       }
-      statistics_.RunStats(*coll);
-      std::printf("loaded %s: %zu documents\n", name.c_str(), docs);
-    }
-    return CheckpointAfterBulkLoadLocked();
+      return Status::OK();
+    });
   }
 
-  /// Bulk loads (demo/load/restore) mutate the store without going
-  /// through the executor, so the WAL never saw them; an immediate
-  /// checkpoint makes them durable. No-op without --data-dir.
-  Status CheckpointAfterBulkLoadLocked() {
-    if (!wal_) return Status::OK();
-    XIA_RETURN_IF_ERROR(wal_->Checkpoint(store_, catalog_));
+  /// Bulk loads (demo/load/restore) bypass the executor; with --data-dir
+  /// Database::BulkLoad makes them durable with a checkpoint.
+  Status BulkLoad(const Database::Loader& load) {
+    XIA_RETURN_IF_ERROR(db_.BulkLoad(load));
+    if (db_.wal() == nullptr) return Status::OK();
     std::printf("checkpointed at lsn %llu\n",
                 static_cast<unsigned long long>(
-                    wal_->GetStatus().checkpoint_lsn));
+                    db_.wal()->GetStatus().checkpoint_lsn));
     return Status::OK();
   }
 
   Status SaveSnapshot(const std::string& path) {
-    std::lock_guard<std::mutex> db(db_mu_);
     if (path.empty()) return Status::InvalidArgument("save FILE");
-    XIA_RETURN_IF_ERROR(storage::SaveSnapshotToFile(store_, path));
+    std::shared_lock<std::shared_mutex> lock(db_.mutex());
+    XIA_RETURN_IF_ERROR(storage::SaveSnapshotToFile(db_.store(), path));
     std::printf("saved %zu collection(s) to %s\n",
-                store_.CollectionNames().size(), path.c_str());
+                db_.store().CollectionNames().size(), path.c_str());
     return Status::OK();
   }
 
   Status RestoreSnapshot(const std::string& path) {
-    std::lock_guard<std::mutex> db(db_mu_);
     if (path.empty()) return Status::InvalidArgument("restore FILE");
-    if (!store_.CollectionNames().empty()) {
-      return Status::FailedPrecondition(
-          "store is not empty; restore only works in a fresh session");
-    }
-    XIA_RETURN_IF_ERROR(storage::LoadSnapshotFromFile(path, &store_));
-    for (const std::string& name : store_.CollectionNames()) {
-      XIA_ASSIGN_OR_RETURN(storage::Collection * coll,
-                           store_.GetCollection(name));
-      statistics_.RunStats(*coll);
-      std::printf("restored %s: %zu documents\n", name.c_str(),
-                  coll->live_count());
-    }
-    return CheckpointAfterBulkLoadLocked();
+    return BulkLoad([&](storage::DocumentStore* store,
+                        storage::StatisticsCatalog* statistics) -> Status {
+      if (!store->CollectionNames().empty()) {
+        return Status::FailedPrecondition(
+            "store is not empty; restore only works in a fresh session");
+      }
+      XIA_RETURN_IF_ERROR(storage::LoadSnapshotFromFile(path, store));
+      for (const std::string& name : store->CollectionNames()) {
+        XIA_ASSIGN_OR_RETURN(storage::Collection * coll,
+                             store->GetCollection(name));
+        statistics->RunStats(*coll);
+        std::printf("restored %s: %zu documents\n", name.c_str(),
+                    coll->live_count());
+      }
+      return Status::OK();
+    });
   }
 
   Status Collections() {
-    for (const std::string& name : store_.CollectionNames()) {
+    for (const std::string& name : db_.store().CollectionNames()) {
       XIA_ASSIGN_OR_RETURN(const storage::Collection* coll,
-                           store_.GetCollection(name));
+                           db_.store().GetCollection(name));
       std::printf("  %-12s %6zu documents  %10s  %8zu nodes\n", name.c_str(),
                   coll->live_count(),
                   HumanBytes(static_cast<double>(coll->total_bytes())).c_str(),
@@ -299,7 +276,7 @@ class Shell {
       limit = static_cast<size_t>(n);
     }
     XIA_ASSIGN_OR_RETURN(const storage::CollectionStatistics* cs,
-                         statistics_.Get(name));
+                         db_.statistics().Get(name));
     std::printf("%-52s %8s %8s %8s\n", "path", "count", "distinct",
                 "numeric");
     std::vector<const storage::PathStats*> paths;
@@ -318,8 +295,8 @@ class Shell {
 
   Status Indexes() {
     bool any = false;
-    for (const std::string& coll : store_.CollectionNames()) {
-      for (const auto* def : catalog_.IndexesFor(coll)) {
+    for (const std::string& coll : db_.store().CollectionNames()) {
+      for (const auto* def : db_.catalog().IndexesFor(coll)) {
         std::printf("  %-14s %-10s %-40s %8s %s\n", def->name.c_str(),
                     coll.c_str(), def->pattern.ToString().c_str(),
                     HumanBytes(static_cast<double>(def->stats.size_bytes))
@@ -337,11 +314,7 @@ class Shell {
     auto [kind, arg] = SplitCommand(rest);
     if (kind == "collection") {
       if (arg.empty()) return Status::InvalidArgument("create collection NAME");
-      std::lock_guard<std::mutex> db(db_mu_);
-      XIA_ASSIGN_OR_RETURN(storage::Collection * coll,
-                           store_.CreateCollection(arg));
-      statistics_.RunStats(*coll);
-      if (wal_) XIA_RETURN_IF_ERROR(wal_->LogCreateCollection(arg));
+      XIA_RETURN_IF_ERROR(db_.CreateCollection(arg));
       std::printf("created collection %s\n", arg.c_str());
       return Status::OK();
     }
@@ -350,51 +323,16 @@ class Shell {
 
   // create index NAME on COLL PATTERN [type] [virtual] [online]
   Status CreateIndex(const std::string& rest) {
-    std::lock_guard<std::mutex> db(db_mu_);
     XIA_ASSIGN_OR_RETURN(const engine::CreateIndexSpec spec,
                          engine::ParseCreateIndex(rest));
-    storage::OnlineBuildReport report;
-    if (spec.is_virtual) {
-      XIA_RETURN_IF_ERROR(
-          catalog_.CreateVirtualIndex(spec.name, spec.collection, spec.pattern)
-              .status());
-    } else if (spec.online) {
-      // The shell command loop holds db_mu_ (the monitor thread is the
-      // only other mutator), so the build runs its phases over a private
-      // shared_mutex: same state machine and report as the server path,
-      // minus concurrent mutators.
-      std::shared_mutex build_mu;
-      auto commit = [&]() -> Status {
-        if (wal_) {
-          return wal_->LogCreateIndex(spec.name, spec.collection,
-                                      spec.pattern);
-        }
-        return Status::OK();
-      };
-      XIA_RETURN_IF_ERROR(
-          storage::BuildIndexOnline(&catalog_, &build_mu, spec.name,
-                                    spec.collection, spec.pattern, {}, commit,
-                                    &report)
-              .status());
-    } else {
-      XIA_RETURN_IF_ERROR(
-          catalog_.CreateIndex(spec.name, spec.collection, spec.pattern)
-              .status());
-      // Virtual indexes are advisor scratch state; only real DDL is
-      // durable.
-      if (wal_) {
-        XIA_RETURN_IF_ERROR(
-            wal_->LogCreateIndex(spec.name, spec.collection, spec.pattern));
-      }
-    }
-    XIA_ASSIGN_OR_RETURN(const storage::IndexDef* def,
-                         catalog_.Get(spec.name));
+    XIA_ASSIGN_OR_RETURN(const IndexBuildResult built, db_.CreateIndex(spec));
     std::printf("created %s%s: %llu entries, %s\n", spec.name.c_str(),
                 spec.is_virtual ? " (virtual)" : "",
-                static_cast<unsigned long long>(def->stats.entry_count),
-                HumanBytes(static_cast<double>(def->stats.size_bytes))
+                static_cast<unsigned long long>(built.stats.entry_count),
+                HumanBytes(static_cast<double>(built.stats.size_bytes))
                     .c_str());
     if (spec.online) {
+      const storage::OnlineBuildReport& report = built.online;
       std::printf("  online build: %.3fs total, %.3fs stalled, "
                   "%llu delta ops, %llu docs scanned\n",
                   report.total_seconds, report.exclusive_seconds,
@@ -405,36 +343,24 @@ class Shell {
   }
 
   Status DropIndex(const std::string& rest) {
-    std::lock_guard<std::mutex> db(db_mu_);
     auto [kw, name] = SplitCommand(rest);
     if (kw != "index" || name.empty()) {
       return Status::InvalidArgument("drop index NAME");
     }
-    XIA_ASSIGN_OR_RETURN(const storage::IndexDef* def, catalog_.Get(name));
-    const bool was_real = !def->is_virtual;
-    XIA_RETURN_IF_ERROR(catalog_.DropIndex(name));
-    if (was_real && wal_) XIA_RETURN_IF_ERROR(wal_->LogDropIndex(name));
-    return Status::OK();
+    return db_.DropIndex(name);
   }
 
   Status RunStatsCommand(const std::string& rest) {
     if (rest.empty()) return Status::InvalidArgument("runstats COLLECTION");
-    std::lock_guard<std::mutex> db(db_mu_);
-    XIA_ASSIGN_OR_RETURN(storage::Collection * coll,
-                         store_.GetCollection(rest));
-    statistics_.RunStats(*coll);
-    if (wal_) XIA_RETURN_IF_ERROR(wal_->LogStatsRefresh(rest));
+    XIA_RETURN_IF_ERROR(db_.RunStats(rest));
     std::printf("  statistics refreshed for %s\n", rest.c_str());
     return Status::OK();
   }
 
   Status CheckpointCommand() {
-    if (!wal_) {
-      return Status::FailedPrecondition("no data dir (start with --data-dir)");
-    }
-    std::lock_guard<std::mutex> db(db_mu_);
-    XIA_RETURN_IF_ERROR(wal_->Checkpoint(store_, catalog_));
-    const wal::WalStatus st = wal_->GetStatus();
+    XIA_RETURN_IF_ERROR(RequireDataDir());
+    XIA_RETURN_IF_ERROR(db_.Checkpoint());
+    const wal::WalStatus st = db_.wal()->GetStatus();
     std::printf("  checkpointed at lsn %llu (log reset to %s)\n",
                 static_cast<unsigned long long>(st.checkpoint_lsn),
                 HumanBytes(static_cast<double>(st.log_bytes)).c_str());
@@ -443,21 +369,23 @@ class Shell {
 
   Status WalCommand(const std::string& rest) {
     if (rest != "status") return Status::InvalidArgument("wal status");
-    if (!wal_) {
-      return Status::FailedPrecondition("no data dir (start with --data-dir)");
-    }
-    std::printf("  %s\n", wal_->GetStatus().ToString().c_str());
+    XIA_RETURN_IF_ERROR(RequireDataDir());
+    std::printf("  %s\n", db_.wal()->GetStatus().ToString().c_str());
     std::printf("  last open: %s\n",
-                wal_->last_recovery().ToString().c_str());
+                db_.recovery().ToString().c_str());
     return Status::OK();
   }
 
+  Status RequireDataDir() {
+    if (db_.wal() != nullptr) return Status::OK();
+    return Status::FailedPrecondition("no data dir (start with --data-dir)");
+  }
+
   Status Enumerate(const std::string& text) {
-    std::lock_guard<std::mutex> db(db_mu_);
     XIA_ASSIGN_OR_RETURN(engine::Statement stmt,
                          engine::ParseStatement(text));
     XIA_ASSIGN_OR_RETURN(std::vector<xpath::IndexPattern> patterns,
-                         optimizer_.EnumerateIndexes(stmt));
+                         db_.EnumerateIndexes(stmt));
     if (patterns.empty()) {
       std::printf("  (no indexable patterns)\n");
     }
@@ -466,37 +394,26 @@ class Shell {
   }
 
   Status Explain(const std::string& text) {
-    std::lock_guard<std::mutex> db(db_mu_);
     auto [first, rest] = SplitCommand(text);
-    if (first == "analyze") {
-      XIA_ASSIGN_OR_RETURN(engine::Statement stmt,
-                           engine::ParseStatement(rest));
-      XIA_ASSIGN_OR_RETURN(optimizer::Plan plan, optimizer_.Optimize(stmt));
-      XIA_ASSIGN_OR_RETURN(std::string report,
-                           executor_.ExplainAnalyze(stmt, plan));
-      std::printf("  %s", report.c_str());
-      return Status::OK();
-    }
+    const bool analyze = first == "analyze";
     XIA_ASSIGN_OR_RETURN(engine::Statement stmt,
-                         engine::ParseStatement(text));
-    XIA_ASSIGN_OR_RETURN(optimizer::Plan plan, optimizer_.Optimize(stmt));
-    std::printf("  %s\n", plan.Describe().c_str());
+                         engine::ParseStatement(analyze ? rest : text));
+    XIA_ASSIGN_OR_RETURN(std::string report, db_.Explain(stmt, analyze));
+    std::printf(analyze ? "  %s" : "  %s\n", report.c_str());
     return Status::OK();
   }
 
   Status Execute(const std::string& text) {
-    std::lock_guard<std::mutex> db(db_mu_);
     XIA_ASSIGN_OR_RETURN(engine::Statement stmt,
                          engine::ParseStatement(text));
-    XIA_ASSIGN_OR_RETURN(optimizer::Plan plan, optimizer_.Optimize(stmt));
-    engine::ExecOptions exec_options;
-    exec_options.materialize_rows = true;
-    exec_options.max_rows = 10;
-    XIA_ASSIGN_OR_RETURN(engine::ExecResult result,
-                         executor_.Execute(stmt, plan, exec_options));
+    RunOptions run;
+    run.materialize_rows = true;
+    run.max_rows = 10;
+    XIA_ASSIGN_OR_RETURN(const RunResult ran, db_.Run(stmt, run));
+    const engine::ExecResult& result = ran.exec;
     std::printf("  %s\n  %llu results, %llu docs examined, %llu index "
                 "entries, %.4fs\n",
-                plan.Describe().c_str(),
+                ran.plan.Describe().c_str(),
                 static_cast<unsigned long long>(result.result_count),
                 static_cast<unsigned long long>(result.docs_examined),
                 static_cast<unsigned long long>(result.index_entries_scanned),
@@ -572,7 +489,6 @@ class Shell {
   }
 
   Status Advise(const std::string& rest) {
-    std::lock_guard<std::mutex> db(db_mu_);
     if (workload_.empty()) {
       return Status::FailedPrecondition("workload is empty (workload add …)");
     }
@@ -581,39 +497,13 @@ class Shell {
     advisor::AdvisorOptions options;
     options.disk_budget_bytes = 10 * 1024.0 * 1024.0;
     options.threads = advise_threads_;
-    if (!budget_text.empty()) {
-      double multiplier = 1;
-      std::string num = budget_text;
-      if (EndsWith(num, "KB") || EndsWith(num, "kb")) {
-        multiplier = 1024;
-        num = num.substr(0, num.size() - 2);
-      } else if (EndsWith(num, "MB") || EndsWith(num, "mb")) {
-        multiplier = 1024.0 * 1024;
-        num = num.substr(0, num.size() - 2);
-      } else if (EndsWith(num, "GB") || EndsWith(num, "gb")) {
-        multiplier = 1024.0 * 1024 * 1024;
-        num = num.substr(0, num.size() - 2);
-      }
-      double v = 0;
-      if (!ParseDouble(num, &v) || v < 0) {
-        return Status::InvalidArgument("bad budget: " + budget_text);
-      }
-      options.disk_budget_bytes = v * multiplier;
+    if (!budget_text.empty() &&
+        !ParseByteSize(budget_text, &options.disk_budget_bytes)) {
+      return Status::InvalidArgument("bad budget: " + budget_text);
     }
     if (!algo_text.empty()) {
-      if (algo_text == "greedy") {
-        options.algorithm = advisor::SearchAlgorithm::kGreedy;
-      } else if (algo_text == "heuristics") {
-        options.algorithm = advisor::SearchAlgorithm::kGreedyWithHeuristics;
-      } else if (algo_text == "topdown-lite") {
-        options.algorithm = advisor::SearchAlgorithm::kTopDownLite;
-      } else if (algo_text == "topdown-full") {
-        options.algorithm = advisor::SearchAlgorithm::kTopDownFull;
-      } else if (algo_text == "dp") {
-        options.algorithm = advisor::SearchAlgorithm::kDynamicProgramming;
-      } else {
-        return Status::InvalidArgument("unknown algorithm: " + algo_text);
-      }
+      XIA_ASSIGN_OR_RETURN(options.algorithm,
+                           advisor::ParseSearchAlgorithm(algo_text));
     }
     if (!ms_text.empty()) {
       double ms = 0;
@@ -623,7 +513,7 @@ class Shell {
       options.budget_ms = ms;
     }
     XIA_ASSIGN_OR_RETURN(advisor::Recommendation rec,
-                         advisor_.Recommend(workload_, options));
+                         db_.Advise(workload_, options));
     for (const auto& ri : rec.indexes) {
       std::printf("  %s  -- %s%s\n", ri.ddl.c_str(),
                   HumanBytes(static_cast<double>(ri.size_bytes)).c_str(),
@@ -664,16 +554,13 @@ class Shell {
         }
         options.advise_interval_seconds = v;
       }
-      if (wal_) {
+      if (db_.wal() != nullptr) {
         // Periodic checkpoints ride the monitor thread, bounding the log
         // replay a crash would need.
-        options.checkpoint_fn = [this] {
-          std::lock_guard<std::mutex> db(db_mu_);
-          return wal_->Checkpoint(store_, catalog_);
-        };
+        options.checkpoint_fn = [this] { return db_.Checkpoint(); };
       }
       monitor_ = std::make_unique<workload::OnlineAdvisor>(
-          &capture_, &advisor_, options, &db_mu_);
+          &db_.capture(), &db_.advisor(), options, &db_.mutex());
       XIA_RETURN_IF_ERROR(monitor_->Start());
       std::printf(
           "  monitoring: advising every %zu queries or %.1fs\n",
@@ -704,9 +591,9 @@ class Shell {
           "  %s | captured %llu (pending %zu, dropped %llu) | "
           "%zu templates (dedup %.1fx)\n",
           st.running ? "running" : "stopped",
-          static_cast<unsigned long long>(capture_.published()),
-          capture_.pending(),
-          static_cast<unsigned long long>(capture_.dropped()),
+          static_cast<unsigned long long>(db_.capture().published()),
+          db_.capture().pending(),
+          static_cast<unsigned long long>(db_.capture().dropped()),
           st.template_count, st.dedup_ratio);
       std::printf(
           "  advise passes %llu (failures %llu, retries %llu), "
@@ -770,11 +657,9 @@ class Shell {
     Stopwatch timer;
     for (size_t t = 0; t < times; ++t) {
       for (const auto& stmt : loaded) {
-        // Lock per statement, not per pass, so the online advisor can
+        // Locked per statement, not per pass, so the online advisor can
         // interleave its passes with a long replay.
-        std::lock_guard<std::mutex> db(db_mu_);
-        XIA_ASSIGN_OR_RETURN(optimizer::Plan plan, optimizer_.Optimize(stmt));
-        XIA_RETURN_IF_ERROR(executor_.Execute(stmt, plan).status());
+        XIA_RETURN_IF_ERROR(db_.Run(stmt).status());
         ++executed;
       }
     }
@@ -814,21 +699,13 @@ class Shell {
     return Status::OK();
   }
 
-  storage::DocumentStore store_;
-  storage::StatisticsCatalog statistics_;
-  storage::Catalog catalog_;
-  optimizer::Optimizer optimizer_;
-  engine::Executor executor_;
-  advisor::IndexAdvisor advisor_;
+  Database db_;
   engine::Workload workload_;
-  /// Serializes store/statistics/catalog access between shell commands
-  /// and the online advisor's background passes.
-  std::mutex db_mu_;
-  workload::WorkloadCapture capture_;
   std::unique_ptr<workload::OnlineAdvisor> monitor_;
-  std::unique_ptr<wal::WalManager> wal_;
   bool trace_ = false;
-  size_t advise_threads_ = 0;
+  /// Worker threads for advise / monitor passes (0 = one per hardware
+  /// thread, 1 = serial). Same recommendation at any setting.
+  const size_t advise_threads_;
 };
 
 }  // namespace
@@ -870,12 +747,11 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  Shell shell;
-  shell.set_advise_threads(threads);
+  Shell shell(DatabaseOptions{data_dir, fsync_policy, {}}, threads);
   if (!data_dir.empty()) {
     // Recovery failures exit with the status-derived code: salvaged torn
     // tails are OK (exit 0 later), real corruption is kDataLoss (exit 22).
-    if (Status s = shell.OpenDataDir(data_dir, fsync_policy); !s.ok()) {
+    if (Status s = shell.OpenDataDir(); !s.ok()) {
       std::fprintf(stderr, "error: %s\n", s.ToString().c_str());
       return StatusExitCode(s);
     }
