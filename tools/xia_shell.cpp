@@ -108,7 +108,7 @@ class Shell {
     if (cmd == "wal") return WalCommand(rest);
     if (cmd == "enumerate") return Enumerate(rest);
     if (cmd == "explain") return Explain(rest);
-    if (cmd == "run") return Execute(rest);
+    if (cmd == "run") return RunStatement(rest);
     if (cmd == "workload") return WorkloadCommand(rest);
     if (cmd == "advise") return Advise(rest);
     if (cmd == "monitor") return MonitorCommand(rest);
@@ -403,7 +403,7 @@ class Shell {
     return Status::OK();
   }
 
-  Status Execute(const std::string& text) {
+  Status RunStatement(const std::string& text) {
     XIA_ASSIGN_OR_RETURN(engine::Statement stmt,
                          engine::ParseStatement(text));
     RunOptions run;
