@@ -9,7 +9,6 @@
 #include <utility>
 #include <vector>
 
-#include "engine/query_parser.h"
 #include "fault/fault.h"
 #include "obs/metrics.h"
 #include "optimizer/plan.h"
@@ -354,11 +353,7 @@ Status WalManager::OnCommit(const engine::Statement& statement) {
     return AppendAndCommit(WalRecord::Insert(ins.collection,
                                              ins.document_text));
   }
-  const std::string text = engine::ToText(statement);
-  // Validated here so replay can never hit a parse error on a frame that
-  // passed its CRC.
-  XIA_RETURN_IF_ERROR(engine::ParseStatement(text).status());
-  return AppendAndCommit(WalRecord::Statement(text));
+  return AppendAndCommit(WalRecord::Statement(engine::ToText(statement)));
 }
 
 Status WalManager::LogCreateCollection(const std::string& collection) {

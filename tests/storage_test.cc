@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <fstream>
+
+#include "scratch_dir.h"
+
 #include "storage/catalog.h"
 #include "storage/document_store.h"
 #include "storage/index.h"
 #include "storage/statistics.h"
+#include "storage/xml_directory.h"
 #include "xml/parser.h"
 #include "xpath/parser.h"
 
@@ -467,6 +472,81 @@ TEST_F(BulkBuildFixture, BulkIngestorEmptyCollection) {
   ingestor.Finish();
   EXPECT_EQ(index->entry_count(), 0u);
   EXPECT_EQ(coll->live_count(), 0u);
+}
+
+void WriteText(const std::string& path, const std::string& text) {
+  std::ofstream(path) << text;
+}
+
+TEST(XmlDirectoryTest, LoadsEachCollectionInNameOrder) {
+  const std::string dir = testutil::ScratchDir("xml_two_collections");
+  std::filesystem::create_directories(dir + "/B");
+  std::filesystem::create_directories(dir + "/A");
+  WriteText(dir + "/A/2.xml", "<r><v>2</v></r>");
+  WriteText(dir + "/A/1.xml", "<r><v>1</v></r>");
+  WriteText(dir + "/A/notes.txt", "not xml");
+  WriteText(dir + "/B/1.xml", "<s/>");
+  WriteText(dir + "/stray.xml", "<ignored/>");
+  DocumentStore store;
+  StatisticsCatalog stats;
+  auto loaded = LoadXmlDirectory(dir, &store, &stats);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  ASSERT_EQ(loaded->size(), 2u);
+  EXPECT_EQ((*loaded)[0].name, "A");
+  EXPECT_EQ((*loaded)[0].documents, 2u);
+  EXPECT_EQ((*loaded)[1].name, "B");
+  EXPECT_EQ((*loaded)[1].documents, 1u);
+  auto a = store.GetCollection("A");
+  ASSERT_TRUE(a.ok());
+  EXPECT_EQ((*a)->live_count(), 2u);
+  EXPECT_TRUE(stats.Get("A").ok());
+  EXPECT_TRUE(stats.Get("B").ok());
+}
+
+TEST(XmlDirectoryTest, RejectsEmptyCollectionDirectory) {
+  const std::string dir = testutil::ScratchDir("xml_empty_collection");
+  std::filesystem::create_directories(dir + "/A");
+  std::filesystem::create_directories(dir + "/EMPTY");
+  WriteText(dir + "/A/1.xml", "<r/>");
+  DocumentStore store;
+  StatisticsCatalog stats;
+  auto loaded = LoadXmlDirectory(dir, &store, &stats);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find("EMPTY"), std::string::npos);
+}
+
+TEST(XmlDirectoryTest, RejectsTreeWithoutCollections) {
+  const std::string dir = testutil::ScratchDir("xml_no_collections");
+  WriteText(dir + "/loose.xml", "<r/>");
+  DocumentStore store;
+  StatisticsCatalog stats;
+  auto loaded = LoadXmlDirectory(dir, &store, &stats);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(XmlDirectoryTest, MissingDirectoryIsNotFound) {
+  DocumentStore store;
+  StatisticsCatalog stats;
+  auto loaded = LoadXmlDirectory(testutil::ScratchRoot() + "/no_such_dir",
+                                 &store, &stats);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound);
+}
+
+TEST(XmlDirectoryTest, MalformedFileIsNamedInTheError) {
+  const std::string dir = testutil::ScratchDir("xml_malformed");
+  std::filesystem::create_directories(dir + "/A");
+  WriteText(dir + "/A/good.xml", "<r/>");
+  WriteText(dir + "/A/broken.xml", "<r><unclosed></r>");
+  DocumentStore store;
+  StatisticsCatalog stats;
+  auto loaded = LoadXmlDirectory(dir, &store, &stats);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
+  EXPECT_NE(loaded.status().message().find("broken.xml"), std::string::npos)
+      << loaded.status();
 }
 
 }  // namespace

@@ -18,18 +18,17 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <string>
 
 #include "advisor/advisor.h"
 #include "advisor/report.h"
 #include "fault/fault.h"
 #include "obs/metrics.h"
-#include "xml/parser.h"
 #include "engine/query_parser.h"
 #include "optimizer/optimizer.h"
 #include "storage/catalog.h"
 #include "storage/snapshot.h"
+#include "storage/xml_directory.h"
 #include "tpox/tpox_data.h"
 #include "util/string_util.h"
 #include "workload/capture.h"
@@ -80,45 +79,14 @@ int Fail(const Status& status) {
 Status LoadDataDirectory(const std::string& dir,
                          storage::DocumentStore* store,
                          storage::StatisticsCatalog* statistics) {
-  std::error_code ec;
-  if (!fs::is_directory(dir, ec)) {
-    return Status::NotFound("data directory not found: " + dir);
-  }
-  size_t total_docs = 0;
-  for (const auto& entry : fs::directory_iterator(dir)) {
-    if (!entry.is_directory()) continue;
-    const std::string collection_name = entry.path().filename().string();
-    auto coll = store->CreateCollection(collection_name);
-    if (!coll.ok()) return coll.status();
-    size_t docs = 0;
-    for (const auto& file : fs::directory_iterator(entry.path())) {
-      if (!file.is_regular_file()) continue;
-      if (file.path().extension() != ".xml") continue;
-      std::ifstream in(file.path());
-      std::stringstream buffer;
-      buffer << in.rdbuf();
-      auto doc = xml::Parse(buffer.str());
-      if (!doc.ok()) {
-        return Status::ParseError(file.path().string() + ": " +
-                                  doc.status().message());
-      }
-      (*coll)->Add(std::move(*doc));
-      ++docs;
-    }
-    if (docs == 0) {
-      return Status::InvalidArgument("collection directory " +
-                                     collection_name + " has no .xml files");
-    }
-    statistics->RunStats(**coll);
+  XIA_ASSIGN_OR_RETURN(const std::vector<storage::LoadedCollection> loaded,
+                       storage::LoadXmlDirectory(dir, store, statistics));
+  for (const storage::LoadedCollection& loaded_coll : loaded) {
+    XIA_ASSIGN_OR_RETURN(const storage::Collection* coll,
+                         store->GetCollection(loaded_coll.name));
     std::printf("loaded collection %-12s %6zu documents, %s\n",
-                collection_name.c_str(), docs,
-                HumanBytes(static_cast<double>((*coll)->total_bytes()))
-                    .c_str());
-    total_docs += docs;
-  }
-  if (total_docs == 0) {
-    return Status::InvalidArgument(
-        "no collections found (expected DIR/<collection>/*.xml)");
+                loaded_coll.name.c_str(), loaded_coll.documents,
+                HumanBytes(static_cast<double>(coll->total_bytes())).c_str());
   }
   return Status::OK();
 }

@@ -1,11 +1,11 @@
-// kill -9 crash harness for the WAL (ISSUE 4 headline test).
+// kill -9 crash harness for the WAL.
 //
 // For every (crash kind, seed) pair the harness forks a writer child that
 // runs a deterministic mutation sequence — inserts, deletes, updates,
 // index DDL, stats refreshes, periodic checkpoints — against a WAL-backed
 // data directory, appending one ack byte to a side file after each
-// committed operation. The child SIGKILLs *itself* at a scheduled crash
-// point:
+// committed operation. The child kills *itself* with kill -9 at a
+// scheduled crash point:
 //
 //   op-boundary               between two operations
 //   wal.append.mid_write      half-way through writing a log frame
@@ -26,19 +26,18 @@
 // Usage: xia_crash_harness [--seeds N] [--ops N] [--kind NAME]
 
 #include <fcntl.h>
-#include <signal.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "db/database.h"
+#include "harness.h"
 #include "engine/query_parser.h"
 #include "fault/deadline.h"
 #include "util/random.h"
@@ -172,56 +171,38 @@ std::vector<std::string> ReferenceDigests(const std::vector<Op>& ops) {
   return digests;
 }
 
-struct CrashKind {
-  const char* name;
-  const char* hook_point;  // nullptr = crash at an op boundary
-};
+/// Fired by the child itself after each acked op past the create.
+constexpr const char* kOpBoundary = "op.boundary";
 
-constexpr CrashKind kCrashKinds[] = {
-    {"op-boundary", nullptr},
-    {"append-mid-write", "wal.append.mid_write"},
-    {"append-before-fsync", "wal.append.before_fsync"},
-    {"checkpoint-after-snapshot", "checkpoint.after_snapshot"},
-    {"checkpoint-after-manifest", "checkpoint.after_manifest"},
-    {"checkpoint-after-reset", "checkpoint.after_reset"},
-};
-
-/// How many times the crash point is passed before the child dies. Varies
-/// with the seed so crashes land at different log/checkpoint positions.
-int CrashCountdown(const CrashKind& kind, uint64_t seed, int op_count) {
-  if (kind.hook_point == nullptr) return 1 + static_cast<int>(seed) % op_count;
-  if (std::strncmp(kind.hook_point, "checkpoint.", 11) == 0) {
-    return 1 + static_cast<int>(seed) % (op_count / 9);  // per checkpoint op
-  }
-  return 1 + static_cast<int>(seed) % (op_count - op_count / 9);
+/// Crash points and their windows for an `op_count`-op sequence: one op
+/// in nine is a checkpoint, the others append to the log.
+std::vector<harness::CrashKind> CrashKinds(int op_count) {
+  const int checkpoints = op_count / 9;
+  const int appends = op_count - checkpoints;
+  return {
+      {"op-boundary", kOpBoundary, op_count},
+      {"append-mid-write", "wal.append.mid_write", appends},
+      {"append-before-fsync", "wal.append.before_fsync", appends},
+      {"checkpoint-after-snapshot", "checkpoint.after_snapshot", checkpoints},
+      {"checkpoint-after-manifest", "checkpoint.after_manifest", checkpoints},
+      {"checkpoint-after-reset", "checkpoint.after_reset", checkpoints},
+  };
 }
 
 /// Child body: run the sequence, acking each committed op, until the
-/// scheduled SIGKILL. Never returns on the crash path.
-void RunChild(const std::string& data_dir, const std::string& ack_path,
-              const std::vector<Op>& ops, const CrashKind& kind,
-              int countdown) {
+/// scheduled kill. Never returns on the crash path.
+void RunChild(const std::string& dir, const std::vector<Op>& ops,
+              const harness::CrashKind& kind, uint64_t seed) {
   const int ack_fd =
-      ::open(ack_path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
+      ::open((dir + "/ack").c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
   if (ack_fd < 0) _exit(3);
-
-  int remaining = countdown;
-  DatabaseOptions options{data_dir, "always", {}};
-  if (kind.hook_point != nullptr) {
-    options.test_hook = [&remaining, &kind](const char* point) {
-      if (std::strcmp(point, kind.hook_point) == 0 && --remaining == 0) {
-        ::kill(::getpid(), SIGKILL);
-      }
-    };
-  }
-
-  Database db(std::move(options));
+  const wal::WalTestHook hook =
+      harness::KillHook(kind.hook_point, harness::Countdown(kind, seed));
+  Database db(DatabaseOptions{dir + "/data", "always", hook});
   if (!db.Open().ok()) _exit(4);
   const Status ran = RunOps(&db, ops, [&](size_t k) {
     (void)!::write(ack_fd, "a", 1);
-    if (kind.hook_point == nullptr && static_cast<int>(k) == countdown) {
-      ::kill(::getpid(), SIGKILL);
-    }
+    if (k > 0) hook(kOpBoundary);
   });
   if (!ran.ok()) _exit(6);
   // The crash point was never reached (possible for large countdowns);
@@ -230,54 +211,25 @@ void RunChild(const std::string& data_dir, const std::string& ack_path,
   _exit(42);
 }
 
-bool RunOne(const std::string& base_dir, const CrashKind& kind,
-            uint64_t seed, int op_count, int* kills) {
-  const std::string run_tag =
-      std::string(kind.name) + "_seed" + std::to_string(seed);
-  const std::string data_dir = base_dir + "/" + run_tag;
-  const std::string ack_path = base_dir + "/" + run_tag + ".ack";
-  fs::remove_all(data_dir);
-  fs::remove(ack_path);
-
+bool RunOne(const harness::CrashKind& kind, uint64_t seed, int op_count,
+            const std::string& dir, bool* killed) {
   const std::vector<Op> ops = GenOps(seed, op_count);
-  const int countdown = CrashCountdown(kind, seed, op_count);
+  const harness::Fate fate = harness::Reap(
+      harness::Fork([&] { RunChild(dir, ops, kind, seed); }), "writer child");
+  if (fate == harness::Fate::kOther) return false;
+  *killed = fate == harness::Fate::kKilled;
 
-  const pid_t pid = ::fork();
-  if (pid < 0) {
-    std::perror("fork");
-    return false;
-  }
-  if (pid == 0) {
-    RunChild(data_dir, ack_path, ops, kind, countdown);
-    _exit(7);  // unreachable
-  }
-
-  int wstatus = 0;
-  if (::waitpid(pid, &wstatus, 0) != pid) {
-    std::perror("waitpid");
-    return false;
-  }
-  const bool killed =
-      WIFSIGNALED(wstatus) && WTERMSIG(wstatus) == SIGKILL;
-  const bool completed = WIFEXITED(wstatus) && WEXITSTATUS(wstatus) == 42;
-  if (killed) ++*kills;
-  if (!killed && !completed) {
-    std::fprintf(stderr, "[%s] child failed unexpectedly (wstatus=%d)\n",
-                 run_tag.c_str(), wstatus);
-    return false;
-  }
-
+  const std::string ack_path = dir + "/ack";
   std::error_code ec;
   const uint64_t acked = fs::exists(ack_path)
                              ? static_cast<uint64_t>(fs::file_size(ack_path, ec))
                              : 0;
 
   // Recover in-process, Deadline-bounded (the acceptance criterion).
-  Database db(DatabaseOptions{data_dir, "", {}});
+  Database db(DatabaseOptions{dir + "/data", "", {}});
   const Status opened = db.Open(fault::Deadline::AfterSeconds(5));
   if (!opened.ok()) {
-    std::fprintf(stderr, "[%s] recovery failed: %s\n", run_tag.c_str(),
-                 opened.ToString().c_str());
+    std::fprintf(stderr, "  recovery failed: %s\n", opened.ToString().c_str());
     return false;
   }
   const wal::RecoveryReport& report = db.recovery();
@@ -295,85 +247,36 @@ bool RunOne(const std::string& base_dir, const CrashKind& kind,
   }
   if (matched < 0) {
     std::fprintf(stderr,
-                 "[%s] recovered state matches no reference prefix "
+                 "  recovered state matches no reference prefix "
                  "(acked=%llu, %s)\n",
-                 run_tag.c_str(), static_cast<unsigned long long>(acked),
+                 static_cast<unsigned long long>(acked),
                  report.ToString().c_str());
     return false;
   }
   if (static_cast<uint64_t>(matched) < acked) {
     std::fprintf(stderr,
-                 "[%s] recovered only %d ops but %llu were acked "
+                 "  recovered only %d ops but %llu were acked "
                  "(durability violation; %s)\n",
-                 run_tag.c_str(), matched,
-                 static_cast<unsigned long long>(acked),
+                 matched, static_cast<unsigned long long>(acked),
                  report.ToString().c_str());
     return false;
   }
-
   (void)db.wal()->Close();
-  fs::remove_all(data_dir);
-  fs::remove(ack_path);
   return true;
-}
-
-int RunHarness(int seeds, int op_count, const char* only_kind) {
-  const char* tmp = std::getenv("TMPDIR");
-  const std::string base_dir =
-      std::string(tmp != nullptr ? tmp : "/tmp") + "/xia_crash_harness";
-  fs::create_directories(base_dir);
-
-  int failures = 0;
-  int runs = 0;
-  for (const CrashKind& kind : kCrashKinds) {
-    if (only_kind != nullptr && std::strcmp(kind.name, only_kind) != 0) {
-      continue;
-    }
-    int kind_failures = 0;
-    int kind_kills = 0;
-    for (uint64_t seed = 1; seed <= static_cast<uint64_t>(seeds); ++seed) {
-      ++runs;
-      if (!RunOne(base_dir, kind, seed, op_count, &kind_kills)) {
-        ++kind_failures;
-      }
-    }
-    std::printf("%-28s %d/%d seeds ok (%d killed mid-run)\n", kind.name,
-                seeds - kind_failures, seeds, kind_kills);
-    failures += kind_failures;
-  }
-  if (runs == 0) {
-    std::fprintf(stderr, "unknown crash kind: %s\n", only_kind);
-    return 2;
-  }
-  std::printf("%d runs, %d failures\n", runs, failures);
-  return failures == 0 ? 0 : 1;
 }
 
 }  // namespace
 }  // namespace xia
 
 int main(int argc, char** argv) {
-  int seeds = 20;
   int ops = 40;
-  const char* kind = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--seeds" && i + 1 < argc) {
-      seeds = std::atoi(argv[++i]);
-    } else if (arg == "--ops" && i + 1 < argc) {
-      ops = std::atoi(argv[++i]);
-    } else if (arg == "--kind" && i + 1 < argc) {
-      kind = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--seeds N] [--ops N] [--kind NAME]\n",
-                   argv[0]);
-      return 2;
-    }
-  }
-  if (seeds < 1 || ops < 9) {
-    std::fprintf(stderr, "need --seeds >= 1 and --ops >= 9\n");
-    return 2;
-  }
-  return xia::RunHarness(seeds, ops, kind);
+  const std::optional<xia::harness::Args> args =
+      xia::harness::ParseArgs(argc, argv, 20, {{"--ops", &ops, 9}});
+  if (!args) return 2;
+  return xia::harness::Drive(
+      "xia_crash_harness", *args, xia::CrashKinds(ops),
+      [ops](const xia::harness::CrashKind& kind, uint64_t seed,
+            const std::string& dir, bool* killed) {
+        return xia::RunOne(kind, seed, ops, dir, killed);
+      });
 }

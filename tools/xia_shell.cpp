@@ -14,7 +14,6 @@
 
 #include <cstdio>
 #include <unistd.h>
-#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -28,18 +27,17 @@
 #include "fault/fault.h"
 #include "obs/metrics.h"
 #include "storage/snapshot.h"
+#include "storage/xml_directory.h"
 #include "tpox/tpox_data.h"
 #include "tpox/xmark.h"
 #include "util/stopwatch.h"
 #include "util/string_util.h"
 #include "workload/online_advisor.h"
 #include "workload/workload_io.h"
-#include "xml/parser.h"
 
 namespace {
 
 using namespace xia;  // NOLINT
-namespace fs = std::filesystem;
 
 class Shell {
  public:
@@ -180,31 +178,14 @@ class Shell {
   }
 
   Status Load(const std::string& dir) {
-    std::error_code ec;
-    if (!fs::is_directory(dir, ec)) {
-      return Status::NotFound("not a directory: " + dir);
-    }
     return BulkLoad([&](storage::DocumentStore* store,
                         storage::StatisticsCatalog* statistics) -> Status {
-      for (const auto& entry : fs::directory_iterator(dir)) {
-        if (!entry.is_directory()) continue;
-        const std::string name = entry.path().filename().string();
-        XIA_ASSIGN_OR_RETURN(storage::Collection * coll,
-                             store->CreateCollection(name));
-        size_t docs = 0;
-        for (const auto& file : fs::directory_iterator(entry.path())) {
-          if (!file.is_regular_file() || file.path().extension() != ".xml") {
-            continue;
-          }
-          std::ifstream f(file.path());
-          std::stringstream buffer;
-          buffer << f.rdbuf();
-          XIA_ASSIGN_OR_RETURN(xml::Document doc, xml::Parse(buffer.str()));
-          coll->Add(std::move(doc));
-          ++docs;
-        }
-        statistics->RunStats(*coll);
-        std::printf("loaded %s: %zu documents\n", name.c_str(), docs);
+      XIA_ASSIGN_OR_RETURN(
+          const std::vector<storage::LoadedCollection> loaded,
+          storage::LoadXmlDirectory(dir, store, statistics));
+      for (const storage::LoadedCollection& coll : loaded) {
+        std::printf("loaded %s: %zu documents\n", coll.name.c_str(),
+                    coll.documents);
       }
       return Status::OK();
     });
