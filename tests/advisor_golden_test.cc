@@ -2,22 +2,34 @@
 // the benefit to the last bit, and the optimizer-call count — for two
 // search algorithms at 0.5x and 2x the All-Index size, over the TPoX
 // queries, the queries plus the TPoX transaction mix, and one seeded
-// synthetic workload. Any change to planning, costing, benefit
-// evaluation or search that moves a recommendation, a benefit bit or a
-// what-if call shows up here; performance work on those layers must
-// leave every line unchanged.
+// synthetic workload. A fourth, perfbench-shaped workload (the 11 TPoX
+// queries plus 100 synthetic statements on the standard bench database)
+// runs at 0.25x and 1x, where greedy+heuristics takes many iterations.
+// Any change to planning, costing, benefit evaluation or search that
+// moves a recommendation, a benefit bit or a what-if call shows up here;
+// performance work on those layers must leave every line unchanged.
 //
-// On a mismatch the test prints the case's actual line in the table's own
-// syntax.
+// A second golden, tests/testdata/advisor_candidates.golden, pins the
+// candidate pipeline of every workload: each candidate's rendering,
+// covered basics, affected statements and DAG edges, the roots and the
+// generalization statistics.
+//
+// On a mismatch the recommendation test prints the case's actual line in
+// the table's own syntax; the candidate test prints the first differing
+// line of the dump.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "advisor/advisor.h"
+#include "advisor/dag.h"
+#include "advisor/generalize.h"
 #include "tpox/synthetic.h"
 #include "tpox/tpox_data.h"
 #include "tpox/tpox_workload.h"
@@ -250,6 +262,155 @@ const std::vector<GoldenCase>& Golden() {
         "CREATE INDEX idx ON ODOC(xmlcol) GENERATE KEY USING XMLPATTERN '/FIXML//*' AS SQL VARCHAR(64)",
         "CREATE INDEX idx ON SDOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Security//*' AS SQL DOUBLE",
         "CREATE INDEX idx ON SDOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Security//*' AS SQL VARCHAR(64)"}},
+      {"perfbench", "all-index", 1, 0x1.189e8f59fb17ep+13, 309, {
+        "CREATE INDEX idx ON CADOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Customer/*/Account/Balance/OnlineActualBal//Amount' AS SQL DOUBLE",
+        "CREATE INDEX idx ON CADOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Customer//*/LastName' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON CADOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Customer//Accounts/Account/OpeningDate' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON CADOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Customer//Address//Street' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON CADOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Customer//DateOfBirth' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON CADOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Customer//Languages/Language' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON CADOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Customer//Tier' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON CADOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Customer/Accounts/Account/Balance/OnlineActualBal/Amount' AS SQL DOUBLE",
+        "CREATE INDEX idx ON CADOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Customer/Accounts/Account/OpeningDate' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON CADOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Customer/Address/City' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON CADOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Customer/Address/PostalCode' AS SQL DOUBLE",
+        "CREATE INDEX idx ON CADOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Customer/Address/Street' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON CADOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Customer/DateOfBirth' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON CADOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Customer/Id' AS SQL DOUBLE",
+        "CREATE INDEX idx ON CADOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Customer/Name/LastName' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON CADOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Customer/Nationality' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON CADOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Customer/Tier' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON ODOC(xmlcol) GENERATE KEY USING XMLPATTERN '/FIXML/*//*/Sym' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON ODOC(xmlcol) GENERATE KEY USING XMLPATTERN '/FIXML/*/Account' AS SQL DOUBLE",
+        "CREATE INDEX idx ON ODOC(xmlcol) GENERATE KEY USING XMLPATTERN '/FIXML/*/Px' AS SQL DOUBLE",
+        "CREATE INDEX idx ON ODOC(xmlcol) GENERATE KEY USING XMLPATTERN '/FIXML//*/@TrdDt' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON ODOC(xmlcol) GENERATE KEY USING XMLPATTERN '/FIXML//Order/@ID' AS SQL DOUBLE",
+        "CREATE INDEX idx ON ODOC(xmlcol) GENERATE KEY USING XMLPATTERN '/FIXML//Order/Account' AS SQL DOUBLE",
+        "CREATE INDEX idx ON ODOC(xmlcol) GENERATE KEY USING XMLPATTERN '/FIXML/Order/*//SenderCompID' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON ODOC(xmlcol) GENERATE KEY USING XMLPATTERN '/FIXML/Order/*/Sym' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON ODOC(xmlcol) GENERATE KEY USING XMLPATTERN '/FIXML/Order/@ID' AS SQL DOUBLE",
+        "CREATE INDEX idx ON ODOC(xmlcol) GENERATE KEY USING XMLPATTERN '/FIXML/Order/@ID' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON ODOC(xmlcol) GENERATE KEY USING XMLPATTERN '/FIXML/Order/@OrdTyp' AS SQL DOUBLE",
+        "CREATE INDEX idx ON ODOC(xmlcol) GENERATE KEY USING XMLPATTERN '/FIXML/Order/@Side' AS SQL DOUBLE",
+        "CREATE INDEX idx ON ODOC(xmlcol) GENERATE KEY USING XMLPATTERN '/FIXML/Order/@TmInForce' AS SQL DOUBLE",
+        "CREATE INDEX idx ON ODOC(xmlcol) GENERATE KEY USING XMLPATTERN '/FIXML/Order/@TrdDt' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON ODOC(xmlcol) GENERATE KEY USING XMLPATTERN '/FIXML/Order/Hdr/SenderCompID' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON ODOC(xmlcol) GENERATE KEY USING XMLPATTERN '/FIXML/Order/Hdr/TargetCompID' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON ODOC(xmlcol) GENERATE KEY USING XMLPATTERN '/FIXML/Order/Instrmt/Sym' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON ODOC(xmlcol) GENERATE KEY USING XMLPATTERN '/FIXML/Order/OrdQty/@Qty' AS SQL DOUBLE",
+        "CREATE INDEX idx ON ODOC(xmlcol) GENERATE KEY USING XMLPATTERN '/FIXML/Order/Px' AS SQL DOUBLE",
+        "CREATE INDEX idx ON SDOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Security/*/*/Industry' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON SDOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Security/*/*/SubIndustry' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON SDOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Security/*/BondInformation/Sector' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON SDOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Security/*/FundInformation/SubIndustry' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON SDOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Security//MarketCap' AS SQL DOUBLE",
+        "CREATE INDEX idx ON SDOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Security//Price/High' AS SQL DOUBLE",
+        "CREATE INDEX idx ON SDOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Security//Price/LastTrade' AS SQL DOUBLE",
+        "CREATE INDEX idx ON SDOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Security//SecInfo/BondInformation//SubIndustry' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON SDOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Security//SecurityType' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON SDOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Security/CountryOfRegistration' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON SDOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Security/Currency' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON SDOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Security/Issued' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON SDOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Security/Name' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON SDOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Security/PE' AS SQL DOUBLE",
+        "CREATE INDEX idx ON SDOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Security/Price//Close' AS SQL DOUBLE",
+        "CREATE INDEX idx ON SDOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Security/Price/LastTrade' AS SQL DOUBLE",
+        "CREATE INDEX idx ON SDOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Security/Price/Low' AS SQL DOUBLE",
+        "CREATE INDEX idx ON SDOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Security/Price/Open' AS SQL DOUBLE",
+        "CREATE INDEX idx ON SDOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Security/SecInfo/*/Industry' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON SDOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Security/SecInfo/*/Sector' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON SDOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Security/SecInfo/BondInformation/Sector' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON SDOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Security/SecInfo/FundInformation//Sector' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON SDOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Security/SecInfo/FundInformation/Industry' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON SDOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Security/SecInfo/FundInformation/Sector' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON SDOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Security/SecInfo/StockInformation/Sector' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON SDOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Security/SecInfo/StockInformation/SubIndustry' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON SDOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Security/SecurityType' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON SDOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Security/Symbol' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON SDOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Security/Volume' AS SQL DOUBLE",
+        "CREATE INDEX idx ON SDOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Security/Yield' AS SQL DOUBLE"}},
+      {"perfbench", "heuristics", 0.25, 0x1.84f7ac4de5809p+12, 749, {
+        "CREATE INDEX idx ON CADOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Customer//DateOfBirth' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON CADOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Customer//LastName' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON CADOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Customer/Address/City' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON CADOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Customer/Address/PostalCode' AS SQL DOUBLE",
+        "CREATE INDEX idx ON CADOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Customer/DateOfBirth' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON CADOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Customer/Id' AS SQL DOUBLE",
+        "CREATE INDEX idx ON CADOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Customer/Nationality' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON ODOC(xmlcol) GENERATE KEY USING XMLPATTERN '/FIXML//@TrdDt' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON ODOC(xmlcol) GENERATE KEY USING XMLPATTERN '/FIXML//Account' AS SQL DOUBLE",
+        "CREATE INDEX idx ON ODOC(xmlcol) GENERATE KEY USING XMLPATTERN '/FIXML//Order/@ID' AS SQL DOUBLE",
+        "CREATE INDEX idx ON ODOC(xmlcol) GENERATE KEY USING XMLPATTERN '/FIXML//Sym' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON ODOC(xmlcol) GENERATE KEY USING XMLPATTERN '/FIXML/Order//SenderCompID' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON ODOC(xmlcol) GENERATE KEY USING XMLPATTERN '/FIXML/Order/Px' AS SQL DOUBLE",
+        "CREATE INDEX idx ON SDOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Security/*/*/SubIndustry' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON SDOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Security/*/FundInformation/SubIndustry' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON SDOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Security//BondInformation/Sector' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON SDOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Security//SecInfo/BondInformation//SubIndustry' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON SDOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Security/SecInfo/FundInformation/Industry' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON SDOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Security/SecInfo/StockInformation/SubIndustry' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON SDOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Security/Symbol' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON SDOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Security/Volume' AS SQL DOUBLE"}},
+      {"perfbench", "heuristics", 1, 0x1.189e8f59fb17ep+13, 1376, {
+        "CREATE INDEX idx ON CADOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Customer//Account/Balance/OnlineActualBal//Amount' AS SQL DOUBLE",
+        "CREATE INDEX idx ON CADOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Customer//Accounts/Account/OpeningDate' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON CADOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Customer//Address//Street' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON CADOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Customer//DateOfBirth' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON CADOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Customer//LastName' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON CADOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Customer/Accounts/Account/OpeningDate' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON CADOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Customer/Address/City' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON CADOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Customer/Address/PostalCode' AS SQL DOUBLE",
+        "CREATE INDEX idx ON CADOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Customer/Address/Street' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON CADOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Customer/DateOfBirth' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON CADOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Customer/Id' AS SQL DOUBLE",
+        "CREATE INDEX idx ON CADOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Customer/Nationality' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON CADOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Customer/Tier' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON ODOC(xmlcol) GENERATE KEY USING XMLPATTERN '/FIXML//@TrdDt' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON ODOC(xmlcol) GENERATE KEY USING XMLPATTERN '/FIXML//Account' AS SQL DOUBLE",
+        "CREATE INDEX idx ON ODOC(xmlcol) GENERATE KEY USING XMLPATTERN '/FIXML//Order/@ID' AS SQL DOUBLE",
+        "CREATE INDEX idx ON ODOC(xmlcol) GENERATE KEY USING XMLPATTERN '/FIXML//Sym' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON ODOC(xmlcol) GENERATE KEY USING XMLPATTERN '/FIXML/Order//SenderCompID' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON ODOC(xmlcol) GENERATE KEY USING XMLPATTERN '/FIXML/Order/@ID' AS SQL DOUBLE",
+        "CREATE INDEX idx ON ODOC(xmlcol) GENERATE KEY USING XMLPATTERN '/FIXML/Order/@ID' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON ODOC(xmlcol) GENERATE KEY USING XMLPATTERN '/FIXML/Order/OrdQty/@Qty' AS SQL DOUBLE",
+        "CREATE INDEX idx ON ODOC(xmlcol) GENERATE KEY USING XMLPATTERN '/FIXML/Order/Px' AS SQL DOUBLE",
+        "CREATE INDEX idx ON SDOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Security/*/*/SubIndustry' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON SDOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Security/*/FundInformation/SubIndustry' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON SDOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Security//BondInformation/Sector' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON SDOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Security//MarketCap' AS SQL DOUBLE",
+        "CREATE INDEX idx ON SDOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Security//SecInfo/BondInformation//SubIndustry' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON SDOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Security/CountryOfRegistration' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON SDOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Security/Name' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON SDOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Security/PE' AS SQL DOUBLE",
+        "CREATE INDEX idx ON SDOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Security/Price/LastTrade' AS SQL DOUBLE",
+        "CREATE INDEX idx ON SDOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Security/Price/Low' AS SQL DOUBLE",
+        "CREATE INDEX idx ON SDOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Security/Price/Open' AS SQL DOUBLE",
+        "CREATE INDEX idx ON SDOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Security/SecInfo/*/Industry' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON SDOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Security/SecInfo/*/Sector' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON SDOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Security/SecInfo/FundInformation//Sector' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON SDOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Security/SecInfo/FundInformation/Industry' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON SDOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Security/SecInfo/FundInformation/Sector' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON SDOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Security/SecInfo/StockInformation/Sector' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON SDOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Security/SecInfo/StockInformation/SubIndustry' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON SDOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Security/SecurityType' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON SDOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Security/Symbol' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON SDOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Security/Volume' AS SQL DOUBLE",
+        "CREATE INDEX idx ON SDOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Security/Yield' AS SQL DOUBLE"}},
+      {"perfbench", "topdown-full", 0.25, 0x1.976f8dc22b3bbp+11, 694, {
+        "CREATE INDEX idx ON CADOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Customer//*' AS SQL DOUBLE",
+        "CREATE INDEX idx ON CADOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Customer//Accounts/Account/OpeningDate' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON CADOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Customer//Address//*' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON CADOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Customer//LastName' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON CADOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Customer/DateOfBirth' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON CADOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Customer/Nationality' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON ODOC(xmlcol) GENERATE KEY USING XMLPATTERN '/FIXML//*' AS SQL DOUBLE"}},
+      {"perfbench", "topdown-full", 1, 0x1.f7020d2184862p+12, 694, {
+        "CREATE INDEX idx ON CADOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Customer//*' AS SQL DOUBLE",
+        "CREATE INDEX idx ON CADOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Customer//*' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON ODOC(xmlcol) GENERATE KEY USING XMLPATTERN '/FIXML//*' AS SQL DOUBLE",
+        "CREATE INDEX idx ON ODOC(xmlcol) GENERATE KEY USING XMLPATTERN '/FIXML//*' AS SQL VARCHAR(64)",
+        "CREATE INDEX idx ON SDOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Security//*' AS SQL DOUBLE",
+        "CREATE INDEX idx ON SDOC(xmlcol) GENERATE KEY USING XMLPATTERN '/Security//*' AS SQL VARCHAR(64)"}},
   };
   return cases;
 }
@@ -277,10 +438,47 @@ class AdvisorGoldenTest : public ::testing::Test {
     scale.custacc_docs = 100;
     scale.seed = 42;
     ASSERT_TRUE(tpox::BuildTpoxDatabase(scale, &store_, &stats_).ok());
+    // The standard bench database (bench/bench_common.h) the perfbench
+    // advise workload runs on.
+    tpox::TpoxScale bench_scale;
+    bench_scale.security_docs = 800;
+    bench_scale.order_docs = 1200;
+    bench_scale.custacc_docs = 300;
+    bench_scale.seed = 42;
+    ASSERT_TRUE(
+        tpox::BuildTpoxDatabase(bench_scale, &bench_store_, &bench_stats_)
+            .ok());
+  }
+
+  static storage::DocumentStore* StoreFor(const std::string& name) {
+    return name == "perfbench" ? &bench_store_ : &store_;
+  }
+  static storage::StatisticsCatalog* StatsFor(const std::string& name) {
+    return name == "perfbench" ? &bench_stats_ : &stats_;
   }
 
   static engine::Workload MakeWorkload(const std::string& name) {
     engine::Workload workload;
+    if (name == "perfbench") {
+      // The shape of one perfbench advise input: the TPoX queries, then
+      // 100 seeded synthetic statements over all three collections.
+      auto queries = tpox::TpoxQueries();
+      EXPECT_TRUE(queries.ok()) << queries.status();
+      if (queries.ok()) workload = std::move(*queries);
+      Random rng(7);
+      auto synthetic = tpox::GenerateSyntheticWorkload(
+          bench_stats_,
+          {tpox::kSecurityCollection, tpox::kOrderCollection,
+           tpox::kCustAccCollection},
+          100, &rng);
+      EXPECT_TRUE(synthetic.ok()) << synthetic.status();
+      if (synthetic.ok()) {
+        for (engine::Statement& stmt : *synthetic) {
+          workload.push_back(std::move(stmt));
+        }
+      }
+      return workload;
+    }
     if (name == "synthetic") {
       Random rng(5);
       auto synthetic = tpox::GenerateSyntheticWorkload(
@@ -309,10 +507,17 @@ class AdvisorGoldenTest : public ::testing::Test {
 
   static storage::DocumentStore store_;
   static storage::StatisticsCatalog stats_;
+  static storage::DocumentStore bench_store_;
+  static storage::StatisticsCatalog bench_stats_;
 };
 
 storage::DocumentStore AdvisorGoldenTest::store_;
 storage::StatisticsCatalog AdvisorGoldenTest::stats_;
+storage::DocumentStore AdvisorGoldenTest::bench_store_;
+storage::StatisticsCatalog AdvisorGoldenTest::bench_stats_;
+
+constexpr const char* kWorkloads[] = {"tpox", "tpox-mix", "synthetic",
+                                      "perfbench"};
 
 std::vector<std::string> SortedDdls(const Recommendation& rec) {
   std::vector<std::string> ddls;
@@ -331,10 +536,13 @@ TEST_F(AdvisorGoldenTest, RecommendationsMatchGolden) {
       {"topdown-full", SearchAlgorithm::kTopDownFull},
   };
   size_t checked = 0;
-  for (const char* name : {"tpox", "tpox-mix", "synthetic"}) {
+  for (const char* name : kWorkloads) {
     const engine::Workload workload = MakeWorkload(name);
     ASSERT_FALSE(workload.empty());
-    IndexAdvisor advisor(&store_, &stats_);
+    IndexAdvisor advisor(StoreFor(name), StatsFor(name));
+    const std::vector<double> fractions =
+        std::string(name) == "perfbench" ? std::vector<double>{0.25, 1.0}
+                                         : std::vector<double>{0.5, 2.0};
     auto all_index = advisor.AllIndexConfiguration(workload);
     ASSERT_TRUE(all_index.ok()) << all_index.status();
 
@@ -346,7 +554,7 @@ TEST_F(AdvisorGoldenTest, RecommendationsMatchGolden) {
     std::vector<Run> runs;
     runs.push_back({"all-index", 1.0, *all_index});
     for (const Algorithm& a : algorithms) {
-      for (const double fraction : {0.5, 2.0}) {
+      for (const double fraction : fractions) {
         AdvisorOptions options;
         options.algorithm = a.algorithm;
         options.disk_budget_bytes = fraction * all_index->total_size_bytes;
@@ -381,6 +589,72 @@ TEST_F(AdvisorGoldenTest, RecommendationsMatchGolden) {
     }
   }
   EXPECT_EQ(checked, Golden().size());
+}
+
+std::string JoinIds(const char* label, const std::vector<int>& ids) {
+  std::string out = StringPrintf(" | %s", label);
+  if (ids.empty()) return out + " -";
+  for (int id : ids) out += StringPrintf(" %d", id);
+  return out;
+}
+
+// The candidate pipeline of Recommend up to the DAG, rendered one line per
+// candidate.
+std::string DumpCandidates(const std::string& name,
+                           const engine::Workload& input,
+                           storage::DocumentStore* store,
+                           const storage::StatisticsCatalog* statistics) {
+  const engine::Workload workload = engine::CompactWorkload(input);
+  storage::Catalog scratch(store, statistics);
+  optimizer::Optimizer optimizer(store, &scratch, statistics);
+  auto set = EnumerateBasicCandidates(workload, optimizer);
+  EXPECT_TRUE(set.ok()) << set.status();
+  if (!set.ok()) return "";
+  const GeneralizeStats stats = GeneralizeCandidates(&*set);
+  const std::vector<int> roots = BuildDag(&*set);
+  std::string out = StringPrintf(
+      "== %s basic %zu total %zu\ngeneralize pairs %zu generated %zu "
+      "rounds %zu\nroots",
+      name.c_str(), set->basic_count, set->size(), stats.pairs_considered,
+      stats.generated, stats.rounds);
+  for (int id : roots) out += StringPrintf(" %d", id);
+  out += "\n";
+  for (const Candidate& c : set->candidates) {
+    std::vector<int> affected(c.affected.begin(), c.affected.end());
+    out += StringPrintf("%d %s", c.id, c.ToString().c_str()) +
+           JoinIds("covers", c.covered_basics) +
+           JoinIds("affected", affected) + JoinIds("children", c.children) +
+           JoinIds("parents", c.parents) + "\n";
+  }
+  return out;
+}
+
+TEST_F(AdvisorGoldenTest, CandidateSetsAndDagsMatchGolden) {
+  std::string actual;
+  for (const char* name : kWorkloads) {
+    actual += DumpCandidates(name, MakeWorkload(name), StoreFor(name),
+                             StatsFor(name));
+  }
+  std::ifstream in(XIA_TESTDATA_DIR "/advisor_candidates.golden");
+  ASSERT_TRUE(in.good()) << "missing advisor_candidates.golden";
+  std::stringstream golden;
+  golden << in.rdbuf();
+  if (actual == golden.str()) return;
+  std::istringstream want(golden.str());
+  std::istringstream got(actual);
+  std::string want_line;
+  std::string got_line;
+  for (size_t line = 1;; ++line) {
+    const bool has_want = static_cast<bool>(std::getline(want, want_line));
+    const bool has_got = static_cast<bool>(std::getline(got, got_line));
+    if (!has_want && !has_got) break;
+    if (has_want != has_got || want_line != got_line) {
+      ADD_FAILURE() << "candidate dump differs at line " << line
+                    << "\ngolden: " << (has_want ? want_line : "<end>")
+                    << "\nactual: " << (has_got ? got_line : "<end>");
+      break;
+    }
+  }
 }
 
 }  // namespace
