@@ -6,12 +6,23 @@
 // plan and the result estimate every call); BM_WhatIfOptimizePrepared
 // plans statements prepared once, as the advisor's benefit evaluator
 // does. The difference is what preparing saves per what-if call.
+//
+// Three more rows time the advisor's own bookkeeping around those calls,
+// on the candidate set of one perfbench advise input (the 11 TPoX queries
+// plus 100 synthetic statements) over the same database:
+// BM_ConfigurationBenefitHit is one cache-hit probe shaped like a
+// greedy+heuristics extension (about 25 members with disjoint affected
+// sets plus one more), BM_GeneralizeCandidates expands the basic set to
+// its fixpoint, and BM_BuildDag builds the DAG of the generalized set.
 
 #include <benchmark/benchmark.h>
 
 #include <memory>
 #include <vector>
 
+#include "advisor/benefit.h"
+#include "advisor/dag.h"
+#include "advisor/generalize.h"
 #include "bench/bench_common.h"
 #include "optimizer/optimizer.h"
 #include "storage/catalog.h"
@@ -83,6 +94,103 @@ void BM_WhatIfOptimizePrepared(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_WhatIfOptimizePrepared);
+
+struct AdvisorSetup {
+  std::unique_ptr<bench::BenchContext> ctx = bench::MakeContext();
+  engine::Workload workload;
+  advisor::CandidateSet basic;
+  advisor::CandidateSet generalized;
+
+  AdvisorSetup() {
+    workload = bench::QueryWorkload();
+    Random rng(7);
+    for (engine::Statement& stmt :
+         bench::Unwrap(tpox::GenerateSyntheticWorkload(
+                           ctx->statistics,
+                           {tpox::kSecurityCollection, tpox::kOrderCollection,
+                            tpox::kCustAccCollection},
+                           100, &rng),
+                       "synthetic workload")) {
+      workload.push_back(std::move(stmt));
+    }
+    workload = engine::CompactWorkload(workload);
+    basic = bench::Unwrap(
+        ctx->advisor->BuildCandidates(workload, /*generalize=*/false),
+        "basic candidates");
+    generalized = bench::Unwrap(
+        ctx->advisor->BuildCandidates(workload, /*generalize=*/true),
+        "candidates");
+    advisor::BuildDag(&generalized);
+  }
+};
+
+const AdvisorSetup& Advisor() {
+  static const AdvisorSetup setup;
+  return setup;
+}
+
+void BM_ConfigurationBenefitHit(benchmark::State& state) {
+  const AdvisorSetup& setup = Advisor();
+  storage::Catalog catalog(&setup.ctx->store, &setup.ctx->statistics);
+  advisor::BenefitEvaluator evaluator(
+      &setup.workload, &setup.generalized, &catalog, &setup.ctx->statistics,
+      &setup.ctx->store, advisor::BenefitEvaluator::Options());
+  if (!evaluator.Initialize().ok()) {
+    state.SkipWithError("initialize failed");
+    return;
+  }
+  // Up to 25 members with pairwise disjoint affected sets, then the first
+  // candidate left out: the shape of a greedy+heuristics extension probe.
+  std::vector<int> config;
+  std::vector<char> used(setup.workload.size(), 0);
+  int extra = -1;
+  for (const advisor::Candidate& c : setup.generalized.candidates) {
+    bool disjoint = config.size() < 25;
+    for (size_t s : c.affected) disjoint = disjoint && !used[s];
+    if (!disjoint) {
+      if (extra < 0) extra = c.id;
+      continue;
+    }
+    for (size_t s : c.affected) used[s] = 1;
+    config.push_back(c.id);
+  }
+  config.push_back(extra);
+  if (!evaluator.ConfigurationBenefit(config).ok()) {
+    state.SkipWithError("benefit failed");
+    return;
+  }
+  for (auto _ : state) {
+    auto benefit = evaluator.ConfigurationBenefit(config);
+    benchmark::DoNotOptimize(benefit.ok());
+  }
+  state.counters["members"] = static_cast<double>(config.size());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ConfigurationBenefitHit);
+
+void BM_GeneralizeCandidates(benchmark::State& state) {
+  const AdvisorSetup& setup = Advisor();
+  for (auto _ : state) {
+    state.PauseTiming();
+    advisor::CandidateSet set = setup.basic;
+    state.ResumeTiming();
+    advisor::GeneralizeCandidates(&set);
+    benchmark::DoNotOptimize(set.size());
+  }
+  state.counters["candidates"] =
+      static_cast<double>(setup.generalized.size());
+}
+BENCHMARK(BM_GeneralizeCandidates);
+
+void BM_BuildDag(benchmark::State& state) {
+  const AdvisorSetup& setup = Advisor();
+  advisor::CandidateSet set = setup.generalized;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(advisor::BuildDag(&set).size());
+  }
+  state.counters["candidates"] = static_cast<double>(set.size());
+}
+BENCHMARK(BM_BuildDag);
 
 }  // namespace
 

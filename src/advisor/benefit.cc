@@ -20,9 +20,9 @@ size_t BenefitCache::KeyHash::operator()(const std::vector<int>& key) const {
   return static_cast<size_t>(h);
 }
 
-void BenefitCache::CountHit() {
-  hits_.fetch_add(1, std::memory_order_relaxed);
-  XIA_OBS_COUNT("xia.advisor.benefit.cache_hits", 1);
+void BenefitCache::CountHits(size_t n) {
+  hits_.fetch_add(n, std::memory_order_relaxed);
+  XIA_OBS_COUNT("xia.advisor.benefit.cache_hits", n);
 }
 
 void BenefitCache::CountMiss() {
@@ -56,7 +56,9 @@ BenefitEvaluator::BenefitEvaluator(const engine::Workload* workload,
       set_(set),
       catalog_(catalog),
       optimizer_(store, catalog, statistics),
-      options_(options) {
+      options_(options),
+      cache_(set->size()) {
+  const size_t n = set_->size();
   size_t statement_count = 0;
   for (const Candidate& c : set_->candidates) {
     for (size_t s : c.affected) {
@@ -64,11 +66,29 @@ BenefitEvaluator::BenefitEvaluator(const engine::Workload* workload,
     }
   }
   affected_words_ = (statement_count + 63) / 64;
-  affected_bits_.assign(set_->size() * affected_words_, 0);
-  for (size_t i = 0; i < set_->size(); ++i) {
+  affected_bits_.assign(n * affected_words_, 0);
+  for (size_t i = 0; i < n; ++i) {
     uint64_t* bits = affected_bits_.data() + i * affected_words_;
     for (size_t s : (*set_)[i].affected) {
       bits[s / 64] |= uint64_t{1} << (s % 64);
+    }
+  }
+  // The overlap matrix, through the transpose of the affected sets: the
+  // candidates affecting a statement, then per candidate the OR of those
+  // rows over its own statements.
+  candidate_words_ = (n + 63) / 64;
+  std::vector<uint64_t> by_statement(statement_count * candidate_words_, 0);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t s : (*set_)[i].affected) {
+      by_statement[s * candidate_words_ + i / 64] |= uint64_t{1} << (i % 64);
+    }
+  }
+  overlap_bits_.assign(n * candidate_words_, 0);
+  for (size_t i = 0; i < n; ++i) {
+    uint64_t* row = overlap_bits_.data() + i * candidate_words_;
+    for (size_t s : (*set_)[i].affected) {
+      const uint64_t* affecting = by_statement.data() + s * candidate_words_;
+      for (size_t w = 0; w < candidate_words_; ++w) row[w] |= affecting[w];
     }
   }
   if (parallel()) {
@@ -158,59 +178,111 @@ Status BenefitEvaluator::Initialize() {
   return Status::OK();
 }
 
-std::vector<std::vector<int>> BenefitEvaluator::Decompose(
-    const std::vector<int>& config) const {
+void BenefitEvaluator::DecomposeInto(ProbeScratch* scratch) const {
+  const std::vector<int>& config = scratch->config;
   const size_t n = config.size();
-  if (!options_.use_subconfigurations || n == 1) return {config};
-  // Union-find over configuration members; union when affected sets
+  scratch->members.assign(config.begin(), config.end());
+  if (!options_.use_subconfigurations || n == 1) {
+    scratch->group_end.assign(1, static_cast<uint32_t>(n));
+    return;
+  }
+  // Union-find over configuration positions; union when affected sets
   // overlap. The union direction fixes each group's root, and the roots'
   // order is the order the group benefits are summed in: changing either
-  // changes the floating-point total.
-  std::vector<size_t> parent(n);
-  std::iota(parent.begin(), parent.end(), 0);
-  auto find = [&](size_t x) {
+  // changes the floating-point total. Pairs (i, j) are visited i-major,
+  // j ascending, as a plain pair loop would; a pair whose affected sets
+  // are disjoint does nothing there, so only the overlapping ones are
+  // visited, read off the overlap row of config[i] masked by the members.
+  std::vector<uint32_t>& parent = scratch->parent;
+  parent.resize(n);
+  if (scratch->member_bits.size() != candidate_words_) {
+    scratch->member_bits.assign(candidate_words_, 0);
+    scratch->position_of.assign(set_->size(), 0);
+  }
+  uint64_t* member_bits = scratch->member_bits.data();
+  for (size_t i = 0; i < n; ++i) {
+    const auto id = static_cast<size_t>(config[i]);
+    parent[i] = static_cast<uint32_t>(i);
+    member_bits[id / 64] |= uint64_t{1} << (id % 64);
+    scratch->position_of[id] = static_cast<uint32_t>(i);
+  }
+  auto find = [&](uint32_t x) {
     while (parent[x] != x) {
       parent[x] = parent[parent[x]];
       x = parent[x];
     }
     return x;
   };
-  auto overlap = [&](int a, int b) {
-    const uint64_t* sa = AffectedBits(a);
-    const uint64_t* sb = AffectedBits(b);
-    for (size_t w = 0; w < affected_words_; ++w) {
-      if (sa[w] & sb[w]) return true;
-    }
-    return false;
-  };
-  for (size_t i = 0; i < n; ++i) {
-    size_t root_i = find(i);
-    for (size_t j = i + 1; j < n; ++j) {
-      // A pair already in one group would union a root with itself: skip
-      // its overlap test.
-      const size_t root_j = find(j);
-      if (root_i != root_j && overlap(config[i], config[j])) {
-        parent[root_i] = root_j;
-        root_i = root_j;
+  const size_t last_word = static_cast<size_t>(config[n - 1]) / 64;
+  bool merged = false;
+  for (size_t i = 0; i + 1 < n; ++i) {
+    const auto id = static_cast<size_t>(config[i]);
+    const uint64_t* row = OverlapRow(config[i]);
+    uint32_t root_i = find(static_cast<uint32_t>(i));
+    // Members after position i are the member ids above config[i].
+    const size_t first_word = (id + 1) / 64;
+    for (size_t w = first_word; w <= last_word; ++w) {
+      uint64_t bits = row[w] & member_bits[w];
+      if (w == first_word) bits &= ~uint64_t{0} << ((id + 1) % 64);
+      for (; bits != 0; bits &= bits - 1) {
+        const size_t other =
+            w * 64 + static_cast<size_t>(std::countr_zero(bits));
+        const uint32_t root_j = find(scratch->position_of[other]);
+        if (root_i != root_j) {
+          parent[root_i] = root_j;
+          root_i = root_j;
+          merged = true;
+        }
       }
     }
   }
-  // Number the groups by ascending root, then deal the members out in
-  // config order (ascending, so each group comes out sorted).
-  std::vector<size_t> group_of(n);
-  size_t groups = 0;
-  for (size_t i = 0; i < n; ++i) {
-    if (find(i) == i) group_of[i] = groups++;
+  for (int id : config) {
+    member_bits[static_cast<size_t>(id) / 64] = 0;
   }
-  std::vector<std::vector<int>> out(groups);
+  std::vector<uint32_t>& group_end = scratch->group_end;
+  if (!merged) {  // n singleton groups, in config order
+    group_end.resize(n);
+    std::iota(group_end.begin(), group_end.end(), uint32_t{1});
+    return;
+  }
+  // Number the groups by ascending root, then deal the members out in
+  // config order (ascending, so each group comes out sorted): group_end
+  // holds each group's start and advances to its end as it fills.
+  std::vector<uint32_t>& group_of = scratch->group_of;
+  group_of.resize(n);
+  uint32_t groups = 0;
   for (size_t i = 0; i < n; ++i) {
-    out[group_of[find(i)]].push_back(config[i]);
+    parent[i] = find(static_cast<uint32_t>(i));
+    if (parent[i] == i) group_of[i] = groups++;
+  }
+  group_end.assign(groups, 0);
+  for (size_t i = 0; i < n; ++i) ++group_end[group_of[parent[i]]];
+  uint32_t begin = 0;
+  for (uint32_t& end : group_end) {
+    const uint32_t size = end;
+    end = begin;
+    begin += size;
+  }
+  for (size_t i = 0; i < n; ++i) {
+    scratch->members[group_end[group_of[parent[i]]]++] = config[i];
+  }
+}
+
+std::vector<std::vector<int>> BenefitEvaluator::Decompose(
+    const std::vector<int>& config) const {
+  ProbeScratch scratch;
+  scratch.config = config;
+  DecomposeInto(&scratch);
+  std::vector<std::vector<int>> out;
+  for (size_t k = 0; k < scratch.group_count(); ++k) {
+    const std::span<const int> group = scratch.group(k);
+    out.emplace_back(group.begin(), group.end());
   }
   return out;
 }
 
 Result<double> BenefitEvaluator::ComputeSubConfigurationBenefit(
-    const std::vector<int>& sub, storage::Catalog* catalog,
+    std::span<const int> sub, storage::Catalog* catalog,
     const optimizer::Optimizer& optimizer, const fault::Deadline& deadline,
     const fault::CancelToken* cancel) {
   // Create the sub-configuration's indexes virtually.
@@ -258,9 +330,9 @@ Result<double> BenefitEvaluator::ComputeSubConfigurationBenefit(
 }
 
 Result<double> BenefitEvaluator::SubConfigurationQueryBenefit(
-    const std::vector<int>& sub, const fault::Deadline& deadline,
-    const fault::CancelToken* cancel) {
-  return cache_.GetOrCompute(sub, [&]() -> Result<double> {
+    std::span<const int> sub, std::vector<int>* key,
+    const fault::Deadline& deadline, const fault::CancelToken* cancel) {
+  auto compute = [&]() -> Result<double> {
     if (parallel()) {
       ContextLease lease(this);
       return ComputeSubConfigurationBenefit(sub, &lease.get()->catalog,
@@ -269,7 +341,10 @@ Result<double> BenefitEvaluator::SubConfigurationQueryBenefit(
     }
     return ComputeSubConfigurationBenefit(sub, catalog_, optimizer_, deadline,
                                           cancel);
-  });
+  };
+  if (sub.size() == 1) return cache_.GetOrComputeSingle(sub[0], compute);
+  key->assign(sub.begin(), sub.end());
+  return cache_.GetOrCompute(*key, compute);
 }
 
 double BenefitEvaluator::MaintenanceCharge(
@@ -303,33 +378,54 @@ Result<double> BenefitEvaluator::ConfigurationBenefit(
   // produced, but a configuration is a set — sorting and deduplicating
   // here keeps permuted configs on one cache key and stops duplicated ids
   // from double-charging maintenance or colliding on what-if index names.
-  std::vector<int> canonical = config;
+  // Concurrent probes (parallel mode) each bring their own scratch.
+  ProbeScratch local;
+  ProbeScratch& scratch = parallel() ? local : scratch_;
+  std::vector<int>& canonical = scratch.config;
+  canonical.assign(config.begin(), config.end());
   std::sort(canonical.begin(), canonical.end());
   canonical.erase(std::unique(canonical.begin(), canonical.end()),
                   canonical.end());
   if (canonical.empty()) return 0.0;
 
-  const std::vector<std::vector<int>> subs = Decompose(canonical);
+  DecomposeInto(&scratch);
+  const size_t groups = scratch.group_count();
   double benefit = 0;
-  if (parallel() && subs.size() > 1) {
+  if (parallel() && groups > 1) {
     // Disjoint groups (§VI-C) evaluate independently: farm them out,
     // then reduce serially in decomposition order for bit-identical sums.
-    std::vector<double> sub_benefits(subs.size(), 0.0);
+    std::vector<double> sub_benefits(groups, 0.0);
     XIA_RETURN_IF_ERROR(
-        options_.pool->ParallelFor(subs.size(), [&](size_t i) -> Status {
+        options_.pool->ParallelFor(groups, [&](size_t k) -> Status {
+          std::vector<int> key;
           XIA_ASSIGN_OR_RETURN(
-              sub_benefits[i],
-              SubConfigurationQueryBenefit(subs[i], deadline, cancel));
+              sub_benefits[k],
+              SubConfigurationQueryBenefit(scratch.group(k), &key, deadline,
+                                           cancel));
           return Status::OK();
         }));
     for (double sub_benefit : sub_benefits) benefit += sub_benefit;
   } else {
-    for (const std::vector<int>& sub : subs) {
-      XIA_ASSIGN_OR_RETURN(
-          const double sub_benefit,
-          SubConfigurationQueryBenefit(sub, deadline, cancel));
+    // Ready one-member groups, most of them, are read straight from their
+    // slots and their hits counted once, at the end.
+    size_t slot_hits = 0;
+    for (size_t k = 0; k < groups; ++k) {
+      const std::span<const int> group = scratch.group(k);
+      double sub_benefit = 0;
+      if (group.size() == 1 && cache_.PeekSingle(group[0], &sub_benefit)) {
+        ++slot_hits;
+      } else {
+        Result<double> computed = SubConfigurationQueryBenefit(
+            group, &scratch.key, deadline, cancel);
+        if (!computed.ok()) {
+          cache_.CountHits(slot_hits);
+          return computed.status();
+        }
+        sub_benefit = *computed;
+      }
       benefit += sub_benefit;
     }
+    cache_.CountHits(slot_hits);
   }
   return benefit - MaintenanceCharge(canonical);
 }

@@ -39,6 +39,13 @@
 // thread computes it, and the cache's in-flight dedup keeps the set of
 // cache misses — hence the optimizer-call count — identical to a serial
 // run. Parallel results are bit-identical to serial ones.
+//
+// Probe path (DESIGN §17). A cache-hit probe is bookkeeping only, so it
+// is kept free of allocation: the constructor builds a candidate-by-
+// candidate overlap bitset matrix, Decompose runs its union-find against
+// it into flat buffers the evaluator owns, and a one-member group — most
+// of them — reads its benefit from a per-candidate slot instead of the
+// hashed cache.
 
 #ifndef XIA_ADVISOR_BENEFIT_H_
 #define XIA_ADVISOR_BENEFIT_H_
@@ -48,6 +55,7 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -70,8 +78,18 @@ namespace xia::advisor {
 /// A failed computation is never cached; waiters retry and may become the
 /// computer themselves. Used in serial mode too, so hit/miss accounting
 /// has a single implementation.
+///
+/// One-member configurations, most of the probes, skip the hash map: each
+/// candidate id has a slot whose ready value is read with one acquire
+/// load. A slot follows the same protocol as a map entry (one computer,
+/// waiters block on the shard's condition variable, a failure resets the
+/// slot), so both kinds of key count hits and misses alike.
 class BenefitCache {
  public:
+  /// `single_count` is the number of candidate ids with a slot.
+  explicit BenefitCache(size_t single_count = 0)
+      : singles_(std::make_unique<Slot[]>(single_count)) {}
+
   /// Returns the cached value for `key`, or runs `compute` (a callable
   /// returning Result<double>, invoked outside any shard lock) and caches
   /// its result. Counts one hit or one miss per call; a call that waited
@@ -79,6 +97,20 @@ class BenefitCache {
   /// ready.
   template <typename Compute>
   Result<double> GetOrCompute(const std::vector<int>& key, Compute&& compute);
+
+  /// GetOrCompute for the one-member key {id}, through id's slot.
+  template <typename Compute>
+  Result<double> GetOrComputeSingle(int id, Compute&& compute);
+
+  /// The value of {id}'s slot if it is ready, counting nothing: a probe
+  /// tallies these hits and adds them with one CountHits call.
+  bool PeekSingle(int id, double* value) const {
+    const Slot& slot = singles_[static_cast<size_t>(id)];
+    if (slot.state.load(std::memory_order_acquire) != kReady) return false;
+    *value = slot.value;
+    return true;
+  }
+  void CountHits(size_t n);
 
   size_t hits() const { return hits_.load(std::memory_order_relaxed); }
   size_t misses() const { return misses_.load(std::memory_order_relaxed); }
@@ -102,16 +134,25 @@ class BenefitCache {
     std::unordered_map<std::vector<int>, std::shared_ptr<Entry>, KeyHash>
         entries;
   };
+  // A one-member key's entry. `value` is written under the shard lock
+  // before the release store of kReady, so an acquire load of kReady
+  // makes it readable without the lock.
+  enum SlotState : uint8_t { kEmpty, kComputing, kReady };
+  struct Slot {
+    std::atomic<uint8_t> state{kEmpty};
+    double value = 0;
+  };
 
   static constexpr size_t kShardCount = 16;
 
   Shard& ShardFor(const std::vector<int>& key) {
     return shards_[KeyHash{}(key) % kShardCount];
   }
-  void CountHit();
+  void CountHit() { CountHits(1); }
   void CountMiss();
 
   std::array<Shard, kShardCount> shards_;
+  std::unique_ptr<Slot[]> singles_;
   std::atomic<size_t> hits_{0};
   std::atomic<size_t> misses_{0};
 };
@@ -163,6 +204,48 @@ Result<double> BenefitCache::GetOrCompute(const std::vector<int>& key,
     }
     // The computation we waited on failed and its entry is gone: loop —
     // this thread may become the computer on the next pass.
+  }
+}
+
+template <typename Compute>
+Result<double> BenefitCache::GetOrComputeSingle(int id, Compute&& compute) {
+  Slot& slot = singles_[static_cast<size_t>(id)];
+  if (slot.state.load(std::memory_order_acquire) == kReady) {
+    CountHit();
+    return slot.value;
+  }
+  Shard& shard = shards_[static_cast<size_t>(id) % kShardCount];
+  std::unique_lock<std::mutex> lock(shard.mu);
+  for (;;) {
+    switch (slot.state.load(std::memory_order_relaxed)) {
+      case kReady: {
+        const double value = slot.value;
+        lock.unlock();
+        CountHit();
+        return value;
+      }
+      case kEmpty: {
+        slot.state.store(kComputing, std::memory_order_relaxed);
+        lock.unlock();
+        CountMiss();
+        Result<double> result = compute();
+        lock.lock();
+        if (result.ok()) {
+          slot.value = *result;
+          slot.state.store(kReady, std::memory_order_release);
+        } else {
+          // Not cached: a waiter (or a later call) recomputes.
+          slot.state.store(kEmpty, std::memory_order_relaxed);
+        }
+        lock.unlock();
+        shard.cv.notify_all();
+        return result;
+      }
+      default:
+        // Another thread is computing this slot; re-examine it once woken.
+        shard.cv.wait(lock);
+        break;
+    }
   }
 }
 
@@ -246,6 +329,36 @@ class BenefitEvaluator {
   std::vector<std::vector<int>> Decompose(const std::vector<int>& config) const;
 
  private:
+  /// One probe's working memory: its canonical configuration and that
+  /// configuration's decomposition, laid out flat. The serial evaluator
+  /// reuses one, so a probe allocates only while the buffers grow.
+  struct ProbeScratch {
+    /// The canonical configuration.
+    std::vector<int> config;
+    /// Union-find parents over positions in `config`.
+    std::vector<uint32_t> parent;
+    /// Group number of each root position.
+    std::vector<uint32_t> group_of;
+    /// Members of every group, group after group, each group ascending.
+    std::vector<int> members;
+    /// Group k's members are members[k == 0 ? 0 : group_end[k-1],
+    /// group_end[k]).
+    std::vector<uint32_t> group_end;
+    /// Bitset over candidate ids of the configuration's members; all zero
+    /// between calls.
+    std::vector<uint64_t> member_bits;
+    /// Position in `config` of each member id (other entries stale).
+    std::vector<uint32_t> position_of;
+    /// The cache key of a multi-member group.
+    std::vector<int> key;
+
+    size_t group_count() const { return group_end.size(); }
+    std::span<const int> group(size_t k) const {
+      const size_t begin = k == 0 ? 0 : group_end[k - 1];
+      return {members.data() + begin, group_end[k] - begin};
+    }
+  };
+
   /// A leased what-if planning context: one scratch catalog + optimizer
   /// per concurrently in-flight evaluation, so parallel probes never
   /// share a catalog.
@@ -267,21 +380,30 @@ class BenefitEvaluator {
   WorkerContext* AcquireContext();
   void ReleaseContext(WorkerContext* context);
 
+  /// Decomposes scratch->config (canonical, non-empty) into
+  /// scratch->members / group_end; see Decompose.
+  void DecomposeInto(ProbeScratch* scratch) const;
+
   /// Query-side benefit of one sub-configuration (no maintenance),
-  /// memoized through cache_.
-  Result<double> SubConfigurationQueryBenefit(const std::vector<int>& sub,
+  /// memoized through cache_: a one-member group through its slot, a
+  /// larger one through the map, keyed by a copy made in `key`.
+  Result<double> SubConfigurationQueryBenefit(std::span<const int> sub,
+                                              std::vector<int>* key,
                                               const fault::Deadline& deadline,
                                               const fault::CancelToken* cancel);
 
   /// The actual what-if evaluation against `catalog`/`optimizer` (either
   /// the evaluator's own or a leased worker context's).
   Result<double> ComputeSubConfigurationBenefit(
-      const std::vector<int>& sub, storage::Catalog* catalog,
+      std::span<const int> sub, storage::Catalog* catalog,
       const optimizer::Optimizer& optimizer, const fault::Deadline& deadline,
       const fault::CancelToken* cancel);
 
   const uint64_t* AffectedBits(int id) const {
     return affected_bits_.data() + static_cast<size_t>(id) * affected_words_;
+  }
+  const uint64_t* OverlapRow(int id) const {
+    return overlap_bits_.data() + static_cast<size_t>(id) * candidate_words_;
   }
 
   const engine::Workload* workload_;
@@ -291,10 +413,15 @@ class BenefitEvaluator {
   Options options_;
 
   // Affected sets as bitsets over statement indices, affected_words_ words
-  // per candidate id, built at construction: the overlap test of
-  // Decompose is a few word ANDs.
+  // per candidate id, built at construction: a sub-configuration's
+  // statements are the OR of its members' rows.
   size_t affected_words_ = 0;
   std::vector<uint64_t> affected_bits_;
+  // The overlap matrix: row x is a bitset over candidate ids, bit y set
+  // when the affected sets of x and y intersect; candidate_words_ words
+  // per row, built at construction.
+  size_t candidate_words_ = 0;
+  std::vector<uint64_t> overlap_bits_;
 
   // Per statement, indexed like the workload: the prepared statement every
   // probe plans (read-only after Initialize, shared by all contexts) and
@@ -309,6 +436,8 @@ class BenefitEvaluator {
   bool initialized_ = false;
 
   BenefitCache cache_;
+  // The serial probe's scratch (parallel probes use their own).
+  ProbeScratch scratch_;
 
   // Scratch contexts (parallel mode only): created up front, leased
   // through a mutex-guarded freelist. contexts_ itself is immutable after

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <mutex>
+#include <string_view>
 #include <vector>
 
 #include "fault/fault.h"
@@ -11,6 +12,33 @@
 namespace xia::advisor {
 
 namespace {
+
+// FNV-1a over the collection and every field IndexPattern::operator==
+// compares (a structural pattern's type is not one of them).
+uint64_t PatternHash(const std::string& collection,
+                     const xpath::IndexPattern& pattern) {
+  uint64_t h = 1469598103934665603ull;
+  auto mix = [&](std::string_view bytes) {
+    for (const char ch : bytes) {
+      h ^= static_cast<unsigned char>(ch);
+      h *= 1099511628211ull;
+    }
+    h ^= 0xff;  // terminator: "ab"+"c" and "a"+"bc" hash apart
+    h *= 1099511628211ull;
+  };
+  mix(collection);
+  const char kind[] = {
+      static_cast<char>(pattern.structural),
+      static_cast<char>(pattern.structural ? xpath::ValueType::kString
+                                           : pattern.type)};
+  mix(std::string_view(kind, sizeof(kind)));
+  for (const xpath::Step& step : pattern.path.steps()) {
+    const char axis = static_cast<char>(step.axis);
+    mix(std::string_view(&axis, 1));
+    mix(step.name_test);
+  }
+  return h;
+}
 
 // Folds one statement's enumerated patterns into the set: dedup by
 // (collection, pattern), then record the statement in the affected set.
@@ -48,11 +76,27 @@ std::string Candidate::ToString() const {
 }
 
 int CandidateSet::Find(const std::string& collection,
-                       const xpath::IndexPattern& pattern) const {
-  for (const Candidate& c : candidates) {
-    if (c.collection == collection && c.pattern == pattern) return c.id;
+                       const xpath::IndexPattern& pattern) {
+  if (indexed_ > candidates.size()) {  // the vector was replaced
+    index_.clear();
+    indexed_ = 0;
   }
-  return -1;
+  for (; indexed_ < candidates.size(); ++indexed_) {
+    const Candidate& c = candidates[indexed_];
+    index_.emplace(PatternHash(c.collection, c.pattern),
+                   static_cast<int>(indexed_));
+  }
+  int found = -1;
+  const auto [begin, end] =
+      index_.equal_range(PatternHash(collection, pattern));
+  for (auto it = begin; it != end; ++it) {
+    const Candidate& c = candidates[static_cast<size_t>(it->second)];
+    if ((found < 0 || it->second < found) && c.collection == collection &&
+        c.pattern == pattern) {
+      found = it->second;
+    }
+  }
+  return found < 0 ? -1 : candidates[static_cast<size_t>(found)].id;
 }
 
 Result<CandidateSet> EnumerateBasicCandidates(

@@ -9,7 +9,9 @@
 #ifndef XIA_ADVISOR_CANDIDATES_H_
 #define XIA_ADVISOR_CANDIDATES_H_
 
+#include <cstdint>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "engine/query.h"
@@ -72,13 +74,21 @@ struct CandidateSet {
   /// probed.
   bool partial = false;
 
-  /// Index of the candidate with this collection and pattern, or -1.
-  int Find(const std::string& collection,
-           const xpath::IndexPattern& pattern) const;
+  /// Index of the first candidate with this collection and pattern, or
+  /// -1. A hash lookup: candidates appended since the last call are
+  /// indexed first, so code may push onto `candidates` directly, but an
+  /// indexed candidate's collection and pattern must not change.
+  int Find(const std::string& collection, const xpath::IndexPattern& pattern);
 
   size_t size() const { return candidates.size(); }
   const Candidate& operator[](size_t i) const { return candidates[i]; }
   Candidate& operator[](size_t i) { return candidates[i]; }
+
+ private:
+  // Find's index over candidates[0 .. indexed_): positions by a hash of
+  // (collection, pattern).
+  std::unordered_multimap<uint64_t, int> index_;
+  size_t indexed_ = 0;
 };
 
 /// Runs the optimizer in Enumerate Indexes mode on every statement and

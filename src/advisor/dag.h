@@ -20,6 +20,11 @@ namespace xia::advisor {
 /// returns the root candidate ids (no parents). Candidates equivalent to
 /// one another are collapsed by keeping edges only through the one with the
 /// smallest id.
+///
+/// The relations are bitset rows, and the reduction is word ANDs. A general
+/// candidate's covered_basics must be what GeneralizeCandidates leaves:
+/// exactly the basic candidates of its kind it covers. Those Covers results
+/// are reused, not recomputed.
 std::vector<int> BuildDag(CandidateSet* set);
 
 }  // namespace xia::advisor

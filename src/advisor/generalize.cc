@@ -1,8 +1,6 @@
 #include "advisor/generalize.h"
 
 #include <algorithm>
-#include <set>
-#include <string>
 
 #include "xpath/containment.h"
 
@@ -14,13 +12,30 @@ using xpath::Axis;
 using xpath::Path;
 using xpath::Step;
 
+// The wildcard step a skipped stretch of steps generalizes to.
+const Step& WildcardStep() {
+  static const Step wildcard(Axis::kChild, "*");
+  return wildcard;
+}
+
 // Recursion state for Algorithm 1: positions i, j into the step lists of
-// the two patterns being generalized.
+// the two patterns being generalized. The generalized path built so far is
+// one stack of steps shared by the whole recursion; each call pushes its
+// steps and pops them before it returns, so a branch sees exactly the
+// prefix its caller built.
 struct Generalizer {
+  // One generalized step: an axis plus the step whose name test it keeps
+  // (an input step, or WildcardStep()).
+  struct GenStep {
+    Axis axis;
+    const Step* name;
+  };
+
   const std::vector<Step>& a;
   const std::vector<Step>& b;
-  std::set<std::string> seen;   // dedup by rendered path
-  std::vector<Path> results;
+  std::vector<GenStep> stack;
+  std::vector<GenStep> rewritten;  // Emit's scratch
+  std::vector<Path> results;       // deduplicated by step equality
   // The recursion tree is small for realistic patterns, but Rule 4 branches
   // three ways; cap defensively.
   int budget = 4096;
@@ -34,70 +49,95 @@ struct Generalizer {
                : Axis::kChild;
   }
 
-  void Emit(const Path& gen) {
-    const Path rewritten = RewriteWildcardRuns(gen);
-    const std::string key = rewritten.ToString();
-    if (seen.insert(key).second) results.push_back(rewritten);
-  }
-
-  // Appends the generalization of steps a[i] and b[j] to `gen`.
-  static void AppendGeneralized(Path* gen, const Step& x, const Step& y) {
-    const std::string name = (x.name_test == y.name_test) ? x.name_test : "*";
-    gen->Append(GenAxis(x.axis, y.axis), name);
+  // Rule 1: applies Rule 0 (RewriteWildcardRuns) to the stack and records
+  // the result unless an equal path was recorded already.
+  void Emit() {
+    rewritten.clear();
+    bool pending_descendant = false;
+    for (size_t k = 0; k < stack.size(); ++k) {
+      GenStep step = stack[k];
+      if (k + 1 != stack.size() && step.name->is_wildcard()) {
+        pending_descendant = true;
+        continue;
+      }
+      if (pending_descendant) {
+        step.axis = Axis::kDescendant;
+        pending_descendant = false;
+      }
+      rewritten.push_back(step);
+    }
+    for (const Path& seen : results) {
+      if (seen.size() != rewritten.size()) continue;
+      bool equal = true;
+      for (size_t k = 0; k < rewritten.size() && equal; ++k) {
+        equal = seen.step(k).axis == rewritten[k].axis &&
+                seen.step(k).name_test == rewritten[k].name->name_test;
+      }
+      if (equal) return;
+    }
+    std::vector<Step> steps;
+    steps.reserve(rewritten.size());
+    for (const GenStep& step : rewritten) {
+      steps.push_back(*step.name);
+      steps.back().axis = step.axis;
+    }
+    results.emplace_back(std::move(steps));
   }
 
   // Algorithm 1: generalize current nodes, then advance.
-  void GeneralizeStep(Path gen, size_t i, size_t j) {
+  void GeneralizeStep(size_t i, size_t j) {
     if (--budget < 0) return;
-    if (IsLastA(i) != IsLastB(j)) {
-      AdvanceStep(std::move(gen), i, j);
-      return;
+    const size_t mark = stack.size();
+    if (IsLastA(i) == IsLastB(j)) {
+      // Equal name tests are kept, differing ones widen to '*'.
+      const Step* name =
+          a[i].name_test == b[j].name_test ? &a[i] : &WildcardStep();
+      stack.push_back({GenAxis(a[i].axis, b[j].axis), name});
     }
-    AppendGeneralized(&gen, a[i], b[j]);
-    AdvanceStep(std::move(gen), i, j);
+    AdvanceStep(i, j);
+    stack.resize(mark);
+  }
+
+  // A wildcard gap, then GeneralizeStep(i, j).
+  void GapThenStep(size_t i, size_t j) {
+    stack.push_back({Axis::kChild, &WildcardStep()});
+    GeneralizeStep(i, j);
+    stack.pop_back();
   }
 
   // Table II.
-  void AdvanceStep(Path gen, size_t i, size_t j) {
+  void AdvanceStep(size_t i, size_t j) {
     if (--budget < 0) return;
     const bool la = IsLastA(i);
     const bool lb = IsLastB(j);
     if (la && lb) {  // Rule 1
-      Emit(gen);
+      Emit();
       return;
     }
     if (la && !lb) {  // Rule 2: skip b's middle, land on its last step.
-      Path g = gen;
-      g.Append(Axis::kChild, "*");
-      GeneralizeStep(std::move(g), i, b.size() - 1);
+      GapThenStep(i, b.size() - 1);
       return;
     }
     if (!la && lb) {  // Rule 3: symmetric.
-      Path g = gen;
-      g.Append(Axis::kChild, "*");
-      GeneralizeStep(std::move(g), a.size() - 1, j);
+      GapThenStep(a.size() - 1, j);
       return;
     }
     // Rule 4: both middle steps; a[i] and b[j] are already generalized
     // into genXPath, so the branches operate on the next unconsumed nodes.
     // (1) advance both.
-    GeneralizeStep(gen, i + 1, j + 1);
+    GeneralizeStep(i + 1, j + 1);
     // (2) look for b[j+1]'s name beyond a[i+1]; aligning them records a's
     // skipped steps as a wildcard gap (widened to '//' by Rule 0).
     for (size_t k = i + 2; k < a.size(); ++k) {
       if (a[k].name_test == b[j + 1].name_test) {
-        Path g = gen;
-        g.Append(Axis::kChild, "*");
-        GeneralizeStep(std::move(g), k, j + 1);
+        GapThenStep(k, j + 1);
         break;
       }
     }
     // (3) symmetric: a[i+1]'s name further in b.
     for (size_t k = j + 2; k < b.size(); ++k) {
       if (b[k].name_test == a[i + 1].name_test) {
-        Path g = gen;
-        g.Append(Axis::kChild, "*");
-        GeneralizeStep(std::move(g), i + 1, k);
+        GapThenStep(i + 1, k);
         break;
       }
     }
@@ -130,8 +170,8 @@ xpath::Path RewriteWildcardRuns(const xpath::Path& path) {
 std::vector<xpath::Path> GeneralizePair(const xpath::Path& a,
                                         const xpath::Path& b) {
   if (a.empty() || b.empty()) return {};
-  Generalizer g{a.steps(), b.steps(), {}, {}, 4096};
-  g.GeneralizeStep(Path(), 0, 0);
+  Generalizer g{a.steps(), b.steps(), {}, {}, {}, 4096};
+  g.GeneralizeStep(0, 0);
   return std::move(g.results);
 }
 
@@ -149,28 +189,26 @@ GeneralizeStats GeneralizeCandidates(CandidateSet* set) {
       for (size_t y = std::max(x + 1, processed); y < n; ++y) {
         if (!SameIndexKind((*set)[x], (*set)[y])) continue;
         ++stats.pairs_considered;
-        // Copy the pair's fields: appending generalized candidates below
-        // reallocates the vector, so references into it must not be held
-        // across the push_back.
-        const std::string collection = (*set)[x].collection;
-        const xpath::IndexPattern pattern_x = (*set)[x].pattern;
-        const xpath::IndexPattern pattern_y = (*set)[y].pattern;
-
-        for (const xpath::Path& gen :
-             GeneralizePair(pattern_x.path, pattern_y.path)) {
-          const xpath::IndexPattern pattern{gen, pattern_x.type,
-                                            pattern_x.structural};
-          if (set->Find(collection, pattern) >= 0) continue;
+        std::vector<xpath::Path> generalized = GeneralizePair(
+            (*set)[x].pattern.path, (*set)[y].pattern.path);
+        for (xpath::Path& gen : generalized) {
+          // Appending a candidate below reallocates the vector: x and y
+          // are looked up afresh for every generalization.
+          const Candidate& cx = (*set)[x];
+          const Candidate& cy = (*set)[y];
+          xpath::IndexPattern pattern{std::move(gen), cx.pattern.type,
+                                      cx.pattern.structural};
+          if (set->Find(cx.collection, pattern) >= 0) continue;
           // Skip generalizations equivalent to an input (e.g. generalizing
           // a pattern with a pattern it already covers).
-          if (xpath::Equivalent(gen, pattern_x.path) ||
-              xpath::Equivalent(gen, pattern_y.path)) {
+          if (xpath::Equivalent(pattern.path, cx.pattern.path) ||
+              xpath::Equivalent(pattern.path, cy.pattern.path)) {
             continue;
           }
           Candidate c;
           c.id = static_cast<int>(set->candidates.size());
-          c.collection = collection;
-          c.pattern = pattern;
+          c.collection = cx.collection;
+          c.pattern = std::move(pattern);
           c.is_general = true;
           // Coverage and affected sets from the basic candidates.
           for (size_t b = 0; b < set->basic_count; ++b) {
@@ -178,15 +216,13 @@ GeneralizeStats GeneralizeCandidates(CandidateSet* set) {
             if (!SameIndexKind(basic, c)) continue;
             if (xpath::Covers(c.pattern.path, basic.pattern.path)) {
               c.covered_basics.push_back(basic.id);
-              for (size_t s : basic.affected) {
-                if (std::find(c.affected.begin(), c.affected.end(), s) ==
-                    c.affected.end()) {
-                  c.affected.push_back(s);
-                }
-              }
+              c.affected.insert(c.affected.end(), basic.affected.begin(),
+                                basic.affected.end());
             }
           }
           std::sort(c.affected.begin(), c.affected.end());
+          c.affected.erase(std::unique(c.affected.begin(), c.affected.end()),
+                           c.affected.end());
           set->candidates.push_back(std::move(c));
           ++stats.generated;
           changed = true;

@@ -9,7 +9,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <random>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -18,7 +20,10 @@
 #include "advisor/candidates.h"
 #include "engine/query_parser.h"
 #include "storage/catalog.h"
+#include "tpox/synthetic.h"
 #include "tpox/tpox_data.h"
+#include "tpox/tpox_workload.h"
+#include "util/random.h"
 #include "util/thread_pool.h"
 
 namespace xia::advisor {
@@ -109,6 +114,46 @@ TEST_F(ParallelAdvisorTest, EveryAlgorithmIdenticalAcrossThreadCounts) {
       auto parallel = advisor_->Recommend(workload_, options);
       ASSERT_TRUE(parallel.ok()) << parallel.status();
       ExpectSameRecommendation(*serial, *parallel);
+    }
+  }
+}
+
+// The many-iteration searches on a workload shaped like a perfbench advise
+// input (the TPoX queries plus synthetic statements): one-member groups go
+// through the per-candidate slots, larger ones through the map, from
+// several threads at once.
+TEST_F(ParallelAdvisorTest, ManyProbeSearchesIdenticalAcrossThreadCounts) {
+  auto queries = tpox::TpoxQueries();
+  ASSERT_TRUE(queries.ok()) << queries.status();
+  engine::Workload workload = std::move(*queries);
+  Random rng(7);
+  auto synthetic = tpox::GenerateSyntheticWorkload(
+      stats_,
+      {tpox::kSecurityCollection, tpox::kOrderCollection,
+       tpox::kCustAccCollection},
+      40, &rng);
+  ASSERT_TRUE(synthetic.ok()) << synthetic.status();
+  for (engine::Statement& stmt : *synthetic) workload.push_back(stmt);
+  auto all_index = advisor_->AllIndexConfiguration(workload);
+  ASSERT_TRUE(all_index.ok()) << all_index.status();
+  for (SearchAlgorithm algo : {SearchAlgorithm::kGreedyWithHeuristics,
+                               SearchAlgorithm::kTopDownFull}) {
+    for (const double fraction : {0.25, 1.0}) {
+      SCOPED_TRACE(std::string(SearchAlgorithmName(algo)) + " at " +
+                   std::to_string(fraction));
+      AdvisorOptions options;
+      options.algorithm = algo;
+      options.disk_budget_bytes = fraction * all_index->total_size_bytes;
+      options.threads = 1;
+      auto serial = advisor_->Recommend(workload, options);
+      ASSERT_TRUE(serial.ok()) << serial.status();
+      for (size_t threads : {size_t{2}, size_t{4}}) {
+        SCOPED_TRACE(threads);
+        options.threads = threads;
+        auto parallel = advisor_->Recommend(workload, options);
+        ASSERT_TRUE(parallel.ok()) << parallel.status();
+        ExpectSameRecommendation(*serial, *parallel);
+      }
     }
   }
 }
@@ -237,6 +282,68 @@ TEST(BenefitCacheTest, ConcurrentGetOrComputeDedupesExactly) {
   EXPECT_EQ(cache.misses(), static_cast<size_t>(total_computed));
   EXPECT_EQ(cache.hits() + cache.misses(),
             static_cast<size_t>(kThreads * kIterations));
+}
+
+// The same contract for one-member keys, which live in per-id slots:
+// each id is computed once, and hits + misses == calls.
+TEST(BenefitCacheTest, ConcurrentSingleSlotsDedupeExactly) {
+  constexpr int kIds = 16;
+  constexpr int kThreads = 4;
+  constexpr int kIterations = 200;
+  BenefitCache cache(kIds);
+  std::vector<std::atomic<int>> computed(kIds);
+
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&cache, &computed, t] {
+      std::mt19937 rng(static_cast<unsigned>(t));
+      for (int i = 0; i < kIterations; ++i) {
+        const int id = static_cast<int>(rng() % kIds);
+        auto value = cache.GetOrComputeSingle(id, [&computed, id]() {
+          computed[id].fetch_add(1);
+          // Hold the slot in kComputing long enough for others to wait.
+          std::this_thread::sleep_for(std::chrono::microseconds(50));
+          return Result<double>(id * 2.5);
+        });
+        ASSERT_TRUE(value.ok());
+        ASSERT_EQ(*value, id * 2.5);
+        double peeked = 0;
+        ASSERT_TRUE(cache.PeekSingle(id, &peeked));
+        ASSERT_EQ(peeked, id * 2.5);
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+
+  int total_computed = 0;
+  for (int id = 0; id < kIds; ++id) {
+    EXPECT_LE(computed[id].load(), 1) << "id " << id << " computed twice";
+    total_computed += computed[id].load();
+  }
+  EXPECT_EQ(cache.misses(), static_cast<size_t>(total_computed));
+  EXPECT_EQ(cache.hits() + cache.misses(),
+            static_cast<size_t>(kThreads * kIterations));
+}
+
+TEST(BenefitCacheTest, FailedSingleSlotIsNotCached) {
+  BenefitCache cache(4);
+  double value = 0;
+  EXPECT_FALSE(cache.PeekSingle(3, &value));
+  auto failing = cache.GetOrComputeSingle(
+      3, []() -> Result<double> { return Status::Internal("transient"); });
+  EXPECT_FALSE(failing.ok());
+  EXPECT_FALSE(cache.PeekSingle(3, &value));
+  auto retry =
+      cache.GetOrComputeSingle(3, []() { return Result<double>(7.0); });
+  ASSERT_TRUE(retry.ok());
+  EXPECT_EQ(*retry, 7.0);
+  auto hit = cache.GetOrComputeSingle(3, []() { return Result<double>(0.0); });
+  ASSERT_TRUE(hit.ok());
+  EXPECT_EQ(*hit, 7.0);
+  ASSERT_TRUE(cache.PeekSingle(3, &value));
+  EXPECT_EQ(value, 7.0);
+  EXPECT_EQ(cache.hits(), 1u);
+  EXPECT_EQ(cache.misses(), 2u);
 }
 
 TEST(BenefitCacheTest, FailedComputationIsNotCached) {
