@@ -41,6 +41,36 @@ void ObserveLatency(const std::string& name, double seconds) {
   }
 }
 
+// Counts one request of `type` in xia.net.requests.<type> and records its
+// latency in xia.net.latency.<type>. Each type's two metrics are looked up
+// in the registry on its first request and kept, so later requests build
+// no name and take no registry lock. The counter is published after the
+// histogram, so a thread that sees the counter sees the histogram too.
+void RecordRequest(MsgType type, double seconds) {
+  if constexpr (obs::kObsEnabled) {
+    struct TypeMetrics {
+      std::atomic<obs::Counter*> requests{nullptr};
+      std::atomic<obs::Histogram*> latency{nullptr};
+    };
+    static TypeMetrics by_type[256];
+    TypeMetrics& metrics = by_type[static_cast<uint8_t>(type)];
+    obs::Counter* requests = metrics.requests.load(std::memory_order_acquire);
+    obs::Histogram* latency = metrics.latency.load(std::memory_order_relaxed);
+    if (requests == nullptr) {
+      // Racing first requests get the same pointers from the registry.
+      obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+      const std::string name = MsgTypeName(type);
+      latency = registry.GetHistogram("xia.net.latency." + name,
+                                      obs::LatencyBuckets());
+      requests = registry.GetCounter("xia.net.requests." + name);
+      metrics.latency.store(latency, std::memory_order_relaxed);
+      metrics.requests.store(requests, std::memory_order_release);
+    }
+    requests->Add(1);
+    latency->Observe(seconds);
+  }
+}
+
 ExecReply ToExecReply(const engine::ExecResult& result) {
   ExecReply reply;
   reply.result_count = result.result_count;
@@ -293,10 +323,7 @@ std::string Server::HandleFrame(Session* session, const Frame& frame) {
     default:
       break;
   }
-  const double seconds = timer.ElapsedSeconds();
-  const std::string type_name = MsgTypeName(frame.type);
-  Count("xia.net.requests." + type_name);
-  ObserveLatency("xia.net.latency." + type_name, seconds);
+  RecordRequest(frame.type, timer.ElapsedSeconds());
 
   session->in_request.store(false, std::memory_order_release);
   inflight_.fetch_sub(1, std::memory_order_acq_rel);

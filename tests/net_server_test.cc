@@ -16,8 +16,10 @@
 #include "net/client.h"
 #include "net/socket.h"
 #include "net/wire.h"
+#include "obs/metrics.h"
 #include "scratch_dir.h"
 #include "util/status.h"
+#include "util/string_util.h"
 
 namespace xia::net {
 namespace {
@@ -140,6 +142,38 @@ TEST(NetServerTest, StartServesEveryRequestTypeAndStops) {
   EXPECT_TRUE(server.Stop().ok());
   EXPECT_FALSE(server.running());
   // Idempotent.
+  EXPECT_TRUE(server.Stop().ok());
+}
+
+// Per-type request metrics keep their names: one ping and one query show
+// up as xia.net.requests.{ping,query} = 1 with one latency sample each.
+TEST(NetServerTest, MetricsCountEachRequestTypeOnce) {
+  if (!obs::kObsEnabled) GTEST_SKIP() << "built with XIA_OBS_OFF";
+  Server server(SmallTpoxOptions());
+  ASSERT_TRUE(server.Start().ok());
+  Client client = MustConnect(server);
+  obs::MetricsRegistry::Global().ResetAll();
+
+  ASSERT_TRUE(client.Ping("p").ok());
+  QueryRequest query;
+  query.statement = kPointQuery;
+  ASSERT_TRUE(client.Query(query).ok());
+  const auto metrics = client.Metrics(MetricsFormat::kJson);
+  ASSERT_TRUE(metrics.ok()) << metrics.status();
+  for (const char* type : {"ping", "query"}) {
+    EXPECT_NE(metrics->text.find(StringPrintf(
+                  "{\"name\":\"xia.net.requests.%s\",\"kind\":\"counter\","
+                  "\"value\":1}",
+                  type)),
+              std::string::npos)
+        << type << "\n" << metrics->text;
+    EXPECT_NE(metrics->text.find(StringPrintf(
+                  "{\"name\":\"xia.net.latency.%s\",\"kind\":\"histogram\","
+                  "\"count\":1,",
+                  type)),
+              std::string::npos)
+        << type << "\n" << metrics->text;
+  }
   EXPECT_TRUE(server.Stop().ok());
 }
 
