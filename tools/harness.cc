@@ -29,6 +29,10 @@ namespace {
 constexpr double kChildLifeTimeoutSeconds = 120.0;
 /// Reap kills a child that has not ended by then.
 constexpr double kReapTimeoutSeconds = 90.0;
+/// A periodically checkpointing leader checkpoints each time its durable
+/// LSN has advanced this far, so a stream of a few hundred writes always
+/// spans several checkpoints, however fast it runs.
+constexpr uint64_t kCheckpointLsnStep = 50;
 
 [[noreturn]] void NodeFailed(const NodeSpec& spec, const char* what,
                              const Status& status, int code) {
@@ -69,7 +73,7 @@ constexpr double kReapTimeoutSeconds = 90.0;
 
   Stopwatch life;
   uint64_t target = 0;
-  int iter = 0;
+  uint64_t checkpointed_lsn = server.GetReplStatus().durable_lsn;
   while (true) {
     if (life.ElapsedSeconds() > kChildLifeTimeoutSeconds) {
       const net::ReplStatus rs = server.GetReplStatus();
@@ -83,12 +87,12 @@ constexpr double kReapTimeoutSeconds = 90.0;
                    rs.applier.last_error.c_str());
       ::_exit(5);
     }
-    ++iter;
-    if (spec.periodic_checkpoint && !server.IsFollowerNow() &&
-        iter % 40 == 0) {
-      (void)server.CheckpointNow();
-    }
     const net::ReplStatus rs = server.GetReplStatus();
+    if (spec.periodic_checkpoint && !server.IsFollowerNow() &&
+        rs.durable_lsn >= checkpointed_lsn + kCheckpointLsnStep) {
+      (void)server.CheckpointNow();
+      checkpointed_lsn = rs.durable_lsn;
+    }
     if (server.IsFollowerNow() && !rs.applier.sticky_error.empty()) {
       std::fprintf(stderr, "  [%s] diverged: %s\n", spec.name.c_str(),
                    rs.applier.sticky_error.c_str());

@@ -120,8 +120,8 @@ struct NodeSpec {
   /// Each scenario's fixed rule; see HookArming.
   HookArming arming = HookArming::kAfterStart;
   double quorum_timeout_ms = 8000;
-  /// Checkpoint every ~200 ms while leading, so a mid-checkpoint kill
-  /// window opens during the stream.
+  /// Checkpoint every 50 durable LSNs while leading, so a mid-checkpoint
+  /// kill window opens during the stream.
   bool periodic_checkpoint = false;
 
   std::string File(const char* suffix) const {
