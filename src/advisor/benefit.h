@@ -209,11 +209,11 @@ Result<double> BenefitCache::GetOrCompute(const std::vector<int>& key,
 
 template <typename Compute>
 Result<double> BenefitCache::GetOrComputeSingle(int id, Compute&& compute) {
-  Slot& slot = singles_[static_cast<size_t>(id)];
-  if (slot.state.load(std::memory_order_acquire) == kReady) {
+  if (double value; PeekSingle(id, &value)) {
     CountHit();
-    return slot.value;
+    return value;
   }
+  Slot& slot = singles_[static_cast<size_t>(id)];
   Shard& shard = shards_[static_cast<size_t>(id) % kShardCount];
   std::unique_lock<std::mutex> lock(shard.mu);
   for (;;) {

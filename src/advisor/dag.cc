@@ -9,7 +9,7 @@ namespace xia::advisor {
 
 namespace {
 
-// A square matrix of bits, one row of words per candidate.
+// A matrix of bits, one row of words per candidate.
 class BitMatrix {
  public:
   BitMatrix(size_t rows, size_t columns)

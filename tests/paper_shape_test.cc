@@ -138,7 +138,9 @@ TEST_F(PaperShapeTest, Figure2HeuristicsDominateGreedyAndBothGrowWithBudget) {
             .est_speedup;
     SCOPED_TRACE(StringPrintf("%gx All-Index: greedy %.4f heuristics %.4f",
                               fraction, greedy, heuristics));
-    if (fraction <= 1.0) EXPECT_GE(heuristics, greedy);
+    if (fraction <= 1.0) {
+      EXPECT_GE(heuristics, greedy);
+    }
     EXPECT_GE(greedy, last_greedy);
     EXPECT_GE(heuristics, last_heuristics);
     last_greedy = greedy;
