@@ -7,25 +7,33 @@
 // plans statements prepared once, as the advisor's benefit evaluator
 // does. The difference is what preparing saves per what-if call.
 //
-// Three more rows time the advisor's own bookkeeping around those calls,
-// on the candidate set of one perfbench advise input (the 11 TPoX queries
-// plus 100 synthetic statements) over the same database:
+// More rows time the advisor's own bookkeeping around those calls, on the
+// candidate set of one perfbench advise input (the 11 TPoX queries plus
+// 100 synthetic statements) over the same database:
 // BM_ConfigurationBenefitHit is one cache-hit probe shaped like a
 // greedy+heuristics extension (about 25 members with disjoint affected
 // sets plus one more), BM_GeneralizeCandidates expands the basic set to
-// its fixpoint, and BM_BuildDag builds the DAG of the generalized set.
+// its fixpoint, BM_BuildDag builds the DAG of the generalized set,
+// BM_Covers is one containment test of a candidate against a basic
+// candidate of the same kind (every such pair in turn), and
+// BM_GreedyHeuristicsSearch is one whole greedy+heuristics search at half
+// the All-Index size, on a freshly initialized evaluator (its cache starts
+// empty, as in a Recommend call).
 
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "advisor/benefit.h"
 #include "advisor/dag.h"
 #include "advisor/generalize.h"
+#include "advisor/search.h"
 #include "bench/bench_common.h"
 #include "optimizer/optimizer.h"
 #include "storage/catalog.h"
+#include "xpath/containment.h"
 
 namespace {
 
@@ -191,6 +199,63 @@ void BM_BuildDag(benchmark::State& state) {
   state.counters["candidates"] = static_cast<double>(set.size());
 }
 BENCHMARK(BM_BuildDag);
+
+void BM_Covers(benchmark::State& state) {
+  const AdvisorSetup& setup = Advisor();
+  const advisor::CandidateSet& set = setup.generalized;
+  std::vector<std::pair<const xpath::Path*, const xpath::Path*>> pairs;
+  for (const advisor::Candidate& c : set.candidates) {
+    for (size_t b = 0; b < set.basic_count; ++b) {
+      if (advisor::SameIndexKind(c, set[b])) {
+        pairs.emplace_back(&c.pattern.path, &set[b].pattern.path);
+      }
+    }
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    const auto& [index, query] = pairs[i++ % pairs.size()];
+    benchmark::DoNotOptimize(xpath::Covers(*index, *query));
+  }
+  state.counters["pairs"] = static_cast<double>(pairs.size());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_Covers);
+
+void BM_GreedyHeuristicsSearch(benchmark::State& state) {
+  const AdvisorSetup& setup = Advisor();
+  const advisor::CandidateSet& set = setup.generalized;
+  double all_index = 0;
+  for (size_t b = 0; b < set.basic_count; ++b) {
+    all_index += static_cast<double>(set[b].size_bytes());
+  }
+  advisor::SearchOptions options;
+  options.disk_budget_bytes = 0.5 * all_index;
+  uint64_t optimizer_calls = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    storage::Catalog catalog(&setup.ctx->store, &setup.ctx->statistics);
+    advisor::BenefitEvaluator evaluator(
+        &setup.workload, &set, &catalog, &setup.ctx->statistics,
+        &setup.ctx->store, advisor::BenefitEvaluator::Options());
+    if (!evaluator.Initialize().ok()) {
+      state.SkipWithError("initialize failed");
+      return;
+    }
+    const uint64_t calls_before = evaluator.optimizer_calls();
+    state.ResumeTiming();
+    auto outcome =
+        advisor::RunSearch(advisor::SearchAlgorithm::kGreedyWithHeuristics,
+                           set, {}, &evaluator, options);
+    if (!outcome.ok()) {
+      state.SkipWithError("search failed");
+      return;
+    }
+    benchmark::DoNotOptimize(outcome->benefit);
+    optimizer_calls = evaluator.optimizer_calls() - calls_before;
+  }
+  state.counters["optimizer_calls"] = static_cast<double>(optimizer_calls);
+}
+BENCHMARK(BM_GreedyHeuristicsSearch);
 
 }  // namespace
 

@@ -14,7 +14,7 @@ namespace {
 // matters to the workload". Deliberately shallow: it cannot tell a
 // predicate from a return expression, which is one of the failure modes
 // the paper attributes to decoupled advisors.
-double TextAffinity(const std::vector<std::string>& labels,
+double TextAffinity(const std::vector<xml::Tag>& labels,
                     const engine::Workload& workload) {
   if (labels.empty()) return 0;
   const std::string& last = labels.back();

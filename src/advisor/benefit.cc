@@ -20,6 +20,18 @@ size_t BenefitCache::KeyHash::operator()(const std::vector<int>& key) const {
   return static_cast<size_t>(h);
 }
 
+bool BenefitCache::Peek(const std::vector<int>& key, double* value) {
+  Shard& shard = ShardFor(key);
+  std::lock_guard<std::mutex> lock(shard.mu);
+  auto it = shard.entries.find(key);
+  if (it == shard.entries.end() ||
+      it->second->state != Entry::State::kReady) {
+    return false;
+  }
+  *value = it->second->value;
+  return true;
+}
+
 void BenefitCache::CountHits(size_t n) {
   hits_.fetch_add(n, std::memory_order_relaxed);
   XIA_OBS_COUNT("xia.advisor.benefit.cache_hits", n);
@@ -184,6 +196,7 @@ void BenefitEvaluator::DecomposeInto(ProbeScratch* scratch) const {
   scratch->members.assign(config.begin(), config.end());
   if (!options_.use_subconfigurations || n == 1) {
     scratch->group_end.assign(1, static_cast<uint32_t>(n));
+    scratch->group_root.assign(1, config[0]);
     return;
   }
   // Union-find over configuration positions; union when affected sets
@@ -240,9 +253,11 @@ void BenefitEvaluator::DecomposeInto(ProbeScratch* scratch) const {
     member_bits[static_cast<size_t>(id) / 64] = 0;
   }
   std::vector<uint32_t>& group_end = scratch->group_end;
+  std::vector<int>& group_root = scratch->group_root;
   if (!merged) {  // n singleton groups, in config order
     group_end.resize(n);
     std::iota(group_end.begin(), group_end.end(), uint32_t{1});
+    group_root.assign(config.begin(), config.end());
     return;
   }
   // Number the groups by ascending root, then deal the members out in
@@ -251,9 +266,13 @@ void BenefitEvaluator::DecomposeInto(ProbeScratch* scratch) const {
   std::vector<uint32_t>& group_of = scratch->group_of;
   group_of.resize(n);
   uint32_t groups = 0;
+  group_root.clear();
   for (size_t i = 0; i < n; ++i) {
     parent[i] = find(static_cast<uint32_t>(i));
-    if (parent[i] == i) group_of[i] = groups++;
+    if (parent[i] == i) {
+      group_of[i] = groups++;
+      group_root.push_back(config[i]);
+    }
   }
   group_end.assign(groups, 0);
   for (size_t i = 0; i < n; ++i) ++group_end[group_of[parent[i]]];
@@ -347,16 +366,23 @@ Result<double> BenefitEvaluator::SubConfigurationQueryBenefit(
   return cache_.GetOrCompute(*key, compute);
 }
 
-double BenefitEvaluator::MaintenanceCharge(
-    const std::vector<int>& config) const {
+double BenefitEvaluator::MaintenanceCharge(std::span<const int> a,
+                                           std::span<const int> b) const {
   // Statement outer, configuration inner: the order the per-probe
-  // MaintenanceCost sum always used. The zero entries of other
-  // collections' candidates leave the (never negative) sum unchanged.
+  // MaintenanceCost sum always used, members merged from the two lists in
+  // ascending id order. The zero entries of other collections' candidates
+  // leave the (never negative) sum unchanged.
   double charge = 0;
   const size_t row_size = set_->size();
   for (size_t row = 0; row < maintenance_.size(); row += row_size) {
-    for (int id : config) {
-      charge += maintenance_[row + static_cast<size_t>(id)];
+    const double* costs = maintenance_.data() + row;
+    size_t i = 0;
+    size_t j = 0;
+    while (i < a.size() || j < b.size()) {
+      const int id = j == b.size() || (i < a.size() && a[i] < b[j])
+                         ? a[i++]
+                         : b[j++];
+      charge += costs[static_cast<size_t>(id)];
     }
   }
   return charge;
@@ -378,56 +404,224 @@ Result<double> BenefitEvaluator::ConfigurationBenefit(
   // produced, but a configuration is a set — sorting and deduplicating
   // here keeps permuted configs on one cache key and stops duplicated ids
   // from double-charging maintenance or colliding on what-if index names.
-  // Concurrent probes (parallel mode) each bring their own scratch.
-  ProbeScratch local;
-  ProbeScratch& scratch = parallel() ? local : scratch_;
+  std::optional<ProbeScratch> local;
+  ProbeScratch& scratch = ScratchFor(&local);
   std::vector<int>& canonical = scratch.config;
   canonical.assign(config.begin(), config.end());
   std::sort(canonical.begin(), canonical.end());
   canonical.erase(std::unique(canonical.begin(), canonical.end()),
                   canonical.end());
   if (canonical.empty()) return 0.0;
+  return CanonicalBenefit(&scratch, deadline, cancel);
+}
 
-  DecomposeInto(&scratch);
-  const size_t groups = scratch.group_count();
+Result<double> BenefitEvaluator::CanonicalBenefit(
+    ProbeScratch* scratch, const fault::Deadline& deadline,
+    const fault::CancelToken* cancel) {
+  DecomposeInto(scratch);
+  XIA_ASSIGN_OR_RETURN(
+      const double benefit,
+      SumGroups(
+          scratch->group_count(),
+          [&](size_t k) { return scratch->group(k); },
+          [&](size_t k, double* value) {
+            const std::span<const int> group = scratch->group(k);
+            return group.size() == 1 && cache_.PeekSingle(group[0], value);
+          },
+          scratch, deadline, cancel));
+  return benefit - MaintenanceCharge(scratch->config);
+}
+
+template <typename GroupOf, typename KnownValue>
+Result<double> BenefitEvaluator::SumGroups(size_t groups, GroupOf&& group,
+                                           KnownValue&& known,
+                                           ProbeScratch* scratch,
+                                           const fault::Deadline& deadline,
+                                           const fault::CancelToken* cancel) {
+  // Known groups (most of them) count as hits, tallied once.
+  size_t hits = 0;
   double benefit = 0;
   if (parallel() && groups > 1) {
-    // Disjoint groups (§VI-C) evaluate independently: farm them out,
-    // then reduce serially in decomposition order for bit-identical sums.
-    std::vector<double> sub_benefits(groups, 0.0);
+    // Disjoint groups (§VI-C) evaluate independently: farm out the ones
+    // that need a lookup, then reduce serially in decomposition order for
+    // bit-identical sums.
+    std::vector<double> values(groups, 0.0);
+    std::vector<size_t> pending;
+    for (size_t k = 0; k < groups; ++k) {
+      if (known(k, &values[k])) {
+        ++hits;
+      } else {
+        pending.push_back(k);
+      }
+    }
+    cache_.CountHits(hits);
     XIA_RETURN_IF_ERROR(
-        options_.pool->ParallelFor(groups, [&](size_t k) -> Status {
+        options_.pool->ParallelFor(pending.size(), [&](size_t i) -> Status {
           std::vector<int> key;
           XIA_ASSIGN_OR_RETURN(
-              sub_benefits[k],
-              SubConfigurationQueryBenefit(scratch.group(k), &key, deadline,
+              values[pending[i]],
+              SubConfigurationQueryBenefit(group(pending[i]), &key, deadline,
                                            cancel));
           return Status::OK();
         }));
-    for (double sub_benefit : sub_benefits) benefit += sub_benefit;
-  } else {
-    // Ready one-member groups, most of them, are read straight from their
-    // slots and their hits counted once, at the end.
-    size_t slot_hits = 0;
-    for (size_t k = 0; k < groups; ++k) {
-      const std::span<const int> group = scratch.group(k);
-      double sub_benefit = 0;
-      if (group.size() == 1 && cache_.PeekSingle(group[0], &sub_benefit)) {
-        ++slot_hits;
-      } else {
-        Result<double> computed = SubConfigurationQueryBenefit(
-            group, &scratch.key, deadline, cancel);
-        if (!computed.ok()) {
-          cache_.CountHits(slot_hits);
-          return computed.status();
-        }
-        sub_benefit = *computed;
-      }
-      benefit += sub_benefit;
-    }
-    cache_.CountHits(slot_hits);
+    for (double value : values) benefit += value;
+    return benefit;
   }
-  return benefit - MaintenanceCharge(canonical);
+  for (size_t k = 0; k < groups; ++k) {
+    double value = 0;
+    if (known(k, &value)) {
+      ++hits;
+    } else {
+      Result<double> computed =
+          SubConfigurationQueryBenefit(group(k), &scratch->key, deadline,
+                                       cancel);
+      if (!computed.ok()) {
+        cache_.CountHits(hits);
+        return computed.status();
+      }
+      value = *computed;
+    }
+    benefit += value;
+  }
+  cache_.CountHits(hits);
+  return benefit;
+}
+
+BenefitEvaluator::Base BenefitEvaluator::DecomposeBase(
+    const std::vector<int>& config) {
+  Base base;
+  ProbeScratch scratch;
+  scratch.config.assign(config.begin(), config.end());
+  std::sort(scratch.config.begin(), scratch.config.end());
+  scratch.config.erase(
+      std::unique(scratch.config.begin(), scratch.config.end()),
+      scratch.config.end());
+  base.ids_ = scratch.config;
+  base.member_bits_.assign(candidate_words_, 0);
+  base.group_of_.assign(set_->size(), 0);
+  if (base.ids_.empty()) return base;
+  DecomposeInto(&scratch);
+  for (size_t k = 0; k < scratch.group_count(); ++k) {
+    Base::Group group;
+    group.root = scratch.group_root[k];
+    group.end = scratch.group_end[k];
+    const std::span<const int> members = scratch.group(k);
+    for (int id : members) {
+      const auto i = static_cast<size_t>(id);
+      base.member_bits_[i / 64] |= uint64_t{1} << (i % 64);
+      base.group_of_[i] = static_cast<uint32_t>(k);
+    }
+    if (members.size() == 1) {
+      group.ready = cache_.PeekSingle(members[0], &group.value);
+    } else {
+      scratch.key.assign(members.begin(), members.end());
+      group.ready = cache_.Peek(scratch.key, &group.value);
+    }
+    base.groups_.push_back(group);
+  }
+  base.members_ = std::move(scratch.members);
+  return base;
+}
+
+Result<double> BenefitEvaluator::ExtensionBenefit(
+    const Base& base, std::span<const int> extension,
+    const fault::Deadline& deadline, const fault::CancelToken* cancel) {
+  XIA_FAULT_INJECT(fault::points::kAdvisorBenefit);
+  if (!initialized_) {
+    return Status::FailedPrecondition("BenefitEvaluator not initialized");
+  }
+  std::optional<ProbeScratch> local;
+  ProbeScratch& scratch = ScratchFor(&local);
+  // The extension's ids not already in the base, ascending.
+  std::vector<int>& added = scratch.added;
+  added.clear();
+  for (int id : extension) {
+    const auto i = static_cast<size_t>(id);
+    if ((base.member_bits_[i / 64] >> (i % 64) & 1) == 0) added.push_back(id);
+  }
+  std::sort(added.begin(), added.end());
+  added.erase(std::unique(added.begin(), added.end()), added.end());
+  const std::vector<int>& ids = base.ids_;
+
+  if (!options_.use_subconfigurations) {
+    // One group, the whole configuration: nothing to reuse.
+    std::vector<int>& canonical = scratch.config;
+    canonical.resize(ids.size() + added.size());
+    std::merge(ids.begin(), ids.end(), added.begin(), added.end(),
+               canonical.begin());
+    if (canonical.empty()) return 0.0;
+    return CanonicalBenefit(&scratch, deadline, cancel);
+  }
+
+  // Base groups an added id overlaps, and with them the ids to decompose
+  // afresh: their members plus the added ids.
+  const std::vector<Base::Group>& base_groups = base.groups_;
+  std::vector<uint8_t>& touched = scratch.touched;
+  if (touched.size() < base_groups.size()) touched.resize(base_groups.size());
+  std::vector<int>& fresh = scratch.config;
+  fresh.assign(added.begin(), added.end());
+  for (int id : added) {
+    const uint64_t* row = OverlapRow(id);
+    for (size_t w = 0; w < candidate_words_; ++w) {
+      for (uint64_t bits = row[w] & base.member_bits_[w]; bits != 0;
+           bits &= bits - 1) {
+        const size_t other =
+            w * 64 + static_cast<size_t>(std::countr_zero(bits));
+        const uint32_t k = base.group_of_[other];
+        if (touched[k] != 0) continue;
+        touched[k] = 1;
+        const std::span<const int> members = base.group(k);
+        fresh.insert(fresh.end(), members.begin(), members.end());
+      }
+    }
+  }
+  std::sort(fresh.begin(), fresh.end());
+  size_t fresh_groups = 0;
+  if (!fresh.empty()) {
+    DecomposeInto(&scratch);
+    fresh_groups = scratch.group_count();
+  }
+
+  // Every group of base ∪ extension in ascending root order: the untouched
+  // base groups (entry k >= 0) merged with the fresh ones (entry ~k).
+  std::vector<int>& order = scratch.order;
+  order.clear();
+  size_t f = 0;
+  for (size_t k = 0; k < base_groups.size(); ++k) {
+    if (touched[k] != 0) {
+      touched[k] = 0;
+      continue;
+    }
+    while (f < fresh_groups && scratch.group_root[f] < base_groups[k].root) {
+      order.push_back(~static_cast<int>(f++));
+    }
+    order.push_back(static_cast<int>(k));
+  }
+  while (f < fresh_groups) order.push_back(~static_cast<int>(f++));
+  if (order.empty()) return 0.0;
+
+  auto group = [&](size_t e) {
+    const int entry = order[e];
+    return entry < 0 ? scratch.group(static_cast<size_t>(~entry))
+                     : base.group(static_cast<size_t>(entry));
+  };
+  XIA_ASSIGN_OR_RETURN(
+      const double benefit,
+      SumGroups(
+          order.size(), group,
+          [&](size_t e, double* value) {
+            const int entry = order[e];
+            if (entry >= 0) {
+              const Base::Group& g = base_groups[static_cast<size_t>(entry)];
+              *value = g.value;
+              return g.ready;
+            }
+            const std::span<const int> members = group(e);
+            return members.size() == 1 &&
+                   cache_.PeekSingle(members[0], value);
+          },
+          &scratch, deadline, cancel));
+  return benefit - MaintenanceCharge(ids, added);
 }
 
 Result<double> BenefitEvaluator::ConfigurationCost(

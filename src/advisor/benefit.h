@@ -46,6 +46,15 @@
 // it into flat buffers the evaluator owns, and a one-member group — most
 // of them — reads its benefit from a per-candidate slot instead of the
 // hashed cache.
+//
+// Incremental probes (DESIGN §17). A search step that probes many
+// extensions B ∪ X of one configuration B decomposes B once
+// (DecomposeBase) and evaluates each extension with ExtensionBenefit: only
+// the groups of B that X overlaps are re-decomposed, together with X. The
+// result is bit-identical to ConfigurationBenefit(B ∪ X): union-find
+// visits each group's member pairs in the same relative order whether or
+// not other groups are present, so untouched groups keep their roots, and
+// the group benefits are summed in the same ascending-root order.
 
 #ifndef XIA_ADVISOR_BENEFIT_H_
 #define XIA_ADVISOR_BENEFIT_H_
@@ -55,6 +64,7 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -89,6 +99,9 @@ class BenefitCache {
   /// `single_count` is the number of candidate ids with a slot.
   explicit BenefitCache(size_t single_count = 0)
       : singles_(std::make_unique<Slot[]>(single_count)) {}
+
+  /// The value of `key` if it is ready, counting nothing (see PeekSingle).
+  bool Peek(const std::vector<int>& key, double* value);
 
   /// Returns the cached value for `key`, or runs `compute` (a callable
   /// returning Result<double>, invoked outside any shard lock) and caches
@@ -315,7 +328,13 @@ class BenefitEvaluator {
   /// Maintenance charge of a canonical configuration:
   /// sum_s sum_i freq_s * mc(x_i, s), statements outer, members inner.
   /// Zero without charge_maintenance. Requires Initialize().
-  double MaintenanceCharge(const std::vector<int>& config) const;
+  double MaintenanceCharge(const std::vector<int>& config) const {
+    return MaintenanceCharge(config, {});
+  }
+  /// The same for the union of two disjoint ascending id lists, members
+  /// taken in ascending id order.
+  double MaintenanceCharge(std::span<const int> a,
+                           std::span<const int> b) const;
 
   /// Cache statistics.
   size_t cache_hits() const { return cache_.hits(); }
@@ -327,6 +346,47 @@ class BenefitEvaluator {
   /// ConfigurationBenefit sums them in — with members ascending. Without
   /// use_subconfigurations the whole configuration is one group.
   std::vector<std::vector<int>> Decompose(const std::vector<int>& config) const;
+
+  /// A configuration decomposed once, whose extensions ExtensionBenefit
+  /// evaluates. Read-only once built, so concurrent probes may share it.
+  class Base {
+   public:
+    /// The canonical configuration.
+    const std::vector<int>& ids() const { return ids_; }
+
+   private:
+    friend class BenefitEvaluator;
+    std::span<const int> group(size_t k) const {
+      const uint32_t begin = k == 0 ? 0 : groups_[k - 1].end;
+      return {members_.data() + begin, groups_[k].end - begin};
+    }
+
+    struct Group {
+      int root = 0;          ///< union-find root: the summation order
+      uint32_t end = 0;      ///< members_[previous end, end)
+      bool ready = false;    ///< `value` was cached when the base was built
+      double value = 0;
+    };
+    std::vector<int> ids_;
+    std::vector<uint64_t> member_bits_;  // bitset over candidate ids
+    std::vector<uint32_t> group_of_;     // by candidate id; members only
+    std::vector<Group> groups_;          // ascending root
+    std::vector<int> members_;           // group after group, ascending
+  };
+
+  /// Decomposes `config` (any order, duplicates allowed) for
+  /// ExtensionBenefit, reading the benefits its groups already have in the
+  /// cache. Issues no optimizer call and counts no cache hit or miss.
+  Base DecomposeBase(const std::vector<int>& config);
+
+  /// ConfigurationBenefit(base.ids() ∪ extension), bit for bit, with the
+  /// same fault point, interrupt polling, optimizer calls and cache
+  /// hit/miss counts — but only the groups of the base that `extension`
+  /// overlaps are decomposed and looked up again.
+  Result<double> ExtensionBenefit(const Base& base,
+                                  std::span<const int> extension,
+                                  const fault::Deadline& deadline,
+                                  const fault::CancelToken* cancel);
 
  private:
   /// One probe's working memory: its canonical configuration and that
@@ -344,6 +404,8 @@ class BenefitEvaluator {
     /// Group k's members are members[k == 0 ? 0 : group_end[k-1],
     /// group_end[k]).
     std::vector<uint32_t> group_end;
+    /// Group k's union-find root (with use_subconfigurations).
+    std::vector<int> group_root;
     /// Bitset over candidate ids of the configuration's members; all zero
     /// between calls.
     std::vector<uint64_t> member_bits;
@@ -351,6 +413,13 @@ class BenefitEvaluator {
     std::vector<uint32_t> position_of;
     /// The cache key of a multi-member group.
     std::vector<int> key;
+    /// ExtensionBenefit's added ids and touched-group marks (the marks all
+    /// zero between calls).
+    std::vector<int> added;
+    std::vector<uint8_t> touched;
+    /// ExtensionBenefit's groups in summation order: a base group (its
+    /// index, >= 0) or a group of this decomposition (~k).
+    std::vector<int> order;
 
     size_t group_count() const { return group_end.size(); }
     std::span<const int> group(size_t k) const {
@@ -381,8 +450,30 @@ class BenefitEvaluator {
   void ReleaseContext(WorkerContext* context);
 
   /// Decomposes scratch->config (canonical, non-empty) into
-  /// scratch->members / group_end; see Decompose.
+  /// scratch->members / group_end / group_root; see Decompose.
   void DecomposeInto(ProbeScratch* scratch) const;
+
+  /// The probe scratch of this call: the evaluator's own in serial mode,
+  /// one made in `local` in parallel mode (concurrent probes).
+  ProbeScratch& ScratchFor(std::optional<ProbeScratch>* local) {
+    return parallel() ? local->emplace() : scratch_;
+  }
+
+  /// ConfigurationBenefit of the canonical, non-empty scratch->config.
+  Result<double> CanonicalBenefit(ProbeScratch* scratch,
+                                  const fault::Deadline& deadline,
+                                  const fault::CancelToken* cancel);
+
+  /// Sums the groups of a decomposition in order — one group at a time in
+  /// serial mode, farmed out in parallel mode — reading ready one-member
+  /// groups from their slots. value_of(k) reports group k's benefit when
+  /// it is known without a lookup (it counts as a cache hit); otherwise
+  /// group(k) is looked up through the cache.
+  template <typename GroupOf, typename KnownValue>
+  Result<double> SumGroups(size_t groups, GroupOf&& group,
+                           KnownValue&& value_of, ProbeScratch* scratch,
+                           const fault::Deadline& deadline,
+                           const fault::CancelToken* cancel);
 
   /// Query-side benefit of one sub-configuration (no maintenance),
   /// memoized through cache_: a one-member group through its slot, a

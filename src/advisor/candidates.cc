@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <memory>
 #include <mutex>
-#include <string_view>
 #include <vector>
 
 #include "fault/fault.h"
@@ -14,28 +13,25 @@ namespace xia::advisor {
 namespace {
 
 // FNV-1a over the collection and every field IndexPattern::operator==
-// compares (a structural pattern's type is not one of them).
+// compares (a structural pattern's type is not one of them). A step's name
+// test mixes in as its tag id: equal tags have equal ids.
 uint64_t PatternHash(const std::string& collection,
                      const xpath::IndexPattern& pattern) {
   uint64_t h = 1469598103934665603ull;
-  auto mix = [&](std::string_view bytes) {
-    for (const char ch : bytes) {
-      h ^= static_cast<unsigned char>(ch);
-      h *= 1099511628211ull;
-    }
-    h ^= 0xff;  // terminator: "ab"+"c" and "a"+"bc" hash apart
+  auto mix_byte = [&](unsigned char byte) {
+    h ^= byte;
     h *= 1099511628211ull;
   };
-  mix(collection);
-  const char kind[] = {
-      static_cast<char>(pattern.structural),
-      static_cast<char>(pattern.structural ? xpath::ValueType::kString
-                                           : pattern.type)};
-  mix(std::string_view(kind, sizeof(kind)));
+  for (const char ch : collection) mix_byte(static_cast<unsigned char>(ch));
+  mix_byte(0xff);  // terminator: the fixed-width fields follow
+  mix_byte(static_cast<unsigned char>(pattern.structural));
+  mix_byte(static_cast<unsigned char>(
+      pattern.structural ? xpath::ValueType::kString : pattern.type));
   for (const xpath::Step& step : pattern.path.steps()) {
-    const char axis = static_cast<char>(step.axis);
-    mix(std::string_view(&axis, 1));
-    mix(step.name_test);
+    mix_byte(static_cast<unsigned char>(step.axis));
+    for (uint32_t id = step.name_test.id(), k = 0; k < 4; ++k, id >>= 8) {
+      mix_byte(static_cast<unsigned char>(id));
+    }
   }
   return h;
 }

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <set>
+#include <span>
 
 #include "fault/fault.h"
 #include "util/string_util.h"
@@ -26,26 +27,27 @@ bool IsInterrupt(const Status& status) {
          status.code() == StatusCode::kCancelled;
 }
 
-// Evaluates a batch of independent configurations, farming them to the
-// pool when SearchOptions carries one. Deadline/cancel trips — whether
-// between probes or, via the evaluator's granular polling, inside one —
-// set *partial and leave the affected slots at zero, matching the serial
+// Evaluates a batch of `count` independent probes, probe i being
+// benefit_of(i) (one evaluator call), farming them to the pool when
+// SearchOptions carries one. Deadline/cancel trips — whether between
+// probes or, via the evaluator's granular polling, inside one — set
+// *partial and leave the affected slots at zero, matching the serial
 // best-so-far contract; real errors propagate. Each probe is memoized
 // independently by the evaluator, so parallel and serial batches produce
 // identical values and identical cache-miss sets.
-Result<std::vector<double>> BatchBenefits(
-    const std::vector<std::vector<int>>& configs, BenefitEvaluator* evaluator,
-    const SearchOptions& options, bool* partial) {
-  std::vector<double> values(configs.size(), 0.0);
+template <typename BenefitOf>
+Result<std::vector<double>> BatchProbes(size_t count, BenefitOf&& benefit_of,
+                                        const SearchOptions& options,
+                                        bool* partial) {
+  std::vector<double> values(count, 0.0);
   if (options.pool != nullptr && options.pool->thread_count() > 1 &&
-      configs.size() > 1) {
+      count > 1) {
     std::atomic<bool> tripped{false};
     bool skipped = false;
     XIA_RETURN_IF_ERROR(options.pool->ParallelFor(
-        configs.size(),
+        count,
         [&](size_t i) -> Status {
-          auto benefit = evaluator->ConfigurationBenefit(
-              configs[i], options.deadline, options.cancel);
+          Result<double> benefit = benefit_of(i);
           if (!benefit.ok()) {
             if (IsInterrupt(benefit.status())) {
               tripped.store(true, std::memory_order_relaxed);
@@ -60,14 +62,12 @@ Result<std::vector<double>> BatchBenefits(
     if (tripped.load(std::memory_order_relaxed) || skipped) *partial = true;
     return values;
   }
-  for (size_t i = 0; i < configs.size(); ++i) {
+  for (size_t i = 0; i < count; ++i) {
     if (Interrupted(options)) {
       *partial = true;
       break;
     }
-    auto benefit = evaluator->ConfigurationBenefit(configs[i],
-                                                   options.deadline,
-                                                   options.cancel);
+    Result<double> benefit = benefit_of(i);
     if (!benefit.ok()) {
       if (IsInterrupt(benefit.status())) {
         *partial = true;
@@ -78,6 +78,19 @@ Result<std::vector<double>> BatchBenefits(
     values[i] = *benefit;
   }
   return values;
+}
+
+// BatchProbes over whole configurations.
+Result<std::vector<double>> BatchBenefits(
+    const std::vector<std::vector<int>>& configs, BenefitEvaluator* evaluator,
+    const SearchOptions& options, bool* partial) {
+  return BatchProbes(
+      configs.size(),
+      [&](size_t i) {
+        return evaluator->ConfigurationBenefit(configs[i], options.deadline,
+                                               options.cancel);
+      },
+      options, partial);
 }
 
 double TotalSize(const CandidateSet& set, const std::vector<int>& config) {
@@ -199,8 +212,10 @@ Result<SearchOutcome> RunGreedyWithHeuristics(const CandidateSet& set,
 
     // First pass (serial, cheap): admission filters that need no
     // optimizer call decide which extension probes are worth costing.
+    // Each probe extends the configuration by the ids of one span: the
+    // candidate itself, or a general candidate's covered basics.
     std::vector<Probe> probes;
-    std::vector<std::vector<int>> probe_configs;
+    std::vector<std::span<const int>> extensions;
     for (size_t i = 0; i < set.size(); ++i) {
       const Candidate& cand = set[i];
       const int id = static_cast<int>(i);
@@ -230,35 +245,34 @@ Result<SearchOutcome> RunGreedyWithHeuristics(const CandidateSet& set,
               static_cast<double>(set[static_cast<size_t>(b)].size_bytes());
         }
         if (size > (1.0 + options.beta) * children_size) continue;
-
-        Probe probe;
-        probe.id = id;
-        probe.general = true;
-        std::vector<int> with_general = config;
-        with_general.push_back(id);
-        probe.value_index = probe_configs.size();
-        probe_configs.push_back(std::move(with_general));
-        std::vector<int> with_children = config;
-        for (int b : cand.covered_basics) with_children.push_back(b);
-        probe.children_index = probe_configs.size();
-        probe_configs.push_back(std::move(with_children));
-        probes.push_back(probe);
-      } else {
-        Probe probe;
-        probe.id = id;
-        std::vector<int> with_candidate = config;
-        with_candidate.push_back(id);
-        probe.value_index = probe_configs.size();
-        probe_configs.push_back(std::move(with_candidate));
-        probes.push_back(probe);
       }
+
+      Probe probe;
+      probe.id = id;
+      probe.general = cand.is_general;
+      probe.value_index = extensions.size();
+      extensions.emplace_back(&cand.id, 1);
+      if (cand.is_general) {
+        probe.children_index = extensions.size();
+        extensions.emplace_back(cand.covered_basics);
+      }
+      probes.push_back(probe);
     }
     if (probes.empty()) break;
 
-    // Second pass: cost every surviving probe (batched onto the pool).
+    // Second pass: cost every surviving probe (batched onto the pool)
+    // against the configuration, decomposed once for the whole sweep.
+    const BenefitEvaluator::Base base = evaluator->DecomposeBase(config);
     XIA_ASSIGN_OR_RETURN(
         const std::vector<double> values,
-        BatchBenefits(probe_configs, evaluator, options, &partial));
+        BatchProbes(
+            extensions.size(),
+            [&](size_t i) {
+              return evaluator->ExtensionBenefit(base, extensions[i],
+                                                 options.deadline,
+                                                 options.cancel);
+            },
+            options, &partial));
     // An interrupted sweep is discarded wholesale, exactly as the serial
     // loop abandons its current sweep on a mid-sweep deadline.
     if (partial) break;

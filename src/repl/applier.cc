@@ -137,12 +137,7 @@ Status Applier::RunOnce() {
       net::Frame frame;
       std::string parse_error;
       const net::FrameReader::Next next = reader.Poll(&frame, &parse_error);
-      if (next == net::FrameReader::Next::kNeedMore) {
-        // A partially buffered frame is the harness's mid-frame kill
-        // window: a record's bytes half-arrived and nothing applied.
-        if (reader.buffered() > 0) Hook("repl.recv.mid_frame");
-        break;
-      }
+      if (next == net::FrameReader::Next::kNeedMore) break;
       if (next == net::FrameReader::Next::kBad) {
         // A flipped bit anywhere in the stream lands here (frame CRC):
         // nothing was applied; resubscribe from the last good LSN.

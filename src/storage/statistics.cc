@@ -2,7 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 #include <string_view>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "util/random.h"
@@ -13,20 +17,22 @@ namespace xia::storage {
 
 std::string PathStats::PathString() const {
   std::string out;
-  for (const auto& l : labels) {
+  for (const xml::Tag& l : labels) {
     out += '/';
-    out += l;
+    out += l.view();
   }
   return out;
 }
 
 namespace {
 
-// Mutable accumulation state per path during collection.
+// Mutable accumulation state per path during collection. The distinct
+// sets view values in the documents' arenas, which the const collection
+// keeps alive and unchanged for the whole collection pass.
 struct PathAccum {
   PathStats stats;
-  std::unordered_set<std::string> distinct;
-  std::unordered_set<std::string> distinct_numeric;
+  std::unordered_set<std::string_view> distinct;
+  std::unordered_set<std::string_view> distinct_numeric;
   double value_length_sum = 0.0;
   bool distinct_saturated = false;
   bool distinct_numeric_saturated = false;
@@ -91,32 +97,44 @@ void CollectionStatistics::Collect(const Collection& collection,
   node_count_ = collection.total_nodes();
   data_pages_ = collection.pages(DefaultCostConstants());
 
-  std::map<std::string, PathAccum> accum;
+  // Distinct label paths are numbered as they are first seen: a node's
+  // path is its parent's path id plus its own label's tag id (nodes are
+  // stored parent-before-child), so no path is rendered per node.
+  constexpr uint32_t kNoPath = ~uint32_t{0};
+  std::vector<PathAccum> accum;
+  std::unordered_map<uint64_t, uint32_t> path_ids;
+  std::vector<uint32_t> node_paths;
 
   collection.ForEach([&](xml::DocId, const xml::Document& doc) {
-    // Compute each node's path string incrementally from its parent's
-    // (nodes are stored parent-before-child).
-    std::vector<std::string> node_paths(doc.size());
+    node_paths.resize(doc.size());
     for (size_t i = 0; i < doc.size(); ++i) {
       const auto node = static_cast<xml::NodeIndex>(i);
       const xml::NodeIndex parent = doc.parent(node);
-      const std::string& parent_path =
+      const uint32_t parent_path =
           parent == xml::kInvalidNode
-              ? std::string()
+              ? kNoPath
               : node_paths[static_cast<size_t>(parent)];
-      node_paths[i] = parent_path + "/" + doc.label(node);
+      const xml::Tag& label = doc.label(node);
+      const auto [it, inserted] = path_ids.try_emplace(
+          uint64_t{parent_path} << 32 | label.id(),
+          static_cast<uint32_t>(accum.size()));
+      node_paths[i] = it->second;
+      if (inserted) {
+        PathAccum& added = accum.emplace_back();
+        if (parent_path != kNoPath) {
+          added.stats.labels = accum[parent_path].stats.labels;
+        }
+        added.stats.labels.push_back(label);
+      }
       const std::string_view value = doc.value(node);
 
-      PathAccum& pa = accum[node_paths[i]];
-      if (pa.stats.count == 0) {
-        pa.stats.labels = doc.LabelPath(node);
-      }
+      PathAccum& pa = accum[it->second];
       ++pa.stats.count;
       if (!value.empty()) {
         ++pa.stats.valued_count;
         pa.value_length_sum += static_cast<double>(value.size());
         if (!pa.distinct_saturated) {
-          pa.distinct.insert(std::string(value));
+          pa.distinct.insert(value);
           if (pa.distinct.size() >= distinct_cap) {
             pa.distinct_saturated = true;
           }
@@ -139,7 +157,7 @@ void CollectionStatistics::Collect(const Collection& collection,
           }
           ++pa.stats.numeric_count;
           if (!pa.distinct_numeric_saturated) {
-            pa.distinct_numeric.insert(std::string(value));
+            pa.distinct_numeric.insert(value);
             if (pa.distinct_numeric.size() >= distinct_cap) {
               pa.distinct_numeric_saturated = true;
             }
@@ -161,7 +179,7 @@ void CollectionStatistics::Collect(const Collection& collection,
     }
   });
 
-  for (auto& [path, pa] : accum) {
+  for (PathAccum& pa : accum) {
     PathStats s = std::move(pa.stats);
     // Saturated distinct sets are extrapolated proportionally to the number
     // of valued nodes — crude, like sampled RUNSTATS.
@@ -190,8 +208,20 @@ void CollectionStatistics::Collect(const Collection& collection,
       s.numeric_quantiles =
           WeightedQuantiles(std::move(weighted), options.histogram_buckets);
     }
-    paths_.emplace(path, std::move(s));
+    std::string path = s.PathString();
+    paths_.emplace(std::move(path), std::move(s));
   }
+  accum.clear();
+  accum.shrink_to_fit();
+  path_ids = {};
+  node_paths = {};
+#if defined(__GLIBC__)
+  // The accumulation state just freed (distinct sets, samples) sits below
+  // the statistics allocated last, so the allocator cannot shrink the heap
+  // by itself and the pages would stay resident for the process lifetime:
+  // about 20 MB after statistics over a 1.4M-node store.
+  malloc_trim(0);
+#endif
 }
 
 IndexStats CollectionStatistics::DeriveIndexStats(
@@ -205,7 +235,18 @@ IndexStats CollectionStatistics::DeriveIndexStats(
   // usually draw from one value domain (e.g. Sector under each of the
   // SecInfo/*Information variants), so within such a group the union of
   // distincts is approximated by the group's maximum rather than the sum.
-  std::map<std::string, uint64_t> distinct_by_last_label;
+  // Groups are keyed by the last label's tag id, in a flat list (a pattern
+  // matches few distinct last labels); the total is an integer sum, so
+  // the group order does not matter.
+  std::vector<std::pair<uint32_t, uint64_t>> distinct_by_last_label;
+  auto group_of = [&](const PathStats& stats) -> uint64_t& {
+    const uint32_t tag =
+        stats.labels.empty() ? xml::Tag().id() : stats.labels.back().id();
+    for (auto& [id, distinct] : distinct_by_last_label) {
+      if (id == tag) return distinct;
+    }
+    return distinct_by_last_label.emplace_back(tag, 0).second;
+  };
   // Pool of per-path histogram boundaries, weighted by how many values
   // each boundary represents, for the merged index histogram.
   std::vector<std::pair<double, double>> histogram_pool;
@@ -213,16 +254,14 @@ IndexStats CollectionStatistics::DeriveIndexStats(
 
   for (const auto& [path_string, stats] : paths_) {
     if (!xpath::MatchesLabelPath(pattern.path, stats.labels)) continue;
-    const std::string& last_label =
-        stats.labels.empty() ? std::string() : stats.labels.back();
     uint64_t entries = 0;
     if (pattern.structural) {
       // Every reachable node is an entry; the key is the RID alone.
       entries = stats.count;
-      distinct_by_last_label[last_label] += stats.count;
+      group_of(stats) += stats.count;
     } else if (pattern.type == xpath::ValueType::kNumeric) {
       entries = stats.numeric_count;
-      uint64_t& group = distinct_by_last_label[last_label];
+      uint64_t& group = group_of(stats);
       group = std::max(group, stats.distinct_numeric);
       key_length_weighted += 8.0 * static_cast<double>(entries);
       if (!stats.numeric_quantiles.empty() && entries > 0) {
@@ -245,7 +284,7 @@ IndexStats CollectionStatistics::DeriveIndexStats(
       }
     } else {
       entries = stats.valued_count;
-      uint64_t& group = distinct_by_last_label[last_label];
+      uint64_t& group = group_of(stats);
       group = std::max(group, stats.distinct_values);
       key_length_weighted +=
           stats.avg_value_length * static_cast<double>(entries);
@@ -261,7 +300,7 @@ IndexStats CollectionStatistics::DeriveIndexStats(
     if (entries > 0) any = true;
     out.entry_count += entries;
   }
-  for (const auto& [label, distinct] : distinct_by_last_label) {
+  for (const auto& [tag, distinct] : distinct_by_last_label) {
     out.distinct_keys += distinct;
   }
   if (!histogram_pool.empty()) {

@@ -18,14 +18,16 @@
 
 #include "storage/cost_constants.h"
 #include "storage/document_store.h"
+#include "xml/tag.h"
 #include "xpath/path.h"
 
 namespace xia::storage {
 
 /// Statistics for one distinct rooted label path (e.g. /Security/Yield).
 struct PathStats {
-  /// Labels from the root, e.g. {"Security", "Yield"}.
-  std::vector<std::string> labels;
+  /// Labels from the root, e.g. {"Security", "Yield"}, as the document
+  /// records hold them.
+  std::vector<xml::Tag> labels;
   /// Total nodes reachable by this exact label path.
   uint64_t count = 0;
   /// Nodes with a non-empty text value.

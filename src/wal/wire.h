@@ -122,7 +122,7 @@ class Writer {
     PutU32(out_, static_cast<uint32_t>(path.steps().size()));
     for (const xpath::Step& step : path.steps()) {
       PutU8(out_, static_cast<uint8_t>(step.axis));
-      PutString(out_, step.name_test);
+      PutString(out_, step.name_test.view());
     }
     return true;
   }

@@ -125,8 +125,8 @@ void Document::CompactValues() {
   dead_value_bytes_ = 0;
 }
 
-std::vector<std::string> Document::LabelPath(NodeIndex i) const {
-  std::vector<std::string> rev;
+std::vector<Tag> Document::LabelPath(NodeIndex i) const {
+  std::vector<Tag> rev;
   for (NodeIndex cur = i; cur != kInvalidNode; cur = parent(cur)) {
     rev.push_back(label(cur));
   }
@@ -135,9 +135,9 @@ std::vector<std::string> Document::LabelPath(NodeIndex i) const {
 
 std::string Document::LabelPathString(NodeIndex i) const {
   std::string out;
-  for (const auto& label : LabelPath(i)) {
+  for (const Tag& label : LabelPath(i)) {
     out += '/';
-    out += label;
+    out += label.view();
   }
   return out;
 }

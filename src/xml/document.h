@@ -151,7 +151,7 @@ class Document {
   }
 
   /// Root-to-node sequence of labels, e.g. {"Security","SecInfo","Sector"}.
-  std::vector<std::string> LabelPath(NodeIndex i) const;
+  std::vector<Tag> LabelPath(NodeIndex i) const;
 
   /// Same but rendered as "/Security/SecInfo/Sector".
   std::string LabelPathString(NodeIndex i) const;

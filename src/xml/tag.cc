@@ -1,37 +1,24 @@
 #include "xml/tag.h"
 
 #include <array>
-#include <type_traits>
+#include <deque>
 #include <mutex>
 #include <ostream>
 #include <shared_mutex>
-#include <unordered_set>
+#include <type_traits>
+#include <unordered_map>
 
 namespace xia::xml {
 
 namespace {
 
-// Heterogeneous string_view lookup so a pool probe never allocates on hit.
-struct SvHash {
-  using is_transparent = void;
-  size_t operator()(std::string_view s) const {
-    return std::hash<std::string_view>{}(s);
-  }
-  size_t operator()(const std::string& s) const {
-    return std::hash<std::string_view>{}(s);
-  }
-};
-struct SvEq {
-  using is_transparent = void;
-  bool operator()(std::string_view a, std::string_view b) const {
-    return a == b;
-  }
-};
-
 struct Pool {
   std::shared_mutex mu;
-  // Node-based container: element addresses are stable across rehash.
-  std::unordered_set<std::string, SvHash, SvEq> strings;
+  // Entry i has id i. A deque never moves its elements on push_back, so
+  // entry addresses (and the views `index` keys on) stay valid; a probe
+  // never allocates on hit.
+  std::deque<Tag::Entry> entries;
+  std::unordered_map<std::string_view, const Tag::Entry*> index;
 };
 
 Pool& GlobalPool() {
@@ -41,8 +28,8 @@ Pool& GlobalPool() {
 
 }  // namespace
 
-const std::string* Tag::EmptyString() {
-  static const std::string* empty = Intern("");
+const Tag::Entry* Tag::EmptyEntry() {
+  static const Entry* empty = Intern("");
   return empty;
 }
 
@@ -58,33 +45,41 @@ namespace {
 // every probe; zero-initialized trivial TLS is a direct offset access.
 struct MemoEntry {
   size_t hash;
-  const std::string* interned;
+  const Tag::Entry* interned;
 };
 static_assert(std::is_trivially_constructible_v<MemoEntry>);
 constexpr size_t kMemoSlots = 256;  // power of two
 
 }  // namespace
 
-const std::string* Tag::Intern(std::string_view text) {
+const Tag::Entry* Tag::Intern(std::string_view text) {
   static thread_local std::array<MemoEntry, kMemoSlots> memo;
   const size_t hash = std::hash<std::string_view>{}(text);
   MemoEntry& slot = memo[hash & (kMemoSlots - 1)];
   if (slot.interned != nullptr && slot.hash == hash &&
-      *slot.interned == text) {
+      slot.interned->text == text) {
     return slot.interned;
   }
 
   Pool& pool = GlobalPool();
-  const std::string* interned = nullptr;
+  const Entry* interned = nullptr;
   {
     std::shared_lock<std::shared_mutex> lock(pool.mu);
-    auto it = pool.strings.find(text);
-    if (it != pool.strings.end()) interned = &*it;
+    auto it = pool.index.find(text);
+    if (it != pool.index.end()) interned = it->second;
   }
   if (interned == nullptr) {
     std::unique_lock<std::shared_mutex> lock(pool.mu);
-    auto [it, _] = pool.strings.emplace(text);
-    interned = &*it;
+    auto it = pool.index.find(text);  // another thread may have won the race
+    if (it != pool.index.end()) {
+      interned = it->second;
+    } else {
+      pool.entries.push_back(
+          {std::string(text), static_cast<uint32_t>(pool.entries.size())});
+      const Entry& entry = pool.entries.back();
+      pool.index.emplace(entry.text, &entry);
+      interned = &entry;
+    }
   }
   slot = {hash, interned};
   return interned;
@@ -93,7 +88,7 @@ const std::string* Tag::Intern(std::string_view text) {
 size_t Tag::PoolSize() {
   Pool& pool = GlobalPool();
   std::shared_lock<std::shared_mutex> lock(pool.mu);
-  return pool.strings.size();
+  return pool.entries.size();
 }
 
 std::ostream& operator<<(std::ostream& os, const Tag& tag) {

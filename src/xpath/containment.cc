@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -24,8 +23,8 @@ using StateSet = uint64_t;
 constexpr size_t kMaxSteps = 63;
 
 // The bits of `within` whose step i+1 of `p` accepts `label`; only those
-// steps compare labels.
-StateSet LabelMask(const Path& p, std::string_view label,
+// steps compare labels, each by its interned tag.
+StateSet LabelMask(const Path& p, const xml::Tag& label,
                    StateSet within = ~StateSet{0}) {
   StateSet mask = 0;
   const auto& steps = p.steps();
@@ -70,7 +69,8 @@ StateSet StepOn(StateSet states, StateSet match, StateSet descendant) {
 
 // A set of DFA states as a flat array. Families stay small for realistic
 // patterns, so a linear dedup beats a tree and the inline buffer keeps the
-// common case off the heap.
+// common case off the heap. The buffer is left uninitialized: only slots
+// below size_ are ever read, and Covers builds two families per call.
 class StateFamily {
  public:
   size_t size() const { return size_; }
@@ -101,34 +101,62 @@ class StateFamily {
     return size_ > kInline ? heap_.data() : inline_.data();
   }
 
-  std::array<StateSet, kInline> inline_{};
+  std::array<StateSet, kInline> inline_;
   std::vector<StateSet> heap_;
   size_t size_ = 0;
 };
 
-}  // namespace
 
-bool MatchesLabelPath(const Path& p, const std::vector<std::string>& labels) {
-  if (p.size() > kMaxSteps) return false;
+// True if `p` (at most kMaxSteps steps) matches the label path
+// label(0), ..., label(n - 1).
+template <typename LabelAt>
+bool MatchesLabels(const Path& p, size_t n, LabelAt&& label) {
   const StateSet descendant = DescendantMask(p);
   StateSet states = 1;  // NFA state 0
-  for (const auto& label : labels) {
-    states = StepOn(states, LabelMask(p, label, states), descendant);
+  for (size_t i = 0; i < n; ++i) {
+    states = StepOn(states, LabelMask(p, label(i), states), descendant);
     if (states == 0) return false;
   }
   return (states & (StateSet{1} << p.size())) != 0;
 }
 
+}  // namespace
+
+bool MatchesLabelPath(const Path& p, const std::vector<xml::Tag>& labels) {
+  if (p.size() > kMaxSteps) return false;
+  return MatchesLabels(p, labels.size(),
+                       [&](size_t i) -> const xml::Tag& { return labels[i]; });
+}
+
 bool Covers(const Path& index, const Path& query) {
   XIA_OBS_COUNT("xia.xpath.containment.checks", 1);
   if (index.size() > kMaxSteps || query.size() > kMaxSteps) return false;
+  // Exact shortcuts before the subset construction. A concrete query
+  // denotes one label path, so containment is matching it. Any other
+  // query denotes infinitely many (a wildcard admits every label, a
+  // descendant gap every depth), which a concrete index, denoting one,
+  // cannot hold. And every path of a pattern ends in its last step's
+  // label, so a concrete last index step must be the query's.
+  if (query.IsConcrete()) {
+    return MatchesLabels(index, query.size(),
+                         [&](size_t i) -> const xml::Tag& {
+                           return query.step(i).name_test;
+                         });
+  }
+  if (index.IsConcrete()) return false;
+  if (!index.last().is_wildcard() &&
+      (query.last().is_wildcard() ||
+       query.last().name_test != index.last().name_test)) {
+    return false;
+  }
   const StateSet descendant = DescendantMask(index);
   const StateSet accept_bit = StateSet{1} << index.size();
 
   // One label mask per symbol class of the index's alphabet: each concrete
   // label it mentions plus one fresh symbol stand for every label, and
-  // labels with equal masks step the automaton alike.
-  std::array<StateSet, kMaxSteps + 1> symbols{};
+  // labels with equal masks step the automaton alike. Only the first
+  // symbol_count slots are written and read.
+  std::array<StateSet, kMaxSteps + 1> symbols;
   size_t symbol_count = 0;
   auto add_symbol = [&](StateSet mask) {
     if (std::find(symbols.begin(), symbols.begin() + symbol_count, mask) ==

@@ -21,15 +21,16 @@
 #ifndef XIA_XPATH_CONTAINMENT_H_
 #define XIA_XPATH_CONTAINMENT_H_
 
-#include <string>
 #include <vector>
 
+#include "xml/tag.h"
 #include "xpath/path.h"
 
 namespace xia::xpath {
 
 /// True if pattern `p` matches the concrete root-to-node label sequence.
-bool MatchesLabelPath(const Path& p, const std::vector<std::string>& labels);
+/// Labels compare as interned tags.
+bool MatchesLabelPath(const Path& p, const std::vector<xml::Tag>& labels);
 
 /// True if every label path matched by `query` is also matched by `index`,
 /// i.e. L(query) ⊆ L(index). Reflexive and transitive.

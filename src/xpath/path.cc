@@ -4,6 +4,11 @@
 
 namespace xia::xpath {
 
+const xml::Tag& Step::WildcardTag() {
+  static const xml::Tag wildcard("*");
+  return wildcard;
+}
+
 const char* ValueTypeToString(ValueType t) {
   switch (t) {
     case ValueType::kString:
@@ -18,7 +23,7 @@ std::string Path::ToString() const {
   std::string out;
   for (const auto& s : steps_) {
     out += (s.axis == Axis::kChild) ? "/" : "//";
-    out += s.name_test;
+    out += s.name_test.view();
   }
   return out;
 }
@@ -46,7 +51,7 @@ bool Path::operator<(const Path& o) const {
       return steps_[i].axis < o.steps_[i].axis;
     }
     if (steps_[i].name_test != o.steps_[i].name_test) {
-      return steps_[i].name_test < o.steps_[i].name_test;
+      return steps_[i].name_test < o.steps_[i].name_test;  // text order
     }
   }
   return steps_.size() < o.steps_.size();
@@ -98,7 +103,7 @@ std::string Predicate::ToString() const {
       } else {
         out += (s.axis == Axis::kChild) ? "/" : "//";
       }
-      out += s.name_test;
+      out += s.name_test.view();
     }
   }
   if (op.has_value()) {
@@ -138,7 +143,7 @@ std::string PathQuery::ToString() const {
   std::string out;
   for (const auto& qs : steps_) {
     out += (qs.step.axis == Axis::kChild) ? "/" : "//";
-    out += qs.step.name_test;
+    out += qs.step.name_test.view();
     for (const auto& p : qs.predicates) out += p.ToString();
   }
   return out;

@@ -34,47 +34,40 @@ enum class Axis : uint8_t {
 
 /// One step of a linear path: an axis plus a name test.
 ///
-/// The name test is fixed at construction (no call site mutates it), so
-/// the wildcard bit and the interned form of the name are computed once
-/// here; label matching against interned xml::Tag labels — the evaluator's
-/// innermost operation — is then a pointer compare instead of a string
-/// compare.
+/// The name test is held only in interned form, fixed at construction (no
+/// call site mutates it), and the wildcard bit is computed once here:
+/// matching a label, comparing two steps and hashing a step all work on
+/// the tag (a pointer compare, or its dense id), never on the text. Text
+/// is read only to render or to order paths.
 struct Step {
   Axis axis = Axis::kChild;
   /// Element tag, "@name" for attributes, or "*" for the wildcard test.
-  std::string name_test;
+  xml::Tag name_test;
 
   Step() = default;
-  Step(Axis a, std::string name)
-      : axis(a),
-        name_test(std::move(name)),
-        wildcard_(name_test == "*"),
-        name_tag_(name_test) {}
+  Step(Axis a, xml::Tag name)
+      : axis(a), name_test(name), wildcard_(name == WildcardTag()) {}
+  Step(Axis a, std::string_view name) : Step(a, xml::Tag(name)) {}
 
   bool is_wildcard() const { return wildcard_; }
-  /// True if this step's name test accepts `label`. The Tag overload is
-  /// the hot one (pointer compare via the intern pool); the string forms
-  /// serve statistics paths that carry plain label strings.
+  /// True if this step's name test accepts `label`.
   bool MatchesLabel(const xml::Tag& label) const {
-    return wildcard_ || name_tag_ == label;
-  }
-  bool MatchesLabel(const std::string& label) const {
     return wildcard_ || name_test == label;
   }
+  /// Text form, for labels that are not interned (tests, seed baselines).
   bool MatchesLabel(std::string_view label) const {
     return wildcard_ || name_test == label;
-  }
-  bool MatchesLabel(const char* label) const {
-    return MatchesLabel(std::string_view(label));
   }
 
   bool operator==(const Step& o) const {
     return axis == o.axis && name_test == o.name_test;
   }
 
+  /// The interned "*".
+  static const xml::Tag& WildcardTag();
+
  private:
   bool wildcard_ = false;
-  xml::Tag name_tag_;  // interned name_test; empty for default-constructed
 };
 
 /// Data type of the values an index stores; mirrors DB2's
@@ -102,7 +95,7 @@ class Path {
   const Step& last() const { return steps_.back(); }
 
   void Append(Axis axis, std::string_view name) {
-    steps_.emplace_back(axis, std::string(name));
+    steps_.emplace_back(axis, name);
   }
 
   /// Renders "/Security//*" style text.

@@ -104,7 +104,7 @@ TEST_F(XmarkFixture, AttributeHeavyCandidatesEnumerated) {
   bool has_attribute_candidate = false;
   for (const auto& c : set->candidates) {
     if (!c.pattern.path.empty() &&
-        c.pattern.path.last().name_test.rfind("@", 0) == 0) {
+        c.pattern.path.last().name_test.str().rfind("@", 0) == 0) {
       has_attribute_candidate = true;
     }
   }

@@ -24,7 +24,20 @@ TEST(DocumentTest, BuildTree) {
   EXPECT_EQ(doc.LabelPathString(sector),
             "/Security/SecInfo/StockInformation/Sector");
   EXPECT_EQ(doc.LabelPath(symbol),
-            (std::vector<std::string>{"Security", "Symbol"}));
+            (std::vector<Tag>{Tag("Security"), Tag("Symbol")}));
+}
+
+TEST(TagTest, IdsAreDenseAndFollowTheText) {
+  const Tag a("TagTest-a");
+  const Tag b("TagTest-b");
+  EXPECT_EQ(Tag("TagTest-a").id(), a.id());
+  EXPECT_NE(a.id(), b.id());
+  EXPECT_LT(a.id(), Tag::PoolSize());
+  EXPECT_LT(b.id(), Tag::PoolSize());
+  // Ids number the pool in interning order; ordering stays textual.
+  const Tag z("TagTest-0-interned-last");
+  EXPECT_GT(z.id(), b.id());
+  EXPECT_TRUE(z < a);
 }
 
 TEST(DocumentTest, Attributes) {

@@ -51,7 +51,7 @@ StateSet StepOn(const Path& p, StateSet states, std::string_view label,
 std::vector<std::string_view> PatternAlphabet(const Path& p) {
   std::vector<std::string_view> labels;
   for (const auto& s : p.steps()) {
-    if (!s.is_wildcard()) labels.push_back(s.name_test);
+    if (!s.is_wildcard()) labels.push_back(s.name_test.view());
   }
   std::sort(labels.begin(), labels.end());
   labels.erase(std::unique(labels.begin(), labels.end()), labels.end());
@@ -97,7 +97,8 @@ bool Covers(const Path& index, const Path& query,
         }
         next_family.insert(StepOn(index, s, "", /*fresh=*/true));
       } else {
-        next_family.insert(StepOn(index, s, qs.name_test, /*fresh=*/false));
+        next_family.insert(
+            StepOn(index, s, qs.name_test.view(), /*fresh=*/false));
       }
     }
     family = std::move(next_family);
@@ -108,6 +109,16 @@ bool Covers(const Path& index, const Path& query,
     if (!(s & accept_bit)) return false;
   }
   return true;
+}
+
+// MatchesLabelPath over label text: the NFA above stepped on each label,
+// one string compare per step.
+bool MatchesLabelPath(const Path& p, const std::vector<std::string>& labels) {
+  StateSet states = 1;
+  for (const std::string& label : labels) {
+    states = StepOn(p, states, label, /*fresh=*/false);
+  }
+  return (states & (1ULL << p.size())) != 0;
 }
 
 // BuildDag as first written: both containment directions for every
@@ -149,38 +160,44 @@ std::vector<std::pair<int, int>> DagEdges(const advisor::CandidateSet& set) {
 
 }  // namespace reference
 
+std::vector<xml::Tag> L(std::initializer_list<std::string_view> labels) {
+  std::vector<xml::Tag> tags;
+  for (std::string_view label : labels) tags.emplace_back(label);
+  return tags;
+}
+
 TEST(MatchLabelPathTest, ExactChildPath) {
-  EXPECT_TRUE(MatchesLabelPath(P("/a/b/c"), {"a", "b", "c"}));
-  EXPECT_FALSE(MatchesLabelPath(P("/a/b/c"), {"a", "b"}));
-  EXPECT_FALSE(MatchesLabelPath(P("/a/b/c"), {"a", "b", "c", "d"}));
-  EXPECT_FALSE(MatchesLabelPath(P("/a/b/c"), {"a", "x", "c"}));
+  EXPECT_TRUE(MatchesLabelPath(P("/a/b/c"), L({"a", "b", "c"})));
+  EXPECT_FALSE(MatchesLabelPath(P("/a/b/c"), L({"a", "b"})));
+  EXPECT_FALSE(MatchesLabelPath(P("/a/b/c"), L({"a", "b", "c", "d"})));
+  EXPECT_FALSE(MatchesLabelPath(P("/a/b/c"), L({"a", "x", "c"})));
 }
 
 TEST(MatchLabelPathTest, Wildcard) {
-  EXPECT_TRUE(MatchesLabelPath(P("/a/*/c"), {"a", "b", "c"}));
-  EXPECT_TRUE(MatchesLabelPath(P("/a/*/c"), {"a", "zz", "c"}));
-  EXPECT_FALSE(MatchesLabelPath(P("/a/*/c"), {"a", "c"}));
+  EXPECT_TRUE(MatchesLabelPath(P("/a/*/c"), L({"a", "b", "c"})));
+  EXPECT_TRUE(MatchesLabelPath(P("/a/*/c"), L({"a", "zz", "c"})));
+  EXPECT_FALSE(MatchesLabelPath(P("/a/*/c"), L({"a", "c"})));
 }
 
 TEST(MatchLabelPathTest, Descendant) {
-  EXPECT_TRUE(MatchesLabelPath(P("//c"), {"c"}));
-  EXPECT_TRUE(MatchesLabelPath(P("//c"), {"a", "b", "c"}));
-  EXPECT_FALSE(MatchesLabelPath(P("//c"), {"a", "c", "b"}));
-  EXPECT_TRUE(MatchesLabelPath(P("/a//c"), {"a", "c"}));
-  EXPECT_TRUE(MatchesLabelPath(P("/a//c"), {"a", "x", "y", "c"}));
-  EXPECT_FALSE(MatchesLabelPath(P("/a//c"), {"b", "x", "c"}));
+  EXPECT_TRUE(MatchesLabelPath(P("//c"), L({"c"})));
+  EXPECT_TRUE(MatchesLabelPath(P("//c"), L({"a", "b", "c"})));
+  EXPECT_FALSE(MatchesLabelPath(P("//c"), L({"a", "c", "b"})));
+  EXPECT_TRUE(MatchesLabelPath(P("/a//c"), L({"a", "c"})));
+  EXPECT_TRUE(MatchesLabelPath(P("/a//c"), L({"a", "x", "y", "c"})));
+  EXPECT_FALSE(MatchesLabelPath(P("/a//c"), L({"b", "x", "c"})));
 }
 
 TEST(MatchLabelPathTest, Universal) {
-  EXPECT_TRUE(MatchesLabelPath(P("//*"), {"a"}));
-  EXPECT_TRUE(MatchesLabelPath(P("//*"), {"a", "b", "c"}));
-  EXPECT_FALSE(MatchesLabelPath(P("//*"), {}));
+  EXPECT_TRUE(MatchesLabelPath(P("//*"), L({"a"})));
+  EXPECT_TRUE(MatchesLabelPath(P("//*"), L({"a", "b", "c"})));
+  EXPECT_FALSE(MatchesLabelPath(P("//*"), L({})));
 }
 
 TEST(MatchLabelPathTest, RepeatedLabels) {
-  EXPECT_TRUE(MatchesLabelPath(P("/a//a"), {"a", "a"}));
-  EXPECT_TRUE(MatchesLabelPath(P("/a//a"), {"a", "b", "a"}));
-  EXPECT_FALSE(MatchesLabelPath(P("/a//a"), {"a"}));
+  EXPECT_TRUE(MatchesLabelPath(P("/a//a"), L({"a", "a"})));
+  EXPECT_TRUE(MatchesLabelPath(P("/a//a"), L({"a", "b", "a"})));
+  EXPECT_FALSE(MatchesLabelPath(P("/a//a"), L({"a"})));
 }
 
 TEST(CoversTest, Reflexive) {
@@ -364,33 +381,75 @@ TEST_P(ContainmentPropertyTest, CoversAgreesWithReferenceOracle) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ContainmentPropertyTest,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
 
-// BuildDag tests only one direction of containment unless the first
-// holds; its edges must match the both-directions reference on the TPoX
-// workload's candidates (the paper's 11 queries plus synthetic
-// statements over all three collections).
-TEST(BuildDagTest, EdgesMatchReferenceOnPaperWorkload) {
+// The TPoX database and the candidate set (basic and generalized) of its
+// workload: the paper's 11 queries plus synthetic statements over all
+// three collections.
+struct PaperWorkload {
   storage::DocumentStore store;
   storage::StatisticsCatalog stats;
-  tpox::TpoxScale scale;
-  scale.security_docs = 300;
-  scale.order_docs = 300;
-  scale.custacc_docs = 100;
-  ASSERT_TRUE(tpox::BuildTpoxDatabase(scale, &store, &stats).ok());
-  auto workload = tpox::TpoxQueries();
-  ASSERT_TRUE(workload.ok());
-  Random rng(42);
-  auto synthetic = tpox::GenerateSyntheticWorkload(
-      stats,
-      {tpox::kSecurityCollection, tpox::kOrderCollection,
-       tpox::kCustAccCollection},
-      40, &rng);
-  ASSERT_TRUE(synthetic.ok());
-  workload->insert(workload->end(), synthetic->begin(), synthetic->end());
+  advisor::CandidateSet set;
 
-  advisor::IndexAdvisor advisor(&store, &stats);
-  auto set = advisor.BuildCandidates(*workload, /*generalize=*/true);
-  ASSERT_TRUE(set.ok()) << set.status();
-  advisor::BuildDag(&*set);
+  void Build() {
+    tpox::TpoxScale scale;
+    scale.security_docs = 300;
+    scale.order_docs = 300;
+    scale.custacc_docs = 100;
+    ASSERT_TRUE(tpox::BuildTpoxDatabase(scale, &store, &stats).ok());
+    auto workload = tpox::TpoxQueries();
+    ASSERT_TRUE(workload.ok());
+    Random rng(42);
+    auto synthetic = tpox::GenerateSyntheticWorkload(
+        stats,
+        {tpox::kSecurityCollection, tpox::kOrderCollection,
+         tpox::kCustAccCollection},
+        40, &rng);
+    ASSERT_TRUE(synthetic.ok());
+    workload->insert(workload->end(), synthetic->begin(), synthetic->end());
+    advisor::IndexAdvisor advisor(&store, &stats);
+    auto built = advisor.BuildCandidates(*workload, /*generalize=*/true);
+    ASSERT_TRUE(built.ok()) << built.status();
+    set = std::move(*built);
+  }
+};
+
+// Statistics paths carry their labels as tags; matching compares tags.
+// Every TPoX statistics path against every candidate pattern must match
+// exactly as the label-text reference does.
+TEST(MatchLabelPathTest, TagsAgreeWithTextOnPaperWorkload) {
+  PaperWorkload paper;
+  ASSERT_NO_FATAL_FAILURE(paper.Build());
+  size_t matches = 0;
+  size_t pairs = 0;
+  for (const char* collection :
+       {tpox::kSecurityCollection, tpox::kOrderCollection,
+        tpox::kCustAccCollection}) {
+    auto cs = paper.stats.Get(collection);
+    ASSERT_TRUE(cs.ok());
+    for (const auto& [path_string, path_stats] : (*cs)->paths()) {
+      const std::vector<std::string> text(path_stats.labels.begin(),
+                                          path_stats.labels.end());
+      for (const advisor::Candidate& c : paper.set.candidates) {
+        const bool expected = reference::MatchesLabelPath(c.pattern.path, text);
+        EXPECT_EQ(MatchesLabelPath(c.pattern.path, path_stats.labels),
+                  expected)
+            << c.pattern.path.ToString() << " vs " << path_string;
+        matches += expected ? 1 : 0;
+        ++pairs;
+      }
+    }
+  }
+  EXPECT_GT(pairs, 4000u);
+  EXPECT_GT(matches, 100u);
+}
+
+// BuildDag tests only one direction of containment unless the first
+// holds; its edges must match the both-directions reference on the TPoX
+// workload's candidates.
+TEST(BuildDagTest, EdgesMatchReferenceOnPaperWorkload) {
+  PaperWorkload paper;
+  ASSERT_NO_FATAL_FAILURE(paper.Build());
+  advisor::CandidateSet* set = &paper.set;
+  advisor::BuildDag(set);
 
   std::vector<std::pair<int, int>> edges;
   for (const advisor::Candidate& c : set->candidates) {

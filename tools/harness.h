@@ -83,9 +83,8 @@ bool Check(const char* what, const Status& status);
 /// Polls up to 10 s for a port number written to `path`.
 Result<uint16_t> WaitPortFile(const std::string& path);
 
-/// Inserts one SDOC security. The ~700-byte pad makes WAL records and
-/// replication frames span several writes and reads, so the mid-frame
-/// and mid-write kill windows open.
+/// Inserts one SDOC security. The ~700-byte pad makes a WAL record span
+/// several writes, so the mid-write kill window opens.
 std::string InsertStatement(const std::string& symbol, uint64_t yield = 5);
 
 /// A WAL-backed leader seeded with a small demo TPoX database.

@@ -8,7 +8,6 @@
 // child on a fresh data dir that subscribes to the leader and kills
 // *itself* with kill -9 at a scheduled replication crash point:
 //
-//   recv-mid-frame            a record's bytes half-received, none applied
 //   apply-before-wal          record decoded, local WAL append pending
 //   apply-mid-apply           local WAL append durable, in-memory apply
 //                             pending (restart replays from the local log)
@@ -46,7 +45,6 @@ namespace {
 
 /// Where in the follower's apply path the child kills itself.
 const std::vector<harness::CrashKind> kCrashKinds = {
-    {"recv-mid-frame", "repl.recv.mid_frame", 6},
     {"apply-before-wal", "repl.apply.before_wal", 24},
     {"apply-mid-apply", "repl.apply.mid_apply", 24},
     {"snapshot-before-install", "repl.snapshot.before_install", 1},
