@@ -114,9 +114,8 @@ void CollectionStatistics::Collect(const Collection& collection,
           parent == xml::kInvalidNode
               ? kNoPath
               : node_paths[static_cast<size_t>(parent)];
-      const xml::Tag& label = doc.label(node);
       const auto [it, inserted] = path_ids.try_emplace(
-          uint64_t{parent_path} << 32 | label.id(),
+          uint64_t{parent_path} << 32 | doc.label_id(node),
           static_cast<uint32_t>(accum.size()));
       node_paths[i] = it->second;
       if (inserted) {
@@ -124,7 +123,7 @@ void CollectionStatistics::Collect(const Collection& collection,
         if (parent_path != kNoPath) {
           added.stats.labels = accum[parent_path].stats.labels;
         }
-        added.stats.labels.push_back(label);
+        added.stats.labels.push_back(doc.label(node));
       }
       const std::string_view value = doc.value(node);
 

@@ -24,10 +24,11 @@ void Document::ShrinkToFit() {
 NodeIndex Document::AddRoot(std::string_view label) {
   assert(nodes_.empty());
   if (!nodes_.empty()) return kInvalidNode;
+  const Tag tag(label);
   Record& r = nodes_.emplace_back();
-  r.label = Tag(label);
+  r.label = tag.id();
   r.end = 1;
-  approx_bytes_ += NodeBytes(r.label.size(), 0);
+  approx_bytes_ += NodeBytes(tag.size(), 0);
   return 0;
 }
 
@@ -53,7 +54,7 @@ NodeIndex Document::Append(NodeIndex parent, Tag label,
   }
   const NodeIndex idx = static_cast<NodeIndex>(nodes_.size());
   Record& r = nodes_.emplace_back();
-  r.label = label;
+  r.label = label.id();
   r.parent = parent;
   r.end = idx + 1;
   r.attribute = attribute;

@@ -14,7 +14,7 @@
 namespace xia::xml {
 
 /// An XML document. Nodes are stored in pre-order (document order) as
-/// 24-byte records; each record carries its parent and the end of its
+/// 20-byte records; each record carries its parent and the end of its
 /// subtree (one past its last descendant), so a node's children are
 /// reached by hopping from subtree end to subtree end:
 ///
@@ -32,17 +32,18 @@ namespace xia::xml {
 /// stable (a requirement for index RIDs).
 class Document {
  private:
-  /// One node's stored record: 24 bytes. The value is an (offset, size)
-  /// slice of values_; the node kind rides in the size word's top bit.
+  /// One node's stored record: 20 bytes. The label is its tag's id; the
+  /// value is an (offset, size) slice of values_; the node kind rides in
+  /// the size word's top bit.
   struct Record {
-    Tag label;
+    uint32_t label = 0;
     NodeIndex parent = kInvalidNode;
     NodeIndex end = kInvalidNode;
     uint32_t value_offset = 0;
     uint32_t value_size : 31 = 0;
     uint32_t attribute : 1 = 0;
   };
-  static_assert(sizeof(Record) == 24, "node records are 24 bytes");
+  static_assert(sizeof(Record) == 20, "node records are 20 bytes");
 
  public:
   Document() = default;
@@ -93,10 +94,12 @@ class Document {
   Node node(NodeIndex i) const {
     const Record& r = rec(i);
     return {r.attribute ? NodeKind::kAttribute : NodeKind::kElement,
-            r.label, ValueOf(r), r.parent, r.end};
+            Tag::FromId(r.label), ValueOf(r), r.parent, r.end};
   }
 
-  const Tag& label(NodeIndex i) const { return rec(i).label; }
+  Tag label(NodeIndex i) const { return Tag::FromId(rec(i).label); }
+  /// The label's tag id: what matching compares, without the tag lookup.
+  uint32_t label_id(NodeIndex i) const { return rec(i).label; }
   NodeValue value(NodeIndex i) const { return ValueOf(rec(i)); }
   NodeIndex parent(NodeIndex i) const { return rec(i).parent; }
   /// One past the last descendant of `i`.

@@ -1,12 +1,16 @@
 #include "xml/tag.h"
 
+#include <algorithm>
 #include <array>
+#include <atomic>
 #include <deque>
+#include <memory>
 #include <mutex>
 #include <ostream>
 #include <shared_mutex>
 #include <type_traits>
 #include <unordered_map>
+#include <vector>
 
 namespace xia::xml {
 
@@ -19,6 +23,14 @@ struct Pool {
   // never allocates on hit.
   std::deque<Tag::Entry> entries;
   std::unordered_map<std::string_view, const Tag::Entry*> index;
+  // Entries by id, for FromId without the lock. An entry is stored before
+  // its id is handed out, so a reader holding an id finds it. The table
+  // grows by doubling into a new array published with a release store;
+  // older arrays stay allocated (a reader may still be indexing one) and
+  // stay reachable through `tables`.
+  std::atomic<const Tag::Entry* const*> by_id{nullptr};
+  std::vector<std::unique_ptr<const Tag::Entry*[]>> tables;
+  size_t by_id_capacity = 0;
 };
 
 Pool& GlobalPool() {
@@ -74,15 +86,29 @@ const Tag::Entry* Tag::Intern(std::string_view text) {
     if (it != pool.index.end()) {
       interned = it->second;
     } else {
-      pool.entries.push_back(
-          {std::string(text), static_cast<uint32_t>(pool.entries.size())});
+      const size_t id = pool.entries.size();
+      pool.entries.push_back({std::string(text), static_cast<uint32_t>(id)});
       const Entry& entry = pool.entries.back();
       pool.index.emplace(entry.text, &entry);
+      if (id == pool.by_id_capacity) {
+        const size_t capacity = std::max<size_t>(64, 2 * id);
+        auto grown = std::make_unique<const Entry*[]>(capacity);
+        std::copy_n(pool.by_id.load(std::memory_order_relaxed), id,
+                    grown.get());
+        pool.by_id.store(grown.get(), std::memory_order_release);
+        pool.tables.push_back(std::move(grown));
+        pool.by_id_capacity = capacity;
+      }
+      pool.tables.back()[id] = &entry;
       interned = &entry;
     }
   }
   slot = {hash, interned};
   return interned;
+}
+
+Tag Tag::FromId(uint32_t id) {
+  return Tag(GlobalPool().by_id.load(std::memory_order_acquire)[id]);
 }
 
 size_t Tag::PoolSize() {

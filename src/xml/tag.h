@@ -10,9 +10,10 @@
 //
 // Each interned string also gets a dense id (0, 1, 2, ... in interning
 // order), so code that groups or hashes labels can index a flat array or
-// mix 4 bytes instead of walking the text. Ids are a process-local
-// numbering, never a sort key: anything that orders or renders labels uses
-// the text (operator< compares text).
+// mix 4 bytes instead of walking the text, and a document record stores
+// its label in 4 bytes (FromId turns an id back into its Tag). Ids are a
+// process-local numbering, never a sort key: anything that orders or
+// renders labels uses the text (operator< compares text).
 //
 // Tag converts implicitly to `const std::string&` (exactly one user-defined
 // conversion, so every std::string-consuming call site keeps compiling),
@@ -53,6 +54,10 @@ class Tag {
   /// Dense id of the interned string: equal text <=> equal id, and every
   /// id is below PoolSize().
   uint32_t id() const { return e_->id; }
+
+  /// The tag whose id() is `id`, which must come from an existing Tag.
+  /// Lock-free: a document record stores a label as its 4-byte id.
+  static Tag FromId(uint32_t id);
 
   size_t size() const { return e_->text.size(); }
   bool empty() const { return e_->text.empty(); }
@@ -97,6 +102,7 @@ class Tag {
   };
 
  private:
+  explicit Tag(const Entry* e) : e_(e) {}
   static const Entry* EmptyEntry();
   static const Entry* Intern(std::string_view text);
 

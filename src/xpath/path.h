@@ -54,6 +54,10 @@ struct Step {
   bool MatchesLabel(const xml::Tag& label) const {
     return wildcard_ || name_test == label;
   }
+  /// The same for a label given by its tag id (a document record's).
+  bool MatchesLabelId(uint32_t label_id) const {
+    return wildcard_ || name_test.id() == label_id;
+  }
   /// Text form, for labels that are not interned (tests, seed baselines).
   bool MatchesLabel(std::string_view label) const {
     return wildcard_ || name_test == label;

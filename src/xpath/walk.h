@@ -40,7 +40,7 @@ bool WalkFrom(const xml::Document& doc, xml::NodeIndex parent, Steps steps,
   const xml::NodeIndex end = doc.end(parent);
   for (xml::NodeIndex c = parent + 1; c < end;
        c = descend ? c + 1 : doc.end(c)) {
-    if (step.MatchesLabel(doc.label(c)) &&
+    if (step.MatchesLabelId(doc.label_id(c)) &&
         (last ? visit(c) : WalkSteps(doc, c, steps, step_index + 1, visit))) {
       return true;
     }
@@ -64,7 +64,7 @@ bool WalkAbsolute(const xml::Document& doc, Steps steps, Visit& visit) {
   const Step& first = steps[0];
   const xml::NodeIndex root = doc.root();
   // Child axis from the document node: only the root element.
-  if (first.MatchesLabel(doc.label(root)) &&
+  if (first.MatchesLabelId(doc.label_id(root)) &&
       (steps.size() == 1 ? visit(root)
                          : WalkSteps(doc, root, steps, 1, visit))) {
     return true;
