@@ -210,8 +210,7 @@ void CollectionStatistics::Collect(const Collection& collection,
     std::string path = s.PathString();
     paths_.emplace(std::move(path), std::move(s));
   }
-  accum.clear();
-  accum.shrink_to_fit();
+  accum = {};
   path_ids = {};
   node_paths = {};
 #if defined(__GLIBC__)

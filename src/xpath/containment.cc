@@ -106,7 +106,6 @@ class StateFamily {
   size_t size_ = 0;
 };
 
-
 // True if `p` (at most kMaxSteps steps) matches the label path
 // label(0), ..., label(n - 1).
 template <typename LabelAt>

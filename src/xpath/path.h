@@ -67,10 +67,10 @@ struct Step {
     return axis == o.axis && name_test == o.name_test;
   }
 
+ private:
   /// The interned "*".
   static const xml::Tag& WildcardTag();
 
- private:
   bool wildcard_ = false;
 };
 
