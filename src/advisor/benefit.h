@@ -464,11 +464,11 @@ class BenefitEvaluator {
                                   const fault::Deadline& deadline,
                                   const fault::CancelToken* cancel);
 
-  /// Sums the groups of a decomposition in order — one group at a time in
-  /// serial mode, farmed out in parallel mode — reading ready one-member
-  /// groups from their slots. value_of(k) reports group k's benefit when
-  /// it is known without a lookup (it counts as a cache hit); otherwise
-  /// group(k) is looked up through the cache.
+  /// Sums the benefits of `groups` groups in order. known(k, &value)
+  /// reports group k's benefit when it is known without a lookup (a ready
+  /// slot, or a base group's cached value), which counts as a cache hit;
+  /// any other group(k) is looked up through the cache — one at a time in
+  /// serial mode, farmed out to the pool in parallel mode.
   template <typename GroupOf, typename KnownValue>
   Result<double> SumGroups(size_t groups, GroupOf&& group,
                            KnownValue&& value_of, ProbeScratch* scratch,
