@@ -15,7 +15,6 @@ namespace xia::storage {
 
 namespace {
 
-constexpr char kMagicV1[8] = {'X', 'I', 'A', 'S', 'N', 'A', 'P', '1'};
 constexpr char kMagicV2[8] = {'X', 'I', 'A', 'S', 'N', 'A', 'P', '2'};
 
 constexpr uint32_t kMaxString = 64u << 20;   // 64 MiB per string
@@ -52,10 +51,9 @@ bool Fields(IO& io, SnapshotNode& n) {
          });
 }
 
-/// Appends one collection body: str name, u32 slot_count, then per slot
-/// u8 live and, if live, u32 node_count + node_count SnapshotNodes.
-/// Shared between the v2 section payload and nothing else (v1 wrote the
-/// same bytes inline, which is why v2 sections parse with the same code).
+/// Appends one collection body (a v2 section payload): str name, u32
+/// slot_count, then per slot u8 live and, if live, u32 node_count +
+/// node_count SnapshotNodes.
 void WriteCollectionBody(const Collection& coll, std::string* out) {
   wal::Writer w(out);
   w(coll.name());
@@ -135,8 +133,8 @@ Status ReadCollectionBody(wal::Reader& in, DocumentStore* store) {
   return Status::OK();
 }
 
-/// v2 body: per-collection CRC-framed sections, then EOF.
-Status LoadV2Body(std::istream& in, DocumentStore* staging) {
+/// The body after the magic: per-collection CRC-framed sections, then EOF.
+Status LoadSections(std::istream& in, DocumentStore* staging) {
   uint32_t collections = 0;
   if (!ReadU32(in, &collections)) {
     return Status::ParseError("truncated snapshot header");
@@ -168,32 +166,6 @@ Status LoadV2Body(std::istream& in, DocumentStore* staging) {
     }
   }
   if (in.peek() != EOF) {
-    return Status::ParseError("trailing bytes after snapshot");
-  }
-  return Status::OK();
-}
-
-/// Legacy v1 body: unframed collection bodies back to back.
-Status LoadV1Body(std::istream& in, DocumentStore* staging) {
-  uint32_t collections = 0;
-  if (!ReadU32(in, &collections)) {
-    return Status::ParseError("truncated snapshot header");
-  }
-  // v1 bodies are unframed, so the whole rest is read first, bounded like
-  // one v2 section.
-  std::string rest;
-  char buf[1 << 16];
-  while (in.read(buf, sizeof(buf)) || in.gcount() > 0) {
-    rest.append(buf, static_cast<size_t>(in.gcount()));
-    if (rest.size() > kMaxSection) {
-      return Status::ParseError("legacy snapshot too large");
-    }
-  }
-  wal::Reader body(rest);
-  for (uint32_t c = 0; c < collections; ++c) {
-    XIA_RETURN_IF_ERROR(ReadCollectionBody(body, staging));
-  }
-  if (!body.AtEnd()) {
     return Status::ParseError("trailing bytes after snapshot");
   }
   return Status::OK();
@@ -239,20 +211,15 @@ Status LoadSnapshot(std::istream& in, DocumentStore* store) {
         "snapshot must be loaded into an empty store");
   }
   char magic[sizeof(kMagicV2)];
-  if (!in.read(magic, sizeof(magic))) {
+  if (!in.read(magic, sizeof(magic)) ||
+      std::memcmp(magic, kMagicV2, sizeof(kMagicV2)) != 0) {
     return Status::ParseError("not a XIA snapshot (bad magic)");
   }
   // All parsing targets a staging store; `store` is swapped in only after
   // the whole stream verified and parsed, so a corrupt snapshot can never
   // leave it partially populated.
   DocumentStore staging;
-  if (std::memcmp(magic, kMagicV2, sizeof(kMagicV2)) == 0) {
-    XIA_RETURN_IF_ERROR(LoadV2Body(in, &staging));
-  } else if (std::memcmp(magic, kMagicV1, sizeof(kMagicV1)) == 0) {
-    XIA_RETURN_IF_ERROR(LoadV1Body(in, &staging));
-  } else {
-    return Status::ParseError("not a XIA snapshot (bad magic)");
-  }
+  XIA_RETURN_IF_ERROR(LoadSections(in, &staging));
   store->Swap(&staging);
   return Status::OK();
 }

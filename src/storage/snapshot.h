@@ -23,8 +23,7 @@
 //
 // The per-section CRC turns any single bit flip or truncation into a
 // precise kDataLoss/kParseError status instead of silently corrupt data.
-// Legacy "XIASNAP1" files (the same collection bodies, unframed and
-// unchecksummed) still load. Loading always parses into a staging store
+// Any other magic is rejected. Loading always parses into a staging store
 // and swaps on success, so a failed load never partially mutates the
 // caller's store.
 

@@ -116,19 +116,27 @@ Status LoadCatalogPayload(const std::string& payload, const std::string& where,
   return Status::OK();
 }
 
-Status LoadCatalogFile(const std::string& path, storage::Catalog* catalog) {
-  XIA_ASSIGN_OR_RETURN(const std::string payload,
-                       ReadFramedFile(path, kCatalogMagic));
-  return LoadCatalogPayload(payload, path, catalog);
+/// Satellite fail-closed rule: a checkpoint file the MANIFEST references
+/// (or a checkpoint image being installed) is only ever replaced
+/// atomically, so *any* problem reading it — missing, truncated, corrupt
+/// — is evidence of data loss, never a situation to half-recover past.
+Status AsCheckpointDataLoss(const Status& status,
+                            const std::string& where = "checkpoint file") {
+  if (status.ok() || status.code() == StatusCode::kDataLoss) return status;
+  return Status::DataLoss(where + " unusable: " + status.ToString());
 }
 
-/// Satellite fail-closed rule: a checkpoint file the MANIFEST references
-/// is only ever replaced atomically, so *any* problem reading it —
-/// missing, truncated, corrupt — is evidence of data loss, never a
-/// situation to half-recover past.
-Status AsCheckpointDataLoss(const Status& status) {
-  if (status.ok() || status.code() == StatusCode::kDataLoss) return status;
-  return Status::DataLoss("checkpoint file unusable: " + status.ToString());
+/// Decodes a scanned log's payloads in file order, releasing each one as
+/// it is decoded so the log is not held twice.
+Result<std::vector<WalRecord>> DecodeLog(std::vector<std::string>* payloads) {
+  std::vector<WalRecord> records;
+  records.reserve(payloads->size());
+  for (std::string& payload : *payloads) {
+    XIA_ASSIGN_OR_RETURN(WalRecord record, DecodeRecord(payload));
+    records.push_back(std::move(record));
+    std::string().swap(payload);
+  }
+  return records;
 }
 
 }  // namespace
@@ -188,6 +196,118 @@ std::string WalManager::CatalogPath(uint64_t lsn) const {
                                   static_cast<unsigned long long>(lsn));
 }
 
+/// The in-memory rebuild shared by Open, InstallCheckpoint, TruncateSuffix
+/// and ResetForResync: Stage loads a checkpoint, Replay applies log records
+/// past it, and WalManager::Adopt moves the result into the caller's
+/// objects. Nothing live changes before Adopt, so a failure on the way
+/// leaves the caller's store, catalog and statistics as they were.
+struct WalManager::Staging {
+  explicit Staging(const storage::CostConstants& cc)
+      : catalog(&store, &statistics, cc) {}
+
+  /// Loads a checkpoint into this (empty) staging state: the snapshot
+  /// from `snapshot` and the indexes of the catalog file payload
+  /// `catalog_payload`; null means the checkpoint has none. Every failure
+  /// is kDataLoss naming `where`.
+  Status Stage(std::istream* snapshot, const std::string* catalog_payload,
+               const std::string& where) {
+    if (snapshot != nullptr) {
+      XIA_RETURN_IF_ERROR(AsCheckpointDataLoss(
+          storage::LoadSnapshot(*snapshot, &store), where + " snapshot"));
+    }
+    if (catalog_payload != nullptr) {
+      const std::string what = where + " catalog";
+      XIA_RETURN_IF_ERROR(AsCheckpointDataLoss(
+          LoadCatalogPayload(*catalog_payload, what, &catalog), what));
+    }
+    return Status::OK();
+  }
+
+  /// Applies `records` past `state->checkpoint_lsn`, skipping any record
+  /// at or below the last LSN applied (covered by the checkpoint, or a
+  /// duplicate). A barrier record opening a later epoch than `state`'s
+  /// moves `state` to it, whether or not its LSN is skipped. Polls
+  /// `deadline` and the wal.replay fault point once per record.
+  Status Replay(const std::vector<WalRecord>& records,
+                const fault::Deadline& deadline, Manifest* state,
+                RecoveryReport* report) {
+    uint64_t applied_lsn = state->checkpoint_lsn;
+    for (const WalRecord& record : records) {
+      XIA_RETURN_IF_ERROR(fault::CheckInterrupt(deadline));
+      XIA_FAULT_INJECT(fault::points::kWalReplay);
+      if (record.type == RecordType::kEpochBarrier &&
+          record.epoch > state->repl_epoch) {
+        state->repl_epoch = record.epoch;
+        state->epoch_start_lsn = record.lsn;
+      }
+      if (record.lsn <= applied_lsn) {
+        ++report->records_skipped;
+        continue;
+      }
+      XIA_RETURN_IF_ERROR(
+          ApplyRecord(record, &store, &catalog, &statistics, deadline));
+      applied_lsn = record.lsn;
+      if (report->records_replayed == 0) report->first_replayed_lsn = record.lsn;
+      report->last_replayed_lsn = record.lsn;
+      ++report->records_replayed;
+    }
+    return Status::OK();
+  }
+
+  storage::DocumentStore store;
+  /// Written only by a replayed StatsRefresh record; Adopt computes the
+  /// live statistics afresh and drops these.
+  storage::StatisticsCatalog statistics;
+  storage::Catalog catalog;
+};
+
+Status WalManager::StageCheckpointFiles(const Manifest& manifest,
+                                        Staging* staging) const {
+  std::ifstream snapshot;
+  if (manifest.has_snapshot) {
+    const std::string path = SnapshotPath(manifest.checkpoint_lsn);
+    snapshot.open(path, std::ios::binary);
+    if (!snapshot) return Status::DataLoss("cannot open checkpoint " + path);
+  }
+  std::string catalog_payload;
+  if (manifest.has_catalog) {
+    Result<std::string> payload =
+        ReadFramedFile(CatalogPath(manifest.checkpoint_lsn), kCatalogMagic);
+    XIA_RETURN_IF_ERROR(AsCheckpointDataLoss(payload.status()));
+    catalog_payload = std::move(*payload);
+  }
+  return staging->Stage(manifest.has_snapshot ? &snapshot : nullptr,
+                        manifest.has_catalog ? &catalog_payload : nullptr,
+                        "checkpoint " + std::to_string(manifest.checkpoint_lsn));
+}
+
+void WalManager::Adopt(Staging* staging, const Manifest& state,
+                       storage::DocumentStore* store,
+                       storage::Catalog* catalog,
+                       storage::StatisticsCatalog* statistics) {
+  store->Swap(&staging->store);
+  catalog->AdoptIndexesFrom(&staging->catalog);
+  // The rebuild's one statistics pass, over exactly the data the advisor
+  // and optimizer will price.
+  for (const std::string& coll : store->CollectionNames()) {
+    auto c = store->GetCollection(coll);
+    if (c.ok()) statistics->RunStats(**c);
+  }
+  PublishLogReset(state);
+}
+
+void WalManager::PublishLogReset(const Manifest& state) {
+  {
+    std::lock_guard<std::mutex> lock(repl_mu_);
+    checkpoint_lsn_ = state.checkpoint_lsn;
+    repl_epoch_ = state.repl_epoch;
+    epoch_start_lsn_ = state.epoch_start_lsn;
+    ++log_epoch_;
+    ++commit_seq_;
+  }
+  repl_cv_.notify_all();
+}
+
 Result<RecoveryReport> WalManager::Open(storage::DocumentStore* store,
                                         storage::Catalog* catalog,
                                         storage::StatisticsCatalog* statistics,
@@ -225,62 +345,21 @@ Result<RecoveryReport> WalManager::Open(storage::DocumentStore* store,
   XIA_ASSIGN_OR_RETURN(const Manifest manifest, ReadManifest(ManifestPath()));
   report.checkpoint_lsn = manifest.checkpoint_lsn;
 
-  // Stage: rebuild checkpoint state off to the side.
-  storage::DocumentStore staging_store;
-  storage::StatisticsCatalog staging_stats;
-  storage::Catalog staging_catalog(&staging_store, &staging_stats,
-                                   catalog->cost_constants());
-  if (manifest.has_snapshot) {
-    XIA_RETURN_IF_ERROR(AsCheckpointDataLoss(storage::LoadSnapshotFromFile(
-        SnapshotPath(manifest.checkpoint_lsn), &staging_store)));
-  }
-  for (const std::string& coll : staging_store.CollectionNames()) {
-    auto c = staging_store.GetCollection(coll);
-    if (c.ok()) staging_stats.RunStats(**c);
-  }
-  if (manifest.has_catalog) {
-    XIA_RETURN_IF_ERROR(AsCheckpointDataLoss(
-        LoadCatalogFile(CatalogPath(manifest.checkpoint_lsn),
-                        &staging_catalog)));
-  }
+  Staging staging(catalog->cost_constants());
+  XIA_RETURN_IF_ERROR(StageCheckpointFiles(manifest, &staging));
 
-  // Scan the log, salvaging up to the first torn/corrupt frame.
-  uint64_t max_lsn_seen = manifest.checkpoint_lsn;
-  // Epoch state recovers from the manifest (checkpoint-time value), then
-  // advances past any barrier records replayed from the log.
-  uint64_t repl_epoch = manifest.repl_epoch;
-  uint64_t epoch_start_lsn = manifest.epoch_start_lsn;
+  // Scan the log, salvaging up to the first torn/corrupt frame, and
+  // replay it. Epoch state starts at the manifest's (checkpoint-time)
+  // value and advances past any barrier records in the log.
+  Manifest state = manifest;
   auto scanned = ScanLogFile(LogPath());
   if (scanned.ok()) {
     report.bytes_salvaged = scanned->valid_bytes;
     report.bytes_discarded = scanned->discarded_bytes;
     report.salvaged = scanned->torn_tail;
-
-    uint64_t applied_lsn = manifest.checkpoint_lsn;
-    for (const std::string& payload : scanned->payloads) {
-      XIA_RETURN_IF_ERROR(fault::CheckInterrupt(deadline));
-      XIA_FAULT_INJECT(fault::points::kWalReplay);
-      XIA_ASSIGN_OR_RETURN(const WalRecord record, DecodeRecord(payload));
-      max_lsn_seen = std::max(max_lsn_seen, record.lsn);
-      if (record.type == RecordType::kEpochBarrier &&
-          record.epoch > repl_epoch) {
-        repl_epoch = record.epoch;
-        epoch_start_lsn = record.lsn;
-      }
-      if (record.lsn <= applied_lsn) {
-        // Already covered by the checkpoint (or a duplicate): idempotent
-        // replay skips it.
-        ++report.records_skipped;
-        continue;
-      }
-      XIA_RETURN_IF_ERROR(ApplyRecord(record, &staging_store,
-                                      &staging_catalog, &staging_stats,
-                                      deadline));
-      applied_lsn = record.lsn;
-      if (report.records_replayed == 0) report.first_replayed_lsn = record.lsn;
-      report.last_replayed_lsn = record.lsn;
-      ++report.records_replayed;
-    }
+    XIA_ASSIGN_OR_RETURN(const std::vector<WalRecord> records,
+                         DecodeLog(&scanned->payloads));
+    XIA_RETURN_IF_ERROR(staging.Replay(records, deadline, &state, &report));
 
     if (scanned->torn_tail) {
       if (scanned->valid_bytes >= sizeof(kWalMagic)) {
@@ -298,26 +377,12 @@ Result<RecoveryReport> WalManager::Open(storage::DocumentStore* store,
     return Status::DataLoss(scanned.status().message());
   }
 
-  // Refresh statistics over the recovered data, then swap everything in.
-  for (const std::string& coll : staging_store.CollectionNames()) {
-    auto c = staging_store.GetCollection(coll);
-    if (c.ok()) staging_stats.RunStats(**c);
-  }
-  store->Swap(&staging_store);
-  catalog->AdoptIndexesFrom(&staging_catalog);
-  for (const std::string& coll : store->CollectionNames()) {
-    auto c = store->GetCollection(coll);
-    if (c.ok()) statistics->RunStats(**c);
-  }
-
-  XIA_RETURN_IF_ERROR(writer_.Open(LogPath(), max_lsn_seen + 1));
-  {
-    std::lock_guard<std::mutex> lock(repl_mu_);
-    checkpoint_lsn_ = manifest.checkpoint_lsn;
-    log_epoch_ = 1;
-    repl_epoch_ = repl_epoch;
-    epoch_start_lsn_ = epoch_start_lsn;
-  }
+  // Replay skips only LSNs at or below one it applied (or the
+  // checkpoint's), so the last one applied is the highest in the log.
+  XIA_RETURN_IF_ERROR(writer_.Open(
+      LogPath(),
+      std::max(manifest.checkpoint_lsn, report.last_replayed_lsn) + 1));
+  Adopt(&staging, state, store, catalog, statistics);
   open_.store(true, std::memory_order_release);
 
   report.seconds = timer.ElapsedSeconds();
@@ -415,14 +480,7 @@ Status WalManager::Checkpoint(const storage::DocumentStore& store,
   }
 
   DeleteStaleVersionedFiles(lsn);
-
-  {
-    std::lock_guard<std::mutex> lock(repl_mu_);
-    checkpoint_lsn_ = lsn;
-    ++log_epoch_;
-    ++commit_seq_;
-  }
-  repl_cv_.notify_all();
+  PublishLogReset(manifest);
   ++checkpoints_;
   XIA_OBS_COUNT("xia.wal.checkpoints", 1);
   return Status::OK();
@@ -642,26 +700,19 @@ Status WalManager::InstallCheckpoint(const CheckpointImage& image,
   // 1. Validate the whole image into staging state FIRST: a corrupt
   //    transfer must leave the live store, the files, and the manifest
   //    untouched (fail-closed, same stance as recovery).
-  storage::DocumentStore staging_store;
-  storage::StatisticsCatalog staging_stats;
-  storage::Catalog staging_catalog(&staging_store, &staging_stats,
-                                   catalog->cost_constants());
-  if (image.has_snapshot) {
-    std::istringstream in(image.snapshot_bytes);
-    const Status loaded = storage::LoadSnapshot(in, &staging_store);
-    if (!loaded.ok()) {
-      return Status::DataLoss("replication snapshot image rejected: " +
-                              loaded.ToString());
-    }
-  }
+  Staging staging(catalog->cost_constants());
+  std::istringstream snapshot(image.snapshot_bytes);
+  std::string catalog_payload;
   if (image.has_catalog) {
     XIA_ASSIGN_OR_RETURN(
-        const std::string payload,
+        catalog_payload,
         ParseFramedBytes(image.catalog_bytes, kCatalogMagic,
                          "replication catalog image"));
-    XIA_RETURN_IF_ERROR(LoadCatalogPayload(
-        payload, "replication catalog image", &staging_catalog));
   }
+  XIA_RETURN_IF_ERROR(
+      staging.Stage(image.has_snapshot ? &snapshot : nullptr,
+                    image.has_catalog ? &catalog_payload : nullptr,
+                    "replication checkpoint image"));
 
   // 2. Persist the image files (atomic, but not yet referenced).
   if (image.has_snapshot) {
@@ -690,25 +741,10 @@ Status WalManager::InstallCheckpoint(const CheckpointImage& image,
   //    old log held is <= the image LSN and covered by the snapshot.
   XIA_RETURN_IF_ERROR(writer_.Sync());
   XIA_RETURN_IF_ERROR(writer_.ResetFile(LogPath(), /*next_lsn=*/lsn + 1));
-
-  // 5. Swap the staged state in and refresh statistics over it.
-  store->Swap(&staging_store);
-  catalog->AdoptIndexesFrom(&staging_catalog);
-  for (const std::string& coll : store->CollectionNames()) {
-    auto c = store->GetCollection(coll);
-    if (c.ok()) statistics->RunStats(**c);
-  }
-
   DeleteStaleVersionedFiles(lsn);
-  {
-    std::lock_guard<std::mutex> lock(repl_mu_);
-    checkpoint_lsn_ = lsn;
-    ++log_epoch_;
-    ++commit_seq_;
-    repl_epoch_ = manifest.repl_epoch;
-    epoch_start_lsn_ = manifest.epoch_start_lsn;
-  }
-  repl_cv_.notify_all();
+
+  // 5. Adopt the staged state.
+  Adopt(&staging, manifest, store, catalog, statistics);
   ++checkpoints_;
   XIA_OBS_COUNT("xia.wal.checkpoint_installs", 1);
   return Status::OK();
@@ -737,83 +773,46 @@ Result<uint64_t> WalManager::TruncateSuffix(
   // suffix. The log holds whole records (Sync above), so any frame that
   // fails to decode here is real corruption, not a torn tail.
   std::vector<WalRecord> keep;
-  uint64_t truncated = 0;
   auto scanned = ScanLogFile(LogPath());
   if (scanned.ok()) {
-    for (const std::string& payload : scanned->payloads) {
-      XIA_ASSIGN_OR_RETURN(WalRecord record, DecodeRecord(payload));
-      if (record.lsn >= barrier_lsn) {
-        ++truncated;
-        continue;
-      }
-      keep.push_back(std::move(record));
-    }
+    XIA_ASSIGN_OR_RETURN(keep, DecodeLog(&scanned->payloads));
   } else if (scanned.status().code() != StatusCode::kNotFound) {
     return Status::DataLoss(scanned.status().message());
   }
+  const auto divergent =
+      std::remove_if(keep.begin(), keep.end(), [&](const WalRecord& r) {
+        return r.lsn >= barrier_lsn;
+      });
+  const auto truncated = static_cast<uint64_t>(keep.end() - divergent);
+  keep.erase(divergent, keep.end());
 
-  // Stage-and-swap: rebuild checkpoint state + surviving prefix off to
-  // the side first, so a corrupt checkpoint file leaves the live store
-  // and the log untouched.
-  storage::DocumentStore staging_store;
-  storage::StatisticsCatalog staging_stats;
-  storage::Catalog staging_catalog(&staging_store, &staging_stats,
-                                   catalog->cost_constants());
-  if (manifest.has_snapshot) {
-    XIA_RETURN_IF_ERROR(AsCheckpointDataLoss(storage::LoadSnapshotFromFile(
-        SnapshotPath(manifest.checkpoint_lsn), &staging_store)));
-  }
-  if (manifest.has_catalog) {
-    XIA_RETURN_IF_ERROR(AsCheckpointDataLoss(LoadCatalogFile(
-        CatalogPath(manifest.checkpoint_lsn), &staging_catalog)));
-  }
-  uint64_t applied_lsn = manifest.checkpoint_lsn;
-  uint64_t repl_epoch = manifest.repl_epoch;
-  uint64_t epoch_start_lsn = manifest.epoch_start_lsn;
-  for (const WalRecord& record : keep) {
-    if (record.lsn <= applied_lsn) continue;  // pre-checkpoint stragglers
-    if (record.type == RecordType::kEpochBarrier &&
-        record.epoch > repl_epoch) {
-      repl_epoch = record.epoch;
-      epoch_start_lsn = record.lsn;
-    }
-    XIA_RETURN_IF_ERROR(ApplyRecord(record, &staging_store, &staging_catalog,
-                                    &staging_stats, {}));
-    applied_lsn = record.lsn;
-  }
+  // Rebuild checkpoint state + surviving prefix off to the side first,
+  // so a corrupt checkpoint file leaves the live store and the log
+  // untouched.
+  Staging staging(catalog->cost_constants());
+  XIA_RETURN_IF_ERROR(StageCheckpointFiles(manifest, &staging));
+  Manifest state = manifest;
+  RecoveryReport replayed;
+  XIA_RETURN_IF_ERROR(staging.Replay(keep, {}, &state, &replayed));
 
-  // Rewrite the log as exactly the surviving prefix. A crash mid-rewrite
-  // is safe: recovery sees checkpoint + a shorter prefix, still
-  // prefix-consistent, and the follower re-fetches the rest from the
-  // leader.
+  // Rewrite the log as exactly the records replay applied. A crash
+  // mid-rewrite is safe: recovery sees checkpoint + a shorter prefix,
+  // still prefix-consistent, and the follower re-fetches the rest from
+  // the leader.
   XIA_RETURN_IF_ERROR(
       writer_.ResetFile(LogPath(), manifest.checkpoint_lsn + 1));
-  uint64_t last_kept = 0;
+  uint64_t last_kept = manifest.checkpoint_lsn;
   for (const WalRecord& record : keep) {
-    if (record.lsn <= manifest.checkpoint_lsn || record.lsn <= last_kept) {
-      continue;
-    }
+    if (record.lsn <= last_kept) continue;
     XIA_RETURN_IF_ERROR(writer_.AppendWithLsn(record));
     last_kept = record.lsn;
   }
-  if (last_kept > 0) XIA_RETURN_IF_ERROR(writer_.Commit(last_kept));
+  if (last_kept > manifest.checkpoint_lsn) {
+    XIA_RETURN_IF_ERROR(writer_.Commit(last_kept));
+  }
   XIA_RETURN_IF_ERROR(writer_.Sync());
 
-  store->Swap(&staging_store);
-  catalog->AdoptIndexesFrom(&staging_catalog);
-  for (const std::string& coll : store->CollectionNames()) {
-    auto c = store->GetCollection(coll);
-    if (c.ok()) statistics->RunStats(**c);
-  }
-
-  {
-    std::lock_guard<std::mutex> lock(repl_mu_);
-    ++log_epoch_;
-    ++commit_seq_;
-    repl_epoch_ = repl_epoch;
-    epoch_start_lsn_ = epoch_start_lsn;
-  }
-  repl_cv_.notify_all();
+  Adopt(&staging, state, store, catalog, statistics);
   XIA_OBS_COUNT("xia.wal.suffix_truncations", 1);
   XIA_OBS_COUNT("xia.wal.records_truncated", truncated);
   return truncated;
@@ -833,26 +832,8 @@ Status WalManager::ResetForResync(storage::DocumentStore* store,
   XIA_RETURN_IF_ERROR(writer_.ResetFile(LogPath(), /*next_lsn=*/1));
   DeleteStaleVersionedFiles(0);
 
-  storage::DocumentStore empty_store;
-  storage::StatisticsCatalog empty_stats;
-  storage::Catalog empty_catalog(&empty_store, &empty_stats,
-                                 catalog->cost_constants());
-  store->Swap(&empty_store);
-  catalog->AdoptIndexesFrom(&empty_catalog);
-  for (const std::string& coll : store->CollectionNames()) {
-    auto c = store->GetCollection(coll);
-    if (c.ok()) statistics->RunStats(**c);
-  }
-
-  {
-    std::lock_guard<std::mutex> lock(repl_mu_);
-    checkpoint_lsn_ = 0;
-    ++log_epoch_;
-    ++commit_seq_;
-    repl_epoch_ = 1;
-    epoch_start_lsn_ = 0;
-  }
-  repl_cv_.notify_all();
+  Staging empty(catalog->cost_constants());
+  Adopt(&empty, Manifest{}, store, catalog, statistics);
   XIA_OBS_COUNT("xia.wal.resync_resets", 1);
   return Status::OK();
 }

@@ -22,13 +22,16 @@
 // replay); LSNs keep increasing across checkpoints, so replay of a
 // stale tail can never double-apply.
 //
-// Recovery (Open) rebuilds state in a *staging* store/catalog — the
-// caller's objects are untouched until the very end, when the staging
-// store is swapped in and the staging catalog's physical indexes are
-// adopted (stage-and-swap, like snapshot v2 loading). A torn log tail is
-// salvaged, truncated, and reported, never surfaced as an error; only a
-// manifest/snapshot/catalog file that fails its checksum — files that
-// are only ever replaced atomically — reports kDataLoss.
+// Recovery (Open), checkpoint install, suffix truncation and the resync
+// reset all rebuild state the same way: stage a checkpoint into a private
+// store/catalog, replay log records past it, then adopt — swap the
+// staging store in, take over its physical indexes, run statistics once
+// over the live store and publish the new LSN/epoch state. The caller's
+// objects are untouched until the adopt step, so a failure leaves them
+// as they were. A torn log tail is salvaged, truncated, and reported,
+// never surfaced as an error; only a manifest/snapshot/catalog file that
+// fails its checksum — files that are only ever replaced atomically —
+// reports kDataLoss.
 
 #ifndef XIA_WAL_MANAGER_H_
 #define XIA_WAL_MANAGER_H_
@@ -254,11 +257,29 @@ class WalManager : public engine::CommitLog {
   std::string CatalogPath(uint64_t lsn) const;
 
  private:
+  /// A store, catalog and statistics rebuilt off to the side: a
+  /// checkpoint staged into it and log records replayed onto it
+  /// (manager.cc).
+  struct Staging;
+
   Status AppendAndCommit(WalRecord record);
   /// Bumps the commit sequence and wakes blocked ReadTail callers.
   void NotifyCommit();
   /// Removes snapshot-*/catalog-* files other than the `lsn` pair.
   void DeleteStaleVersionedFiles(uint64_t lsn);
+  /// Stages the checkpoint files `manifest` references, streaming the
+  /// snapshot from its file. Any problem with them is kDataLoss.
+  Status StageCheckpointFiles(const Manifest& manifest,
+                              Staging* staging) const;
+  /// Swaps `staging` into `store`/`catalog`, runs statistics once over
+  /// every live collection and publishes `state` (PublishLogReset).
+  void Adopt(Staging* staging, const Manifest& state,
+             storage::DocumentStore* store, storage::Catalog* catalog,
+             storage::StatisticsCatalog* statistics);
+  /// Publishes a new log incarnation to tail readers: the checkpoint LSN
+  /// and replication epoch of `state`, a bumped log epoch and commit
+  /// sequence.
+  void PublishLogReset(const Manifest& state);
 
   const std::string data_dir_;
   const WalManagerOptions options_;

@@ -1,12 +1,13 @@
 // Shared WAL record application: one function that applies a decoded
 // redo record to a store/catalog/statistics triple.
 //
-// Two callers, one semantics: recovery (WalManager::Open replaying the
-// log into its staging store) and replication (the follower applier
-// executing leader-shipped records against the live database). Keeping
-// them on the same code path is what makes "a follower converges to the
-// leader's store digest" a structural property instead of a test hope —
-// there is no second interpretation of a record to drift.
+// Two callers, one semantics: recovery (WalManager replaying the log
+// into its staging store, for Open and TruncateSuffix) and replication
+// (the follower applier executing leader-shipped records against the
+// live database). Keeping them on the same code path is what makes "a
+// follower converges to the leader's store digest" a structural property
+// instead of a test hope — there is no second interpretation of a record
+// to drift.
 //
 // Statement records execute under a plain collection-scan plan: replay
 // must not depend on the optimizer or on statistics freshness, because

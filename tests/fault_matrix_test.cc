@@ -331,6 +331,7 @@ TEST(FaultMatrixTest, NetPointsFailCleanlyOverLoopback) {
   // the injection check before the arm and would read the request.
   {
     FaultRegistry::Global().Arm(points::kNetRead, FaultSpec::Probability(1));
+    const uint64_t accepted_before = server.GetStats().connections_total;
     net::Client client;
     ASSERT_TRUE(client.Connect(server.host(), server.port()).ok());
     net::MutationRequest mutation;
@@ -349,8 +350,15 @@ TEST(FaultMatrixTest, NetPointsFailCleanlyOverLoopback) {
     // Two fires: the client's own Recv (which surfaced the error above)
     // and the server session's. Disarming before the server side has
     // actually hit the point would let it read — and apply — the
-    // mutation after all.
+    // mutation after all. The point is process-wide, so the fire count
+    // alone does not prove whose Recv hit it: also wait until the session
+    // was accepted and has ended, which only its own faulted Recv does.
     EXPECT_TRUE(WaitForFired(points::kNetRead, 2));
+    EXPECT_TRUE(WaitFor([&] {
+      const net::ServerStats stats = server.GetStats();
+      return stats.connections_total > accepted_before &&
+             stats.open_sessions == 0;
+    }));
     FaultRegistry::Global().DisarmAll();
   }
 

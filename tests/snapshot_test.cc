@@ -13,6 +13,7 @@
 #include "storage/snapshot.h"
 #include "storage/statistics.h"
 #include "tpox/tpox_data.h"
+#include "util/crc32.h"
 #include "util/random.h"
 #include "xml/parser.h"
 #include "xml/serializer.h"
@@ -218,71 +219,54 @@ TEST_F(TinySnapshotTest, EveryTruncationIsRejectedAndTargetUntouched) {
   }
 }
 
-TEST_F(TinySnapshotTest, LegacyV1SnapshotStillLoads) {
-  // Reconstruct the v1 byte layout from the v2 snapshot: same magic
-  // prefix except the version digit, same collection count, and the
-  // section payloads inlined without the [len][payload][crc] framing.
-  ASSERT_GE(bytes_.size(), 12u);
-  std::string v1 = bytes_.substr(0, 12);
+TEST_F(TinySnapshotTest, LegacyV1SnapshotIsRejected) {
+  // The unframed, unchecksummed v1 format no longer loads: its magic
+  // alone rejects the file.
+  std::string v1 = bytes_;
   v1[7] = '1';
-  size_t pos = 12;
-  const auto read_u32 = [&](size_t at) {
-    return static_cast<uint32_t>(static_cast<unsigned char>(bytes_[at])) |
-           static_cast<uint32_t>(static_cast<unsigned char>(bytes_[at + 1]))
-               << 8 |
-           static_cast<uint32_t>(static_cast<unsigned char>(bytes_[at + 2]))
-               << 16 |
-           static_cast<uint32_t>(static_cast<unsigned char>(bytes_[at + 3]))
-               << 24;
-  };
-  while (pos < bytes_.size()) {
-    const uint32_t len = read_u32(pos);
-    ASSERT_LE(pos + 4 + len + 4, bytes_.size());
-    v1 += bytes_.substr(pos + 4, len);
-    pos += 4 + len + 4;  // skip the length prefix and the trailing CRC
-  }
-
   std::stringstream in(v1);
   DocumentStore restored;
-  ASSERT_TRUE(LoadSnapshot(in, &restored).ok());
-  ASSERT_EQ(restored.CollectionNames(), store_.CollectionNames());
-  auto coll = restored.GetCollection("A");
-  ASSERT_TRUE(coll.ok());
-  EXPECT_EQ((*coll)->live_count(), 1u);
-  EXPECT_EQ((*coll)->id_bound(), 2u);
-  EXPECT_FALSE((*coll)->IsLive(0));
+  const Status status = LoadSnapshot(in, &restored);
+  EXPECT_EQ(status.code(), StatusCode::kParseError);
+  EXPECT_NE(status.message().find("bad magic"), std::string::npos) << status;
+  EXPECT_TRUE(restored.CollectionNames().empty());
 }
 
-// A v1 snapshot of one collection "C" holding one root-only document
-// whose value has `value_len` declared bytes, of which `value_bytes` are
-// present.
-std::string V1SingleValueSnapshot(uint32_t value_len, size_t value_bytes) {
-  std::string out = "XIASNAP1";
-  const auto put_u32 = [&](uint32_t v) {
+// A snapshot of one collection "C" holding one root-only document whose
+// value has `value_len` declared bytes, of which `value_bytes` are
+// present, in one CRC-valid section.
+std::string SingleValueSnapshot(uint32_t value_len, size_t value_bytes) {
+  std::string section;
+  const auto put_u32 = [](std::string* out, uint32_t v) {
     for (int i = 0; i < 4; ++i) {
-      out.push_back(static_cast<char>(v >> (8 * i)));
+      out->push_back(static_cast<char>(v >> (8 * i)));
     }
   };
-  put_u32(1);          // collections
-  put_u32(1);          // name length
-  out += 'C';
-  put_u32(1);          // slots
-  out.push_back(1);    // live
-  put_u32(1);          // nodes
-  out.push_back(0);    // element
-  put_u32(1);          // label length
-  out += 'r';
-  put_u32(value_len);
-  out.append(value_bytes, 'v');
-  put_u32(0xFFFFFFFFu);  // the root's parent
+  put_u32(&section, 1);          // name length
+  section += 'C';
+  put_u32(&section, 1);          // slots
+  section.push_back(1);          // live
+  put_u32(&section, 1);          // nodes
+  section.push_back(0);          // element
+  put_u32(&section, 1);          // label length
+  section += 'r';
+  put_u32(&section, value_len);
+  section.append(value_bytes, 'v');
+  put_u32(&section, 0xFFFFFFFFu);  // the root's parent
+
+  std::string out = "XIASNAP2";
+  put_u32(&out, 1);  // collections
+  put_u32(&out, static_cast<uint32_t>(section.size()));
+  out += section;
+  put_u32(&out, Crc32(section));
   return out;
 }
 
-TEST(SnapshotLimitsTest, OversizedLegacyValuesAreParseErrors) {
+TEST(SnapshotLimitsTest, OversizedValuesAreParseErrors) {
   constexpr uint32_t kMaxString = 64u << 20;
   {
     // The hand-made encoding itself loads.
-    std::istringstream in(V1SingleValueSnapshot(5, 5));
+    std::istringstream in(SingleValueSnapshot(5, 5));
     DocumentStore restored;
     ASSERT_TRUE(LoadSnapshot(in, &restored).ok());
     auto coll = restored.GetCollection("C");
@@ -294,10 +278,11 @@ TEST(SnapshotLimitsTest, OversizedLegacyValuesAreParseErrors) {
     size_t present;
   };
   // A 2 GiB declared length with a short body, and a value one byte over
-  // the 64 MiB string bound with every byte present.
+  // the 64 MiB string bound with every byte present. Both sections pass
+  // their CRC, so the bound itself must reject them.
   for (const Case c :
        {Case{0x80000000u, 16}, Case{kMaxString + 1, kMaxString + 1}}) {
-    std::istringstream in(V1SingleValueSnapshot(c.declared, c.present));
+    std::istringstream in(SingleValueSnapshot(c.declared, c.present));
     DocumentStore restored;
     const Status status = LoadSnapshot(in, &restored);
     EXPECT_EQ(status.code(), StatusCode::kParseError)

@@ -1,8 +1,10 @@
 // xia::wal unit tests: record codec round-trips, torn-frame salvage
 // (truncation at every byte offset, byte flips), duplicate-LSN replay
 // idempotence, fsync policies, checkpoint round-trips and crash windows,
-// fresh-dir initialization, commit ordering w.r.t. the capture sink, and
-// Deadline-bounded recovery of a 10k-mutation log.
+// fresh-dir initialization, suffix truncation and resync resets against
+// from-scratch replays, statistics after every rebuild, commit ordering
+// w.r.t. the capture sink, and Deadline-bounded recovery of a
+// 10k-mutation log.
 
 #include <gtest/gtest.h>
 
@@ -829,6 +831,274 @@ TEST(WalManagerTest, CorruptCheckpointImageIsRejectedUntouched) {
   EXPECT_TRUE(follower_db.store.CollectionNames().empty());
   EXPECT_EQ(follower.checkpoint_lsn(), 0u);
   EXPECT_EQ(follower.GetStatus().next_lsn, 1u);
+}
+
+// ------------------- rebuilds: truncation, resync, adopted statistics
+
+/// Expects `live` to hold, for every collection of `store`, exactly what
+/// a fresh RunStats over that collection computes.
+void ExpectFreshStatistics(const storage::StatisticsCatalog& live,
+                           storage::DocumentStore* store) {
+  for (const std::string& name : store->CollectionNames()) {
+    SCOPED_TRACE(name);
+    auto coll = store->GetCollection(name);
+    ASSERT_TRUE(coll.ok());
+    storage::StatisticsCatalog fresh_catalog;
+    fresh_catalog.RunStats(**coll);
+    const auto fresh = fresh_catalog.Get(name);
+    const auto got = live.Get(name);
+    ASSERT_TRUE(fresh.ok());
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_EQ((*got)->document_count(), (*fresh)->document_count());
+    EXPECT_EQ((*got)->node_count(), (*fresh)->node_count());
+    EXPECT_EQ((*got)->data_pages(), (*fresh)->data_pages());
+    ASSERT_EQ((*got)->paths().size(), (*fresh)->paths().size());
+    for (const auto& [path, want] : (*fresh)->paths()) {
+      SCOPED_TRACE(path);
+      const auto it = (*got)->paths().find(path);
+      ASSERT_NE(it, (*got)->paths().end());
+      const storage::PathStats& have = it->second;
+      EXPECT_EQ(have.labels, want.labels);
+      EXPECT_EQ(have.count, want.count);
+      EXPECT_EQ(have.valued_count, want.valued_count);
+      EXPECT_EQ(have.numeric_count, want.numeric_count);
+      EXPECT_EQ(have.distinct_values, want.distinct_values);
+      EXPECT_EQ(have.distinct_numeric, want.distinct_numeric);
+      EXPECT_EQ(have.min_numeric, want.min_numeric);
+      EXPECT_EQ(have.max_numeric, want.max_numeric);
+      EXPECT_EQ(have.min_string, want.min_string);
+      EXPECT_EQ(have.max_string, want.max_string);
+      EXPECT_EQ(have.avg_value_length, want.avg_value_length);
+      EXPECT_EQ(have.numeric_quantiles, want.numeric_quantiles);
+    }
+  }
+}
+
+/// Opens `manager` over `db` and writes LSNs 1-4 (collection C, two
+/// inserts, the barrier opening epoch 2), checkpoints at LSN 4, then
+/// writes LSNs 5-9: an insert, the barrier opening epoch 3, an insert,
+/// index `ib` and a delete of the LSN 2 document.
+void BuildEpochTail(WalManager* manager, Db* db) {
+  ASSERT_TRUE(manager->Open(&db->store, &db->catalog, &db->stats).ok());
+  ASSERT_TRUE(db->store.CreateCollection("C").ok());
+  ASSERT_TRUE(manager->LogCreateCollection("C").ok());
+  ASSERT_TRUE(RunInsert(manager, db, "C", "<a><b>1</b><s>x</s></a>").ok());
+  ASSERT_TRUE(RunInsert(manager, db, "C", "<a><b>2</b><s>y</s></a>").ok());
+  ASSERT_EQ(*manager->BumpEpoch(), 4u);
+  ASSERT_TRUE(manager->Checkpoint(db->store, db->catalog).ok());
+  ASSERT_TRUE(RunInsert(manager, db, "C", "<a><b>5</b></a>").ok());
+  ASSERT_EQ(*manager->BumpEpoch(), 6u);
+  ASSERT_TRUE(RunInsert(manager, db, "C", "<a><b>7</b><s>z</s></a>").ok());
+  const xpath::IndexPattern pattern{*xpath::ParsePattern("/a/b"),
+                                    xpath::ValueType::kNumeric};
+  ASSERT_TRUE(db->catalog.CreateIndex("ib", "C", pattern).ok());
+  ASSERT_TRUE(manager->LogCreateIndex("ib", "C", pattern).ok());
+  engine::Executor executor(&db->store, &db->catalog);
+  executor.set_commit_log(manager);
+  auto del = engine::ParseStatement("delete from C where /a[b = 1]");
+  ASSERT_TRUE(del.ok());
+  ASSERT_TRUE(executor.Execute(*del, optimizer::Plan()).ok());
+  ASSERT_EQ(manager->GetStatus().next_lsn, 10u);
+}
+
+/// What a reopen of a data dir recovers.
+struct Recovered {
+  std::string digest;
+  uint64_t repl_epoch = 0;
+  uint64_t epoch_start_lsn = 0;
+  uint64_t next_lsn = 0;
+};
+
+Recovered Reopen(const std::string& dir) {
+  WalManager manager(dir);
+  Db db;
+  const auto report = manager.Open(&db.store, &db.catalog, &db.stats);
+  EXPECT_TRUE(report.ok()) << report.status();
+  return Recovered{Digest(&db.store), manager.repl_epoch(),
+                   manager.epoch_start_lsn(), manager.GetStatus().next_lsn};
+}
+
+/// From-scratch reference for TruncateSuffix: copies the closed data dir
+/// `dir`, cuts the copy's log down to the LSNs below `barrier` and
+/// recovers it (checkpoint plus the surviving prefix).
+Recovered RecoverPrefix(const std::string& dir, uint64_t barrier) {
+  const std::string copy = dir + "_prefix";
+  fs::remove_all(copy);
+  fs::copy(dir, copy, fs::copy_options::recursive);
+  const auto scanned = ScanLogFile(copy + "/wal.log");
+  EXPECT_TRUE(scanned.ok()) << scanned.status();
+  std::vector<std::string> prefix;
+  for (const std::string& payload : scanned->payloads) {
+    if (DecodeRecord(payload)->lsn < barrier) prefix.push_back(payload);
+  }
+  WriteFile(copy + "/wal.log", BuildLog(prefix));
+  return Reopen(copy);
+}
+
+TEST(WalManagerTest, TruncateSuffixMatchesReplayOfTheSurvivingPrefix) {
+  struct Case {
+    uint64_t barrier;
+    uint64_t repl_epoch;
+    uint64_t epoch_start_lsn;
+  };
+  // Barrier 6 drops the epoch-3 barrier itself; barrier 8 keeps it.
+  for (const Case c : {Case{6, 2, 4}, Case{8, 3, 6}}) {
+    SCOPED_TRACE(c.barrier);
+    const std::string dir =
+        ScratchDir("truncate_suffix_" + std::to_string(c.barrier));
+    {
+      WalManager manager(dir);
+      Db db;
+      ASSERT_NO_FATAL_FAILURE(BuildEpochTail(&manager, &db));
+      ASSERT_TRUE(manager.Close().ok());
+    }
+    const Recovered want = RecoverPrefix(dir, c.barrier);
+    EXPECT_EQ(want.repl_epoch, c.repl_epoch);
+    EXPECT_EQ(want.epoch_start_lsn, c.epoch_start_lsn);
+    EXPECT_EQ(want.next_lsn, c.barrier);
+
+    WalManager manager(dir);
+    Db db;
+    ASSERT_TRUE(manager.Open(&db.store, &db.catalog, &db.stats).ok());
+    ASSERT_TRUE(db.catalog.Get("ib").ok());
+    const std::string digest_before = Digest(&db.store);
+    const auto truncated =
+        manager.TruncateSuffix(c.barrier, &db.store, &db.catalog, &db.stats);
+    ASSERT_TRUE(truncated.ok()) << truncated.status();
+    EXPECT_EQ(*truncated, 10 - c.barrier);  // LSNs barrier..9
+    EXPECT_NE(Digest(&db.store), digest_before);
+    EXPECT_EQ(Digest(&db.store), want.digest);
+    EXPECT_FALSE(db.catalog.Get("ib").ok());  // created at LSN 8
+    EXPECT_EQ(manager.repl_epoch(), c.repl_epoch);
+    EXPECT_EQ(manager.epoch_start_lsn(), c.epoch_start_lsn);
+    EXPECT_EQ(manager.checkpoint_lsn(), 4u);
+    EXPECT_EQ(manager.GetStatus().next_lsn, c.barrier);
+    ExpectFreshStatistics(db.stats, &db.store);
+    ASSERT_TRUE(manager.Close().ok());
+
+    const Recovered reopened = Reopen(dir);
+    EXPECT_EQ(reopened.digest, want.digest);
+    EXPECT_EQ(reopened.repl_epoch, c.repl_epoch);
+    EXPECT_EQ(reopened.epoch_start_lsn, c.epoch_start_lsn);
+    EXPECT_EQ(reopened.next_lsn, c.barrier);
+  }
+}
+
+TEST(WalManagerTest, TruncateSuffixBelowTheCheckpointLeavesStateUntouched) {
+  const std::string dir = ScratchDir("truncate_covered");
+  WalManager manager(dir);
+  Db db;
+  ASSERT_NO_FATAL_FAILURE(BuildEpochTail(&manager, &db));
+  const std::string digest_before = Digest(&db.store);
+  const std::string log_before = ReadFile(manager.LogPath());
+  for (const uint64_t barrier : {4u, 2u}) {
+    SCOPED_TRACE(barrier);
+    const auto truncated =
+        manager.TruncateSuffix(barrier, &db.store, &db.catalog, &db.stats);
+    EXPECT_EQ(truncated.status().code(), StatusCode::kFailedPrecondition);
+    EXPECT_EQ(Digest(&db.store), digest_before);
+    EXPECT_TRUE(db.catalog.Get("ib").ok());
+    EXPECT_EQ(ReadFile(manager.LogPath()), log_before);
+    EXPECT_EQ(manager.GetStatus().next_lsn, 10u);
+    EXPECT_EQ(manager.repl_epoch(), 3u);
+  }
+  EXPECT_EQ(manager.TruncateSuffix(0, &db.store, &db.catalog, &db.stats)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(WalManagerTest, ResetForResyncLeavesAFreshEmptyDatabase) {
+  const std::string dir = ScratchDir("resync_reset");
+  {
+    WalManager manager(dir);
+    Db db;
+    ASSERT_NO_FATAL_FAILURE(BuildEpochTail(&manager, &db));
+    ASSERT_TRUE(manager.ResetForResync(&db.store, &db.catalog, &db.stats)
+                    .ok());
+    EXPECT_TRUE(db.store.CollectionNames().empty());
+    EXPECT_FALSE(db.catalog.Get("ib").ok());
+    EXPECT_EQ(manager.repl_epoch(), 1u);
+    EXPECT_EQ(manager.epoch_start_lsn(), 0u);
+    EXPECT_EQ(manager.checkpoint_lsn(), 0u);
+    EXPECT_EQ(manager.GetStatus().next_lsn, 1u);
+    ASSERT_TRUE(manager.Close().ok());
+  }
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    EXPECT_TRUE(name == "MANIFEST" || name == "wal.log") << name;
+  }
+  WalManager manager(dir);
+  Db db;
+  const auto report = manager.Open(&db.store, &db.catalog, &db.stats);
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_FALSE(report->fresh_start);
+  EXPECT_EQ(report->records_replayed, 0u);
+  EXPECT_TRUE(db.store.CollectionNames().empty());
+  EXPECT_EQ(manager.repl_epoch(), 1u);
+  EXPECT_EQ(manager.epoch_start_lsn(), 0u);
+  EXPECT_EQ(manager.checkpoint_lsn(), 0u);
+  EXPECT_EQ(manager.GetStatus().next_lsn, 1u);
+}
+
+TEST(WalManagerTest, RecoveredStatisticsMatchAFreshRunStats) {
+  const std::string dir = ScratchDir("recovered_stats");
+  {
+    WalManager manager(dir);
+    Db db;
+    ASSERT_TRUE(manager.Open(&db.store, &db.catalog, &db.stats).ok());
+    ASSERT_TRUE(db.store.CreateCollection("C").ok());
+    ASSERT_TRUE(manager.LogCreateCollection("C").ok());
+    for (int i = 0; i < 6; ++i) {
+      ASSERT_TRUE(RunInsert(&manager, &db, "C",
+                            "<a><b>" + std::to_string(i * 3) + "</b><s>n" +
+                                std::to_string(i) + "</s></a>")
+                      .ok());
+    }
+    ASSERT_TRUE(manager.Checkpoint(db.store, db.catalog).ok());
+    ASSERT_TRUE(RunInsert(&manager, &db, "C", "<a><b>40</b></a>").ok());
+    // A logged refresh followed by more data: statistics replayed from
+    // the refresh alone would miss the last insert.
+    ASSERT_TRUE(manager.LogStatsRefresh("C").ok());
+    ASSERT_TRUE(RunInsert(&manager, &db, "C", "<a><c>q</c></a>").ok());
+    ASSERT_TRUE(manager.Close().ok());
+  }
+  WalManager manager(dir);
+  Db db;
+  const auto report = manager.Open(&db.store, &db.catalog, &db.stats);
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_EQ(report->records_replayed, 3u);
+  ExpectFreshStatistics(db.stats, &db.store);
+}
+
+TEST(WalManagerTest, InstalledCheckpointStatisticsMatchAFreshRunStats) {
+  const std::string leader_dir = ScratchDir("install_stats_leader");
+  BuildCheckpointedDir(leader_dir);
+  WalManager leader(leader_dir);
+  Db leader_db;
+  ASSERT_TRUE(
+      leader.Open(&leader_db.store, &leader_db.catalog, &leader_db.stats)
+          .ok());
+  const auto image = leader.ReadCheckpointImage();
+  ASSERT_TRUE(image.ok()) << image.status();
+
+  // The follower starts with its own, larger collection C and statistics
+  // over it, which the install must replace.
+  WalManager follower(ScratchDir("install_stats_follower"));
+  Db db;
+  ASSERT_TRUE(follower.Open(&db.store, &db.catalog, &db.stats).ok());
+  ASSERT_TRUE(db.store.CreateCollection("C").ok());
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(RunInsert(&follower, &db, "C",
+                          "<a><d>" + std::to_string(i) + "</d></a>")
+                    .ok());
+  }
+  db.stats.RunStats(**db.store.GetCollection("C"));
+  ASSERT_TRUE(follower.InstallCheckpoint(*image, &db.store, &db.catalog,
+                                         &db.stats)
+                  .ok());
+  EXPECT_EQ((*(*db.store.GetCollection("C"))).live_count(), 2u);
+  ExpectFreshStatistics(db.stats, &db.store);
 }
 
 TEST(WalManagerTest, AppendReplicatedIsContiguousAndDurable) {
