@@ -1,7 +1,6 @@
 #include "advisor/advisor.h"
 
 #include <algorithm>
-#include <memory>
 
 #include "advisor/dag.h"
 #include "advisor/generalize.h"
@@ -33,21 +32,13 @@ std::string MakeDdl(const RecommendedIndex& index) {
 
 Result<CandidateSet> IndexAdvisor::BuildCandidates(
     const engine::Workload& workload, bool generalize, obs::Tracer* tracer,
-    const fault::Deadline& deadline, util::ThreadPool* pool) {
+    const fault::Deadline& deadline) {
   obs::ScopedSpan enumerate_span(tracer, "enumerate");
-  CandidateSet set;
-  if (pool != nullptr && pool->thread_count() > 1 && workload.size() > 1) {
-    enumerate_span.AnnotateThreads(static_cast<int>(pool->thread_count()));
-    XIA_ASSIGN_OR_RETURN(
-        set, EnumerateBasicCandidates(workload, store_, statistics_, cc_,
-                                      pool, deadline));
-  } else {
-    storage::Catalog scratch(store_, statistics_, cc_);
-    optimizer::Optimizer opt(store_, &scratch, statistics_);
-    XIA_ASSIGN_OR_RETURN(set,
-                         EnumerateBasicCandidates(workload, opt, deadline));
-    set.enumeration_optimizer_calls = opt.optimize_calls();
-  }
+  storage::Catalog scratch(store_, statistics_, cc_);
+  optimizer::Optimizer opt(store_, &scratch, statistics_);
+  XIA_ASSIGN_OR_RETURN(CandidateSet set,
+                       EnumerateBasicCandidates(workload, opt, deadline));
+  set.enumeration_optimizer_calls = opt.optimize_calls();
   enumerate_span.AnnotateItems(static_cast<double>(set.basic_count));
   enumerate_span.End();
 
@@ -88,26 +79,6 @@ Result<Recommendation> IndexAdvisor::RecommendImpl(
   tracer.TrackCounter(obs::MetricsRegistry::Global().GetCounter(
       "xia.optimizer.optimize_calls"));
 
-  // Resolve the worker pool: an explicit pool wins; otherwise `threads`
-  // spins up a run-local one (0 = one per hardware thread). A one-thread
-  // pool is just serial with overhead, so it degrades to no pool at all.
-  util::ThreadPool* pool = options.pool;
-  std::unique_ptr<util::ThreadPool> local_pool;
-  if (pool == nullptr) {
-    const size_t threads = options.threads == 0
-                               ? util::ThreadPool::DefaultThreadCount()
-                               : options.threads;
-    if (threads > 1) {
-      local_pool = std::make_unique<util::ThreadPool>(threads);
-      pool = local_pool.get();
-    }
-  }
-  if (pool != nullptr && pool->thread_count() <= 1) pool = nullptr;
-  const int effective_threads =
-      pool == nullptr ? 1 : static_cast<int>(pool->thread_count());
-  XIA_OBS_GAUGE_SET("xia.advisor.threads",
-                    static_cast<double>(effective_threads));
-
   // Duplicate statements fold into one probe with a summed frequency
   // (§III weights each unique statement by its frequency).
   obs::ScopedSpan compact_span(&tracer, "compact");
@@ -117,7 +88,7 @@ Result<Recommendation> IndexAdvisor::RecommendImpl(
 
   XIA_ASSIGN_OR_RETURN(
       CandidateSet set,
-      BuildCandidates(workload, options.generalize, &tracer, deadline, pool));
+      BuildCandidates(workload, options.generalize, &tracer, deadline));
 
   obs::ScopedSpan dag_span(&tracer, "dag");
   const std::vector<int> roots = BuildDag(&set);
@@ -125,20 +96,17 @@ Result<Recommendation> IndexAdvisor::RecommendImpl(
   dag_span.End();
 
   obs::ScopedSpan init_span(&tracer, "initialize");
-  init_span.AnnotateThreads(effective_threads);
   storage::Catalog whatif_catalog(store_, statistics_, cc_);
   BenefitEvaluator::Options eval_options;
   eval_options.use_subconfigurations = options.use_subconfigurations;
   eval_options.use_affected_sets = options.use_affected_sets;
   eval_options.charge_maintenance = options.charge_maintenance;
-  eval_options.pool = pool;
   BenefitEvaluator evaluator(&workload, &set, &whatif_catalog, statistics_,
                              store_, eval_options);
   XIA_RETURN_IF_ERROR(evaluator.Initialize());
   init_span.End();
 
   obs::ScopedSpan search_span(&tracer, "search");
-  search_span.AnnotateThreads(effective_threads);
   SearchOutcome outcome;
   if (all_index) {
     // Every basic candidate, no budget constraint.
@@ -160,7 +128,6 @@ Result<Recommendation> IndexAdvisor::RecommendImpl(
     search_options.beta = options.beta;
     search_options.deadline = deadline;
     search_options.cancel = options.cancel;
-    search_options.pool = pool;
     XIA_ASSIGN_OR_RETURN(
         outcome,
         RunSearch(options.algorithm, set, roots, &evaluator, search_options));

@@ -23,7 +23,6 @@
 #include "storage/document_store.h"
 #include "storage/statistics.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace xia::advisor {
 
@@ -49,17 +48,12 @@ struct AdvisorOptions {
   double budget_ms = 0;
   /// Cooperative cancellation, polled alongside the budget. Not owned.
   const fault::CancelToken* cancel = nullptr;
-  /// Worker threads for the what-if phases (base costing, candidate
-  /// enumeration, benefit probes, search-step batches). 1 (the default)
-  /// runs serially; 0 resolves to one thread per hardware thread; ignored
-  /// when `pool` is set. Parallel runs produce bit-identical
-  /// recommendations — same indexes, benefit, and optimizer-call counts
-  /// (DESIGN §12).
+  /// Read by nothing: a run is always on the calling thread (DESIGN §12).
+  /// Kept only because `perfbench/request_path.cc` assigns it, and
+  /// perfbench (the `paths` of BENCHMARK.json) changes only in a benchmark
+  /// change. It goes away when perfbench runs on xia::Database (ROADMAP
+  /// item 3).
   size_t threads = 1;
-  /// External worker pool shared across runs (e.g. the OnlineAdvisor's).
-  /// Not owned; overrides `threads`. Null = spin up a run-local pool when
-  /// `threads` asks for one.
-  util::ThreadPool* pool = nullptr;
 };
 
 /// One recommended index.
@@ -106,7 +100,9 @@ struct Recommendation {
 
 /// The advisor. Holds references to the database's store and statistics; a
 /// private scratch catalog isolates its virtual indexes from the system
-/// catalog.
+/// catalog. A Recommend call runs on its caller's thread and keeps all of
+/// its mutable state local, so concurrent calls need only a stable store
+/// and statistics (DESIGN §12).
 class IndexAdvisor {
  public:
   IndexAdvisor(storage::DocumentStore* store,
@@ -122,14 +118,11 @@ class IndexAdvisor {
   /// Enumerates (and optionally generalizes) candidates without searching.
   /// Exposed for experiments (Table III) and tests. With a tracer, records
   /// the enumerate/generalize/statistics phases as spans. On deadline
-  /// expiry the set built so far is returned with `partial` set. With a
-  /// pool of more than one thread, enumeration probes statements in
-  /// parallel (deterministic merge — same set either way).
+  /// expiry the set built so far is returned with `partial` set.
   Result<CandidateSet> BuildCandidates(
       const engine::Workload& workload, bool generalize,
       obs::Tracer* tracer = nullptr,
-      const fault::Deadline& deadline = fault::Deadline(),
-      util::ThreadPool* pool = nullptr);
+      const fault::Deadline& deadline = fault::Deadline());
 
   /// The "All Index" configuration (§VII-B): every basic candidate,
   /// unconstrained by budget. Useful as the best-possible reference.

@@ -20,43 +20,22 @@ size_t BenefitCache::KeyHash::operator()(const std::vector<int>& key) const {
   return static_cast<size_t>(h);
 }
 
-bool BenefitCache::Peek(const std::vector<int>& key, double* value) {
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.entries.find(key);
-  if (it == shard.entries.end() ||
-      it->second->state != Entry::State::kReady) {
-    return false;
-  }
-  *value = it->second->value;
+bool BenefitCache::Peek(const std::vector<int>& key, double* value) const {
+  auto it = entries_.find(key);
+  if (it == entries_.end()) return false;
+  *value = it->second;
   return true;
 }
 
 void BenefitCache::CountHits(size_t n) {
-  hits_.fetch_add(n, std::memory_order_relaxed);
+  hits_ += n;
   XIA_OBS_COUNT("xia.advisor.benefit.cache_hits", n);
 }
 
 void BenefitCache::CountMiss() {
-  misses_.fetch_add(1, std::memory_order_relaxed);
+  ++misses_;
   XIA_OBS_COUNT("xia.advisor.benefit.cache_misses", 1);
 }
-
-// RAII lease of a scratch context from the evaluator's freelist.
-class BenefitEvaluator::ContextLease {
- public:
-  explicit ContextLease(BenefitEvaluator* evaluator)
-      : evaluator_(evaluator), context_(evaluator->AcquireContext()) {}
-  ~ContextLease() { evaluator_->ReleaseContext(context_); }
-  ContextLease(const ContextLease&) = delete;
-  ContextLease& operator=(const ContextLease&) = delete;
-
-  WorkerContext* get() const { return context_; }
-
- private:
-  BenefitEvaluator* evaluator_;
-  WorkerContext* context_;
-};
 
 BenefitEvaluator::BenefitEvaluator(const engine::Workload* workload,
                                    const CandidateSet* set,
@@ -103,43 +82,6 @@ BenefitEvaluator::BenefitEvaluator(const engine::Workload* workload,
       for (size_t w = 0; w < candidate_words_; ++w) row[w] |= affecting[w];
     }
   }
-  if (parallel()) {
-    // One context per pool worker plus one for the calling thread, so a
-    // lease never blocks while a batch is in flight.
-    const size_t count = options_.pool->thread_count() + 1;
-    contexts_.reserve(count);
-    free_contexts_.reserve(count);
-    for (size_t i = 0; i < count; ++i) {
-      contexts_.push_back(std::make_unique<WorkerContext>(
-          catalog_->store(), catalog_->statistics(),
-          catalog_->cost_constants()));
-      free_contexts_.push_back(contexts_.back().get());
-    }
-  }
-}
-
-BenefitEvaluator::WorkerContext* BenefitEvaluator::AcquireContext() {
-  std::unique_lock<std::mutex> lock(contexts_mu_);
-  contexts_cv_.wait(lock, [&] { return !free_contexts_.empty(); });
-  WorkerContext* context = free_contexts_.back();
-  free_contexts_.pop_back();
-  return context;
-}
-
-void BenefitEvaluator::ReleaseContext(WorkerContext* context) {
-  {
-    std::lock_guard<std::mutex> lock(contexts_mu_);
-    free_contexts_.push_back(context);
-  }
-  contexts_cv_.notify_one();
-}
-
-uint64_t BenefitEvaluator::optimizer_calls() const {
-  uint64_t total = optimizer_.optimize_calls();
-  for (const auto& context : contexts_) {
-    total += context->optimizer.optimize_calls();
-  }
-  return total;
 }
 
 Status BenefitEvaluator::Initialize() {
@@ -147,27 +89,14 @@ Status BenefitEvaluator::Initialize() {
   prepared_.assign(n, optimizer::PreparedStatement());
   base_costs_.assign(n, 0.0);
   base_workload_cost_ = 0;
-  auto prepare = [&](const optimizer::Optimizer& optimizer,
-                     size_t s) -> Status {
-    XIA_ASSIGN_OR_RETURN(prepared_[s], optimizer.Prepare((*workload_)[s]));
+  for (size_t s = 0; s < n; ++s) {
+    XIA_ASSIGN_OR_RETURN(prepared_[s], optimizer_.Prepare((*workload_)[s]));
     XIA_ASSIGN_OR_RETURN(const optimizer::Plan plan,
-                         optimizer.OptimizeWithoutIndexes(prepared_[s]));
+                         optimizer_.OptimizeWithoutIndexes(prepared_[s]));
     base_costs_[s] = plan.est_cost;
-    return Status::OK();
-  };
-  if (parallel() && n > 1) {
-    XIA_RETURN_IF_ERROR(
-        options_.pool->ParallelFor(n, [&](size_t s) -> Status {
-          ContextLease lease(this);
-          return prepare(lease.get()->optimizer, s);
-        }));
-  } else {
-    for (size_t s = 0; s < n; ++s) {
-      XIA_RETURN_IF_ERROR(prepare(optimizer_, s));
-    }
   }
-  // Reduced serially in statement order, so the total is bit-identical no
-  // matter how the probes were scheduled.
+  // Summed after every statement is costed, in statement order: the
+  // floating-point total depends on that order.
   for (size_t s = 0; s < n; ++s) {
     base_workload_cost_ += (*workload_)[s].frequency * base_costs_[s];
   }
@@ -301,27 +230,25 @@ std::vector<std::vector<int>> BenefitEvaluator::Decompose(
 }
 
 Result<double> BenefitEvaluator::ComputeSubConfigurationBenefit(
-    std::span<const int> sub, storage::Catalog* catalog,
-    const optimizer::Optimizer& optimizer, const fault::Deadline& deadline,
+    std::span<const int> sub, const fault::Deadline& deadline,
     const fault::CancelToken* cancel) {
   // Create the sub-configuration's indexes virtually.
-  catalog->DropAllVirtualIndexes();
+  catalog_->DropAllVirtualIndexes();
   for (int id : sub) {
     const Candidate& c = (*set_)[static_cast<size_t>(id)];
-    auto created = catalog->CreateVirtualIndex(
+    auto created = catalog_->CreateVirtualIndex(
         StringPrintf("whatif_cand_%d", id), c.collection, c.pattern,
         &c.stats);
     if (!created.ok()) return created.status();
   }
 
   // Statements worth re-optimizing: union of affected sets (or everything
-  // when the pruning is disabled), visited in ascending statement order so
-  // the accumulation order — and hence the floating-point result — is
-  // thread-independent.
+  // when the pruning is disabled), visited in ascending statement order,
+  // which fixes the floating-point accumulation order.
   double benefit = 0;
   auto add_statement = [&](size_t s) -> Status {
     XIA_RETURN_IF_ERROR(fault::CheckInterrupt(deadline, cancel));
-    auto plan = optimizer.Optimize(prepared_[s]);
+    auto plan = optimizer_.Optimize(prepared_[s]);
     if (!plan.ok()) return plan.status();
     benefit +=
         (*workload_)[s].frequency * (base_costs_[s] - plan->est_cost);
@@ -344,22 +271,15 @@ Result<double> BenefitEvaluator::ComputeSubConfigurationBenefit(
       XIA_RETURN_IF_ERROR(add_statement(s));
     }
   }
-  catalog->DropAllVirtualIndexes();
+  catalog_->DropAllVirtualIndexes();
   return benefit;
 }
 
 Result<double> BenefitEvaluator::SubConfigurationQueryBenefit(
     std::span<const int> sub, std::vector<int>* key,
     const fault::Deadline& deadline, const fault::CancelToken* cancel) {
-  auto compute = [&]() -> Result<double> {
-    if (parallel()) {
-      ContextLease lease(this);
-      return ComputeSubConfigurationBenefit(sub, &lease.get()->catalog,
-                                            lease.get()->optimizer, deadline,
-                                            cancel);
-    }
-    return ComputeSubConfigurationBenefit(sub, catalog_, optimizer_, deadline,
-                                          cancel);
+  auto compute = [&] {
+    return ComputeSubConfigurationBenefit(sub, deadline, cancel);
   };
   if (sub.size() == 1) return cache_.GetOrComputeSingle(sub[0], compute);
   key->assign(sub.begin(), sub.end());
@@ -404,8 +324,7 @@ Result<double> BenefitEvaluator::ConfigurationBenefit(
   // produced, but a configuration is a set — sorting and deduplicating
   // here keeps permuted configs on one cache key and stops duplicated ids
   // from double-charging maintenance or colliding on what-if index names.
-  std::optional<ProbeScratch> local;
-  ProbeScratch& scratch = ScratchFor(&local);
+  ProbeScratch& scratch = scratch_;
   std::vector<int>& canonical = scratch.config;
   canonical.assign(config.begin(), config.end());
   std::sort(canonical.begin(), canonical.end());
@@ -441,32 +360,6 @@ Result<double> BenefitEvaluator::SumGroups(size_t groups, GroupOf&& group,
   // Known groups (most of them) count as hits, tallied once.
   size_t hits = 0;
   double benefit = 0;
-  if (parallel() && groups > 1) {
-    // Disjoint groups (§VI-C) evaluate independently: farm out the ones
-    // that need a lookup, then reduce serially in decomposition order for
-    // bit-identical sums.
-    std::vector<double> values(groups, 0.0);
-    std::vector<size_t> pending;
-    for (size_t k = 0; k < groups; ++k) {
-      if (known(k, &values[k])) {
-        ++hits;
-      } else {
-        pending.push_back(k);
-      }
-    }
-    cache_.CountHits(hits);
-    XIA_RETURN_IF_ERROR(
-        options_.pool->ParallelFor(pending.size(), [&](size_t i) -> Status {
-          std::vector<int> key;
-          XIA_ASSIGN_OR_RETURN(
-              values[pending[i]],
-              SubConfigurationQueryBenefit(group(pending[i]), &key, deadline,
-                                           cancel));
-          return Status::OK();
-        }));
-    for (double value : values) benefit += value;
-    return benefit;
-  }
   for (size_t k = 0; k < groups; ++k) {
     double value = 0;
     if (known(k, &value)) {
@@ -530,8 +423,7 @@ Result<double> BenefitEvaluator::ExtensionBenefit(
   if (!initialized_) {
     return Status::FailedPrecondition("BenefitEvaluator not initialized");
   }
-  std::optional<ProbeScratch> local;
-  ProbeScratch& scratch = ScratchFor(&local);
+  ProbeScratch& scratch = scratch_;
   // The extension's ids not already in the base, ascending.
   std::vector<int>& added = scratch.added;
   added.clear();

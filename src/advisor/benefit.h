@@ -27,18 +27,9 @@
 // what-if call is still one optimizer call, so the §VI-C counts are
 // unchanged.
 //
-// Parallel mode (DESIGN §12). With Options::pool set the evaluator shards
-// the independent pieces of its work across the pool: Initialize() costs
-// base statements concurrently, and ConfigurationBenefit farms the
-// sub-configurations of a decomposition (disjoint by construction) out as
-// pool items. Each in-flight evaluation leases a scratch context — its own
-// what-if Catalog plus Optimizer — so no two threads ever touch the same
-// catalog. Determinism: workers write into pre-sized slots and every
-// reduction runs serially in index order, each sub-configuration's benefit
-// is a pure function of (sub, store, statistics) regardless of which
-// thread computes it, and the cache's in-flight dedup keeps the set of
-// cache misses — hence the optimizer-call count — identical to a serial
-// run. Parallel results are bit-identical to serial ones.
+// One thread (DESIGN §12). An evaluator belongs to one Recommend call and
+// runs on its caller's thread. It mutates only its own cache and probe
+// scratch and the scratch what-if catalog it was given.
 //
 // Probe path (DESIGN §17). A cache-hit probe is bookkeeping only, so it
 // is kept free of allocation: the constructor builds a candidate-by-
@@ -59,12 +50,6 @@
 #ifndef XIA_ADVISOR_BENEFIT_H_
 #define XIA_ADVISOR_BENEFIT_H_
 
-#include <array>
-#include <atomic>
-#include <condition_variable>
-#include <memory>
-#include <mutex>
-#include <optional>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -76,38 +61,27 @@
 #include "optimizer/optimizer.h"
 #include "storage/catalog.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace xia::advisor {
 
-/// Sharded memo cache for sub-configuration benefits with in-flight
-/// dedup: concurrent requests for the same key block until the first
-/// requester's computation finishes, so each key is computed exactly once
-/// no matter how many threads race for it — the miss count (and with it
-/// the what-if optimizer-call count) stays identical to serial execution.
-/// A failed computation is never cached; waiters retry and may become the
-/// computer themselves. Used in serial mode too, so hit/miss accounting
-/// has a single implementation.
+/// Memo cache for sub-configuration benefits. Every lookup counts one hit
+/// or one miss, and a miss is one computation, so the miss count is the
+/// number of what-if evaluations. A failed computation is never cached:
+/// the next lookup of its key computes it again.
 ///
 /// One-member configurations, most of the probes, skip the hash map: each
-/// candidate id has a slot whose ready value is read with one acquire
-/// load. A slot follows the same protocol as a map entry (one computer,
-/// waiters block on the shard's condition variable, a failure resets the
-/// slot), so both kinds of key count hits and misses alike.
+/// candidate id has a slot, counted like a map entry.
 class BenefitCache {
  public:
   /// `single_count` is the number of candidate ids with a slot.
-  explicit BenefitCache(size_t single_count = 0)
-      : singles_(std::make_unique<Slot[]>(single_count)) {}
+  explicit BenefitCache(size_t single_count = 0) : singles_(single_count) {}
 
-  /// The value of `key` if it is ready, counting nothing (see PeekSingle).
-  bool Peek(const std::vector<int>& key, double* value);
+  /// The value of `key` if it is cached, counting nothing (see PeekSingle).
+  bool Peek(const std::vector<int>& key, double* value) const;
 
   /// Returns the cached value for `key`, or runs `compute` (a callable
-  /// returning Result<double>, invoked outside any shard lock) and caches
-  /// its result. Counts one hit or one miss per call; a call that waited
-  /// on another thread's computation counts as a hit once the value is
-  /// ready.
+  /// returning Result<double>) and caches its result if it succeeded.
+  /// Counts one hit or one miss per call.
   template <typename Compute>
   Result<double> GetOrCompute(const std::vector<int>& key, Compute&& compute);
 
@@ -115,157 +89,71 @@ class BenefitCache {
   template <typename Compute>
   Result<double> GetOrComputeSingle(int id, Compute&& compute);
 
-  /// The value of {id}'s slot if it is ready, counting nothing: a probe
+  /// The value of {id}'s slot if it is cached, counting nothing: a probe
   /// tallies these hits and adds them with one CountHits call.
   bool PeekSingle(int id, double* value) const {
     const Slot& slot = singles_[static_cast<size_t>(id)];
-    if (slot.state.load(std::memory_order_acquire) != kReady) return false;
+    if (!slot.ready) return false;
     *value = slot.value;
     return true;
   }
   void CountHits(size_t n);
 
-  size_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  size_t misses() const { return misses_.load(std::memory_order_relaxed); }
+  size_t hits() const { return hits_; }
+  size_t misses() const { return misses_; }
 
  private:
-  struct Entry {
-    enum class State { kComputing, kReady, kFailed };
-    State state = State::kComputing;
-    double value = 0;
-  };
   /// FNV-1a over the ids. Keys are canonical (sorted) by the time they
-  /// reach the cache, so equal configurations hash — and shard — alike.
+  /// reach the cache, so equal configurations hash alike.
   struct KeyHash {
     size_t operator()(const std::vector<int>& key) const;
   };
-  struct Shard {
-    std::mutex mu;
-    std::condition_variable cv;
-    // Entries are shared so a waiter keeps a failed entry alive after the
-    // computer erased it; the hit path reads through the map, uncopied.
-    std::unordered_map<std::vector<int>, std::shared_ptr<Entry>, KeyHash>
-        entries;
-  };
-  // A one-member key's entry. `value` is written under the shard lock
-  // before the release store of kReady, so an acquire load of kReady
-  // makes it readable without the lock.
-  enum SlotState : uint8_t { kEmpty, kComputing, kReady };
   struct Slot {
-    std::atomic<uint8_t> state{kEmpty};
+    bool ready = false;
     double value = 0;
   };
 
-  static constexpr size_t kShardCount = 16;
-
-  Shard& ShardFor(const std::vector<int>& key) {
-    return shards_[KeyHash{}(key) % kShardCount];
-  }
-  void CountHit() { CountHits(1); }
   void CountMiss();
 
-  std::array<Shard, kShardCount> shards_;
-  std::unique_ptr<Slot[]> singles_;
-  std::atomic<size_t> hits_{0};
-  std::atomic<size_t> misses_{0};
+  std::unordered_map<std::vector<int>, double, KeyHash> entries_;
+  std::vector<Slot> singles_;
+  size_t hits_ = 0;
+  size_t misses_ = 0;
 };
 
 template <typename Compute>
 Result<double> BenefitCache::GetOrCompute(const std::vector<int>& key,
                                           Compute&& compute) {
-  Shard& shard = ShardFor(key);
-  std::unique_lock<std::mutex> lock(shard.mu);
-  for (;;) {
-    auto it = shard.entries.find(key);
-    if (it == shard.entries.end()) {
-      // First requester: publish a computing entry, evaluate outside the
-      // lock, then flip it to ready (or erase it on failure so waiters
-      // retry — a failure must not poison the key).
-      auto entry = std::make_shared<Entry>();
-      shard.entries.emplace(key, entry);
-      lock.unlock();
-      CountMiss();
-      Result<double> result = compute();
-      lock.lock();
-      if (result.ok()) {
-        entry->state = Entry::State::kReady;
-        entry->value = *result;
-      } else {
-        entry->state = Entry::State::kFailed;
-        shard.entries.erase(key);
-      }
-      lock.unlock();
-      shard.cv.notify_all();
-      return result;
-    }
-    if (it->second->state == Entry::State::kReady) {
-      const double value = it->second->value;
-      lock.unlock();
-      CountHit();
-      return value;
-    }
-    // Another thread is computing this key: wait on its entry.
-    const std::shared_ptr<Entry> pending = it->second;
-    shard.cv.wait(lock, [&] {
-      return pending->state != Entry::State::kComputing;
-    });
-    if (pending->state == Entry::State::kReady) {
-      const double value = pending->value;
-      lock.unlock();
-      CountHit();
-      return value;
-    }
-    // The computation we waited on failed and its entry is gone: loop —
-    // this thread may become the computer on the next pass.
+  if (auto it = entries_.find(key); it != entries_.end()) {
+    CountHits(1);
+    return it->second;
   }
+  CountMiss();
+  Result<double> result = compute();
+  if (result.ok()) entries_.emplace(key, *result);
+  return result;
 }
 
 template <typename Compute>
 Result<double> BenefitCache::GetOrComputeSingle(int id, Compute&& compute) {
-  if (double value; PeekSingle(id, &value)) {
-    CountHit();
-    return value;
-  }
   Slot& slot = singles_[static_cast<size_t>(id)];
-  Shard& shard = shards_[static_cast<size_t>(id) % kShardCount];
-  std::unique_lock<std::mutex> lock(shard.mu);
-  for (;;) {
-    switch (slot.state.load(std::memory_order_relaxed)) {
-      case kReady: {
-        const double value = slot.value;
-        lock.unlock();
-        CountHit();
-        return value;
-      }
-      case kEmpty: {
-        slot.state.store(kComputing, std::memory_order_relaxed);
-        lock.unlock();
-        CountMiss();
-        Result<double> result = compute();
-        lock.lock();
-        if (result.ok()) {
-          slot.value = *result;
-          slot.state.store(kReady, std::memory_order_release);
-        } else {
-          // Not cached: a waiter (or a later call) recomputes.
-          slot.state.store(kEmpty, std::memory_order_relaxed);
-        }
-        lock.unlock();
-        shard.cv.notify_all();
-        return result;
-      }
-      default:
-        // Another thread is computing this slot; re-examine it once woken.
-        shard.cv.wait(lock);
-        break;
-    }
+  if (slot.ready) {
+    CountHits(1);
+    return slot.value;
   }
+  CountMiss();
+  Result<double> result = compute();
+  if (result.ok()) {
+    slot.value = *result;
+    slot.ready = true;
+  }
+  return result;
 }
 
 /// Evaluates configuration benefits against a scratch what-if catalog.
 class BenefitEvaluator {
  public:
-  /// Behavioural switches (ablations) and execution mode.
+  /// Behavioural switches (ablations).
   struct Options {
     /// §VI-C sub-configuration decomposition and caching.
     bool use_subconfigurations = true;
@@ -273,13 +161,6 @@ class BenefitEvaluator {
     bool use_affected_sets = true;
     /// Charge index maintenance costs for update statements (§III).
     bool charge_maintenance = true;
-    /// Worker pool for parallel what-if evaluation (not owned; may be
-    /// null). With more than one pool thread the evaluator runs in
-    /// parallel mode — see the header comment; results are bit-identical
-    /// to serial. In parallel mode ConfigurationBenefit may also be
-    /// called from multiple threads concurrently (the search layer batches
-    /// probes onto the same pool).
-    util::ThreadPool* pool = nullptr;
   };
 
   /// `catalog` must be a scratch catalog reserved for the evaluator: its
@@ -320,10 +201,8 @@ class BenefitEvaluator {
   /// Estimated speedup of the configuration on this workload.
   Result<double> ConfigurationSpeedup(const std::vector<int>& config);
 
-  /// Evaluate-mode optimizer calls issued so far, summed over the main
-  /// optimizer and every scratch-context optimizer (each counter is an
-  /// atomic, so the sum is exact once parallel work has been joined).
-  uint64_t optimizer_calls() const;
+  /// Evaluate-mode optimizer calls issued so far.
+  uint64_t optimizer_calls() const { return optimizer_.optimize_calls(); }
 
   /// Maintenance charge of a canonical configuration:
   /// sum_s sum_i freq_s * mc(x_i, s), statements outer, members inner.
@@ -348,7 +227,7 @@ class BenefitEvaluator {
   std::vector<std::vector<int>> Decompose(const std::vector<int>& config) const;
 
   /// A configuration decomposed once, whose extensions ExtensionBenefit
-  /// evaluates. Read-only once built, so concurrent probes may share it.
+  /// evaluates. Read-only once built.
   class Base {
    public:
     /// The canonical configuration.
@@ -390,8 +269,8 @@ class BenefitEvaluator {
 
  private:
   /// One probe's working memory: its canonical configuration and that
-  /// configuration's decomposition, laid out flat. The serial evaluator
-  /// reuses one, so a probe allocates only while the buffers grow.
+  /// configuration's decomposition, laid out flat. The evaluator reuses
+  /// one, so a probe allocates only while the buffers grow.
   struct ProbeScratch {
     /// The canonical configuration.
     std::vector<int> config;
@@ -428,36 +307,9 @@ class BenefitEvaluator {
     }
   };
 
-  /// A leased what-if planning context: one scratch catalog + optimizer
-  /// per concurrently in-flight evaluation, so parallel probes never
-  /// share a catalog.
-  struct WorkerContext {
-    WorkerContext(storage::DocumentStore* store,
-                  const storage::StatisticsCatalog* statistics,
-                  const storage::CostConstants& cc)
-        : catalog(store, statistics, cc),
-          optimizer(store, &catalog, statistics) {}
-    storage::Catalog catalog;
-    optimizer::Optimizer optimizer;
-  };
-  class ContextLease;
-
-  bool parallel() const {
-    return options_.pool != nullptr && options_.pool->thread_count() > 1;
-  }
-
-  WorkerContext* AcquireContext();
-  void ReleaseContext(WorkerContext* context);
-
   /// Decomposes scratch->config (canonical, non-empty) into
   /// scratch->members / group_end / group_root; see Decompose.
   void DecomposeInto(ProbeScratch* scratch) const;
-
-  /// The probe scratch of this call: the evaluator's own in serial mode,
-  /// one made in `local` in parallel mode (concurrent probes).
-  ProbeScratch& ScratchFor(std::optional<ProbeScratch>* local) {
-    return parallel() ? local->emplace() : scratch_;
-  }
 
   /// ConfigurationBenefit of the canonical, non-empty scratch->config.
   Result<double> CanonicalBenefit(ProbeScratch* scratch,
@@ -467,8 +319,7 @@ class BenefitEvaluator {
   /// Sums the benefits of `groups` groups in order. known(k, &value)
   /// reports group k's benefit when it is known without a lookup (a ready
   /// slot, or a base group's cached value), which counts as a cache hit;
-  /// any other group(k) is looked up through the cache — one at a time in
-  /// serial mode, farmed out to the pool in parallel mode.
+  /// any other group(k) is looked up through the cache.
   template <typename GroupOf, typename KnownValue>
   Result<double> SumGroups(size_t groups, GroupOf&& group,
                            KnownValue&& value_of, ProbeScratch* scratch,
@@ -483,11 +334,9 @@ class BenefitEvaluator {
                                               const fault::Deadline& deadline,
                                               const fault::CancelToken* cancel);
 
-  /// The actual what-if evaluation against `catalog`/`optimizer` (either
-  /// the evaluator's own or a leased worker context's).
+  /// The actual what-if evaluation against the scratch catalog.
   Result<double> ComputeSubConfigurationBenefit(
-      std::span<const int> sub, storage::Catalog* catalog,
-      const optimizer::Optimizer& optimizer, const fault::Deadline& deadline,
+      std::span<const int> sub, const fault::Deadline& deadline,
       const fault::CancelToken* cancel);
 
   const uint64_t* AffectedBits(int id) const {
@@ -515,8 +364,8 @@ class BenefitEvaluator {
   std::vector<uint64_t> overlap_bits_;
 
   // Per statement, indexed like the workload: the prepared statement every
-  // probe plans (read-only after Initialize, shared by all contexts) and
-  // its unweighted no-index cost.
+  // probe plans (read-only after Initialize) and its unweighted no-index
+  // cost.
   std::vector<optimizer::PreparedStatement> prepared_;
   std::vector<double> base_costs_;
   // freq_s * mc(x, s) per write statement s (in workload order) and
@@ -527,16 +376,7 @@ class BenefitEvaluator {
   bool initialized_ = false;
 
   BenefitCache cache_;
-  // The serial probe's scratch (parallel probes use their own).
   ProbeScratch scratch_;
-
-  // Scratch contexts (parallel mode only): created up front, leased
-  // through a mutex-guarded freelist. contexts_ itself is immutable after
-  // construction so optimizer_calls() can walk it lock-free.
-  std::vector<std::unique_ptr<WorkerContext>> contexts_;
-  std::mutex contexts_mu_;
-  std::condition_variable contexts_cv_;
-  std::vector<WorkerContext*> free_contexts_;
 };
 
 }  // namespace xia::advisor

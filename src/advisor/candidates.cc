@@ -1,12 +1,9 @@
 #include "advisor/candidates.h"
 
 #include <algorithm>
-#include <memory>
-#include <mutex>
 #include <vector>
 
 #include "fault/fault.h"
-#include "storage/catalog.h"
 
 namespace xia::advisor {
 
@@ -34,33 +31,6 @@ uint64_t PatternHash(const std::string& collection,
     }
   }
   return h;
-}
-
-// Folds one statement's enumerated patterns into the set: dedup by
-// (collection, pattern), then record the statement in the affected set.
-// Shared by the serial and parallel enumerations so both produce the same
-// ids for the same per-statement pattern lists.
-void MergeStatementPatterns(const std::string& collection, size_t statement,
-                            const std::vector<xpath::IndexPattern>& patterns,
-                            CandidateSet* set) {
-  for (const xpath::IndexPattern& pattern : patterns) {
-    int id = set->Find(collection, pattern);
-    if (id < 0) {
-      Candidate c;
-      c.id = static_cast<int>(set->candidates.size());
-      c.collection = collection;
-      c.pattern = pattern;
-      c.is_general = false;
-      c.covered_basics = {c.id};
-      set->candidates.push_back(std::move(c));
-      id = set->candidates.back().id;
-    }
-    auto& affected = set->candidates[static_cast<size_t>(id)].affected;
-    if (std::find(affected.begin(), affected.end(), statement) ==
-        affected.end()) {
-      affected.push_back(statement);
-    }
-  }
 }
 
 }  // namespace
@@ -107,81 +77,28 @@ Result<CandidateSet> EnumerateBasicCandidates(
     }
     auto patterns = optimizer.EnumerateIndexes(workload[s]);
     if (!patterns.ok()) return patterns.status();
-    MergeStatementPatterns(workload[s].collection(), s, *patterns, &set);
-  }
-  set.basic_count = set.candidates.size();
-  return set;
-}
-
-Result<CandidateSet> EnumerateBasicCandidates(
-    const engine::Workload& workload, storage::DocumentStore* store,
-    const storage::StatisticsCatalog* statistics,
-    const storage::CostConstants& cc, util::ThreadPool* pool,
-    const fault::Deadline& deadline) {
-  XIA_FAULT_INJECT(fault::points::kAdvisorEnumerate);
-  const size_t n = workload.size();
-
-  // One scratch planning context per pool thread, leased per probe. The
-  // probes only read the store/statistics (EnumerateIndexes never mutates
-  // its catalog), but each still gets a private catalog + optimizer so the
-  // per-instance call counters stay exact.
-  struct Context {
-    Context(storage::DocumentStore* store,
-            const storage::StatisticsCatalog* statistics,
-            const storage::CostConstants& cc)
-        : catalog(store, statistics, cc),
-          optimizer(store, &catalog, statistics) {}
-    storage::Catalog catalog;
-    optimizer::Optimizer optimizer;
-  };
-  std::vector<std::unique_ptr<Context>> contexts;
-  std::vector<Context*> free_contexts;
-  for (size_t i = 0; i < pool->thread_count() + 1; ++i) {
-    contexts.push_back(std::make_unique<Context>(store, statistics, cc));
-    free_contexts.push_back(contexts.back().get());
-  }
-  std::mutex free_mu;
-
-  std::vector<std::vector<xpath::IndexPattern>> per_statement(n);
-  std::vector<char> probed(n, 0);
-  bool interrupted = false;
-  XIA_RETURN_IF_ERROR(pool->ParallelFor(
-      n,
-      [&](size_t s) -> Status {
-        Context* context;
-        {
-          std::lock_guard<std::mutex> lock(free_mu);
-          context = free_contexts.back();
-          free_contexts.pop_back();
-        }
-        auto patterns = context->optimizer.EnumerateIndexes(workload[s]);
-        {
-          std::lock_guard<std::mutex> lock(free_mu);
-          free_contexts.push_back(context);
-        }
-        if (!patterns.ok()) return patterns.status();
-        per_statement[s] = std::move(*patterns);
-        probed[s] = 1;
-        return Status::OK();
-      },
-      deadline, /*cancel=*/nullptr, &interrupted));
-
-  // Serial merge in statement order: ids and affected sets come out
-  // exactly as the serial enumeration would produce them.
-  CandidateSet set;
-  set.partial = interrupted;
-  for (size_t s = 0; s < n; ++s) {
-    if (!probed[s]) {
-      set.partial = true;
-      continue;
+    // Dedup by (collection, pattern), then record the statement in the
+    // candidate's affected set.
+    const std::string& collection = workload[s].collection();
+    for (const xpath::IndexPattern& pattern : *patterns) {
+      int id = set.Find(collection, pattern);
+      if (id < 0) {
+        Candidate c;
+        c.id = static_cast<int>(set.candidates.size());
+        c.collection = collection;
+        c.pattern = pattern;
+        c.is_general = false;
+        c.covered_basics = {c.id};
+        set.candidates.push_back(std::move(c));
+        id = set.candidates.back().id;
+      }
+      auto& affected = set.candidates[static_cast<size_t>(id)].affected;
+      if (std::find(affected.begin(), affected.end(), s) == affected.end()) {
+        affected.push_back(s);
+      }
     }
-    MergeStatementPatterns(workload[s].collection(), s, per_statement[s],
-                           &set);
   }
   set.basic_count = set.candidates.size();
-  for (const auto& context : contexts) {
-    set.enumeration_optimizer_calls += context->optimizer.optimize_calls();
-  }
   return set;
 }
 

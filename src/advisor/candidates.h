@@ -21,7 +21,6 @@
 #include "storage/document_store.h"
 #include "storage/statistics.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 #include "xpath/path.h"
 
 namespace xia::advisor {
@@ -98,20 +97,6 @@ struct CandidateSet {
 /// candidate set still supports a best-so-far recommendation.
 Result<CandidateSet> EnumerateBasicCandidates(
     const engine::Workload& workload, const optimizer::Optimizer& optimizer,
-    const fault::Deadline& deadline = fault::Deadline());
-
-/// Parallel enumeration: probes statements concurrently on `pool`, each
-/// probe planning through a leased scratch catalog + optimizer, then
-/// merges the per-statement pattern lists serially in statement order —
-/// candidate ids, affected sets, and the dedup outcome are identical to
-/// the serial enumeration. Statements the deadline cut off are skipped
-/// (their patterns never merge) and `partial` is set.
-/// CandidateSet::enumeration_optimizer_calls is filled in from the scratch
-/// optimizers before returning.
-Result<CandidateSet> EnumerateBasicCandidates(
-    const engine::Workload& workload, storage::DocumentStore* store,
-    const storage::StatisticsCatalog* statistics,
-    const storage::CostConstants& cc, util::ThreadPool* pool,
     const fault::Deadline& deadline = fault::Deadline());
 
 /// Fills Candidate::stats for every candidate from data statistics.

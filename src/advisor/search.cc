@@ -1,7 +1,6 @@
 #include "advisor/search.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <limits>
 #include <set>
@@ -27,41 +26,16 @@ bool IsInterrupt(const Status& status) {
          status.code() == StatusCode::kCancelled;
 }
 
-// Evaluates a batch of `count` independent probes, probe i being
-// benefit_of(i) (one evaluator call), farming them to the pool when
-// SearchOptions carries one. Deadline/cancel trips — whether between
-// probes or, via the evaluator's granular polling, inside one — set
-// *partial and leave the affected slots at zero, matching the serial
-// best-so-far contract; real errors propagate. Each probe is memoized
-// independently by the evaluator, so parallel and serial batches produce
-// identical values and identical cache-miss sets.
+// Evaluates a batch of `count` independent probes in order, probe i
+// being benefit_of(i) (one evaluator call). A deadline/cancel trip —
+// between probes or, via the evaluator's granular polling, inside one —
+// sets *partial and leaves the remaining slots at zero (best-so-far);
+// real errors propagate.
 template <typename BenefitOf>
 Result<std::vector<double>> BatchProbes(size_t count, BenefitOf&& benefit_of,
                                         const SearchOptions& options,
                                         bool* partial) {
   std::vector<double> values(count, 0.0);
-  if (options.pool != nullptr && options.pool->thread_count() > 1 &&
-      count > 1) {
-    std::atomic<bool> tripped{false};
-    bool skipped = false;
-    XIA_RETURN_IF_ERROR(options.pool->ParallelFor(
-        count,
-        [&](size_t i) -> Status {
-          Result<double> benefit = benefit_of(i);
-          if (!benefit.ok()) {
-            if (IsInterrupt(benefit.status())) {
-              tripped.store(true, std::memory_order_relaxed);
-              return Status::OK();
-            }
-            return benefit.status();
-          }
-          values[i] = *benefit;
-          return Status::OK();
-        },
-        options.deadline, options.cancel, &skipped));
-    if (tripped.load(std::memory_order_relaxed) || skipped) *partial = true;
-    return values;
-  }
   for (size_t i = 0; i < count; ++i) {
     if (Interrupted(options)) {
       *partial = true;
@@ -125,8 +99,8 @@ Result<SearchOutcome> Finalize(const CandidateSet& set,
   return out;
 }
 
-// Standalone benefit of every candidate (one evaluator probe each,
-// batched onto the pool when present). On interrupt, the remaining
+// Standalone benefit of every candidate (one evaluator probe each). On
+// interrupt, the remaining
 // candidates keep a benefit of zero and *partial is set — callers still
 // get a usable (if conservative) value vector.
 Result<std::vector<double>> StandaloneBenefits(const CandidateSet& set,
@@ -143,9 +117,9 @@ Result<std::vector<double>> StandaloneBenefits(const CandidateSet& set,
 // Greedy knapsack on precomputed per-candidate values.
 std::vector<int> GreedyByDensity(const CandidateSet& set,
                                  const std::vector<double>& values,
-                                 const std::vector<int>& pool,
+                                 const std::vector<int>& ids,
                                  double budget) {
-  std::vector<int> order = pool;
+  std::vector<int> order = ids;
   std::sort(order.begin(), order.end(), [&](int a, int b) {
     const double da = values[static_cast<size_t>(a)] /
                       std::max<double>(1.0, static_cast<double>(
@@ -178,10 +152,10 @@ Result<SearchOutcome> RunGreedy(const CandidateSet& set,
   bool partial = false;
   XIA_ASSIGN_OR_RETURN(const std::vector<double> benefits,
                        StandaloneBenefits(set, evaluator, options, &partial));
-  std::vector<int> pool(set.size());
-  for (size_t i = 0; i < set.size(); ++i) pool[i] = static_cast<int>(i);
+  std::vector<int> ids(set.size());
+  for (size_t i = 0; i < set.size(); ++i) ids[i] = static_cast<int>(i);
   return Finalize(
-      set, GreedyByDensity(set, benefits, pool, options.disk_budget_bytes),
+      set, GreedyByDensity(set, benefits, ids, options.disk_budget_bytes),
       evaluator, partial);
 }
 
@@ -210,7 +184,7 @@ Result<SearchOutcome> RunGreedyWithHeuristics(const CandidateSet& set,
       break;
     }
 
-    // First pass (serial, cheap): admission filters that need no
+    // First pass (cheap): admission filters that need no
     // optimizer call decide which extension probes are worth costing.
     // Each probe extends the configuration by the ids of one span: the
     // candidate itself, or a general candidate's covered basics.
@@ -260,8 +234,8 @@ Result<SearchOutcome> RunGreedyWithHeuristics(const CandidateSet& set,
     }
     if (probes.empty()) break;
 
-    // Second pass: cost every surviving probe (batched onto the pool)
-    // against the configuration, decomposed once for the whole sweep.
+    // Second pass: cost every surviving probe against the configuration,
+    // decomposed once for the whole sweep.
     const BenefitEvaluator::Base base = evaluator->DecomposeBase(config);
     XIA_ASSIGN_OR_RETURN(
         const std::vector<double> values,
@@ -273,12 +247,11 @@ Result<SearchOutcome> RunGreedyWithHeuristics(const CandidateSet& set,
                                                  options.cancel);
             },
             options, &partial));
-    // An interrupted sweep is discarded wholesale, exactly as the serial
-    // loop abandons its current sweep on a mid-sweep deadline.
+    // An interrupted sweep is discarded wholesale.
     if (partial) break;
 
-    // Third pass (serial, deterministic): benefit admission and density
-    // selection over the precomputed values, in candidate order.
+    // Third pass: benefit admission and density selection over the
+    // precomputed values, in candidate order.
     int best_id = -1;
     double best_benefit = current_benefit;
     double best_density = 0;
@@ -364,13 +337,13 @@ Result<SearchOutcome> RunTopDown(const CandidateSet& set,
       // Out of time mid-descent: the working set may still be over
       // budget, so trim it greedily before reporting best-so-far.
       partial = true;
-      std::vector<int> pool(config_set.begin(), config_set.end());
+      std::vector<int> ids(config_set.begin(), config_set.end());
       std::vector<int> picked =
-          GreedyByDensity(set, benefits, pool, options.disk_budget_bytes);
+          GreedyByDensity(set, benefits, ids, options.disk_budget_bytes);
       return Finalize(set, std::move(picked), evaluator, partial);
     }
     // Choose the replaceable general index with the smallest dB/dC.
-    // First pass (serial, cheap): the size screen; it also collects the
+    // First pass (cheap): the size screen; it also collects the
     // costly dB probes of the full-interaction mode for one batch.
     struct Replacement {
       int id = -1;
@@ -419,8 +392,8 @@ Result<SearchOutcome> RunTopDown(const CandidateSet& set,
       replacements.push_back(std::move(repl));
     }
 
-    // Second pass: cost the dB probes (batched onto the pool). On an
-    // interrupt the step is abandoned; the while-top then trims the
+    // Second pass: cost the dB probes. On an interrupt the step is
+    // abandoned; the while-top then trims the
     // working set greedily and reports best-so-far.
     std::vector<double> probe_values;
     if (full_interaction && !replacements.empty()) {
@@ -430,8 +403,8 @@ Result<SearchOutcome> RunTopDown(const CandidateSet& set,
       if (partial) continue;
     }
 
-    // Third pass (serial, deterministic): smallest dB/dC over the
-    // precomputed values, in config_set (ascending id) order.
+    // Third pass: smallest dB/dC over the precomputed values, in
+    // config_set (ascending id) order.
     int best = -1;
     double best_ratio = std::numeric_limits<double>::infinity();
     double best_dc = -1;
@@ -463,9 +436,9 @@ Result<SearchOutcome> RunTopDown(const CandidateSet& set,
       // current members (§VI-B: "If we run out of general candidates to
       // replace and do not yet meet the disk space budget, we use greedy
       // search").
-      std::vector<int> pool(config_set.begin(), config_set.end());
+      std::vector<int> ids(config_set.begin(), config_set.end());
       std::vector<int> picked =
-          GreedyByDensity(set, benefits, pool, options.disk_budget_bytes);
+          GreedyByDensity(set, benefits, ids, options.disk_budget_bytes);
       return Finalize(set, std::move(picked), evaluator, partial);
     }
 
@@ -536,9 +509,8 @@ Result<SearchOutcome> RunExhaustive(const CandidateSet& set,
   }
   // Enumerate the affordable subsets first (pure arithmetic), then cost
   // them as one batch. The best pick scans the values in mask order with
-  // a strict comparison, so it matches the serial mask loop exactly; a
-  // subset the deadline cut off keeps a value of zero and can never
-  // displace an evaluated best.
+  // a strict comparison; a subset the deadline cut off keeps a value of
+  // zero and can never displace an evaluated best.
   std::vector<std::vector<int>> configs;
   for (uint64_t mask = 0; mask < (1ULL << n); ++mask) {
     std::vector<int> config;

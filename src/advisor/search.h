@@ -67,11 +67,6 @@ struct SearchOptions {
   fault::Deadline deadline;
   /// Cooperative cancellation, polled alongside the deadline. Not owned.
   const fault::CancelToken* cancel = nullptr;
-  /// Worker pool for batch-evaluating the independent candidate-extension
-  /// probes of a search step (not owned; may be null = serial). Selection
-  /// runs serially over the precomputed values in candidate order, so
-  /// parallel and serial searches pick identical configurations.
-  util::ThreadPool* pool = nullptr;
 };
 
 /// Outcome of a search.

@@ -534,8 +534,6 @@ Result<std::string> Server::HandleAdvise(Session* session, const Frame& frame) {
   options.budget_ms = req.budget_ms > 0 ? req.budget_ms
                                         : options_.default_budget_ms;
   options.cancel = &session->cancel;
-  options.threads =
-      req.threads > 0 ? req.threads : options_.advise_threads;
 
   engine::Workload workload;
   if (req.workload_text.empty()) {

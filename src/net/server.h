@@ -10,8 +10,8 @@
 //   * Front end: an acceptor thread plus one session thread per
 //     connection (connections are long-lived and bounded by
 //     max_connections, so thread-per-connection keeps the request path
-//     free of queue hops; the heavy advise work is itself parallelized
-//     through xia::util::ThreadPool via AdvisorOptions.threads).
+//     free of queue hops; an advise request runs on its session thread,
+//     DESIGN §12).
 //   * Reader/writer isolation: the Database's std::shared_mutex, in
 //     the lock mode Database documents per operation — queries, EXPLAIN
 //     and what-if advising run concurrently; mutations are exclusive and
@@ -27,7 +27,7 @@
 //     stragglers through their CancelTokens, join everything, checkpoint
 //     the WAL, and close it.
 //
-// Lock order (extends the DESIGN §9/§12 order): role_mu_ -> Database
+// Lock order (extends the DESIGN §9 order): role_mu_ -> Database
 // lock (shared or exclusive) -> WAL internals. sessions_mu_ and
 // capture/templatizer locks are leaves and are never held while a
 // request executes or while the Database lock is held. Session threads
@@ -92,9 +92,6 @@ struct ServerOptions {
   /// Periodic metrics JSON dump destination ("" = off) and cadence.
   std::string metrics_json_path;
   double metrics_interval_s = 1.0;
-  /// Default worker threads for advise requests that do not pin their
-  /// own (1 = serial, 0 = one per hardware thread).
-  size_t advise_threads = 1;
 
   // ---- replication (xia::repl, DESIGN §14) ----
 

@@ -160,7 +160,8 @@ struct AdviseRequest {
   /// "", "greedy", "heuristics", "topdown-lite", "topdown-full", "dp".
   std::string algorithm;
   double budget_ms = 0;
-  /// Worker threads for the advise run; 0 = the server's default.
+  /// Ignored by the server, which advises on the session thread (DESIGN
+  /// §12); kept so the wire encoding stays unchanged.
   uint32_t threads = 0;
 };
 

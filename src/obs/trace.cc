@@ -36,7 +36,6 @@ std::string Trace::ToString() const {
                         s.seconds,
                         static_cast<unsigned long long>(s.tracked_calls));
     if (s.items >= 0) out += StringPrintf("  %g items", s.items);
-    if (s.threads > 1) out += StringPrintf("  x%d threads", s.threads);
     out += "\n";
   }
   return out;
@@ -52,7 +51,6 @@ std::string Trace::ToJson() const {
         s.name.c_str(), s.depth, s.seconds,
         static_cast<unsigned long long>(s.tracked_calls));
     if (s.items >= 0) out += StringPrintf(",\"items\":%g", s.items);
-    if (s.threads > 1) out += StringPrintf(",\"threads\":%d", s.threads);
     out += "}";
   }
   out += "]";

@@ -37,8 +37,6 @@ struct SpanRecord {
   /// Free-form count annotation (candidates enumerated, indexes selected,
   /// …); negative when unset.
   double items = -1;
-  /// Worker threads the phase ran on (parallel advising); 1 = serial.
-  int threads = 1;
 };
 
 /// A finished trace: spans in start order.
@@ -86,13 +84,11 @@ class Tracer {
     return spans_.size() - 1;
   }
 
-  void Seal(size_t index, double seconds, uint64_t calls, double items,
-            int threads) {
+  void Seal(size_t index, double seconds, uint64_t calls, double items) {
     SpanRecord& record = spans_[index];
     record.seconds = seconds;
     record.tracked_calls = calls;
     record.items = items;
-    record.threads = threads;
     --depth_;
   }
 
@@ -123,16 +119,12 @@ class ScopedSpan {
   /// Attaches a count annotation (last call wins).
   void AnnotateItems(double items) { items_ = items; }
 
-  /// Records how many worker threads the span's phase ran on (parallel
-  /// advising; 1 = serial).
-  void AnnotateThreads(int threads) { threads_ = threads; }
-
   /// Seals the span early (idempotent; the destructor is then a no-op).
   void End() {
     if (tracer_ == nullptr || ended_) return;
     ended_ = true;
     tracer_->Seal(index_, timer_.ElapsedSeconds(),
-                  tracer_->TrackedValue() - calls_at_open_, items_, threads_);
+                  tracer_->TrackedValue() - calls_at_open_, items_);
   }
 
  private:
@@ -140,7 +132,6 @@ class ScopedSpan {
   size_t index_ = 0;
   uint64_t calls_at_open_ = 0;
   double items_ = -1;
-  int threads_ = 1;
   bool ended_ = false;
   Stopwatch timer_;
 };

@@ -29,9 +29,9 @@
 // EnumerateIndexes, MaintenanceCost) are const, never mutate the catalog,
 // and record calls through an atomic obs::Counter. Concurrent planning is
 // therefore safe as long as each thread either shares a catalog that is
-// not concurrently mutated or (as the parallel advisor does) owns a
-// private scratch catalog per worker. Virtual-index what-if mutations go
-// through storage::Catalog, so "one catalog + one optimizer per worker" is
+// not concurrently mutated or owns a private scratch catalog, as each
+// advise call does. Virtual-index what-if mutations go through
+// storage::Catalog, so "one catalog + one optimizer per advise call" is
 // the unit of isolation (DESIGN §12).
 
 #ifndef XIA_OPTIMIZER_OPTIMIZER_H_

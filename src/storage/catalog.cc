@@ -28,7 +28,7 @@ Result<const IndexDef*> Catalog::CreateIndex(
   def.pattern = pattern;
   def.is_virtual = false;
   def.physical = std::make_unique<PathValueIndex>(name, collection, pattern);
-  def.physical->BuildBulk(**coll, pool);
+  XIA_RETURN_IF_ERROR(def.physical->BuildBulk(**coll, pool));
   def.stats = def.physical->ActualStats(cc_);
   XIA_OBS_COUNT("xia.storage.catalog.indexes_created", 1);
   XIA_OBS_COUNT("xia.storage.index.builds_offline", 1);

@@ -49,7 +49,8 @@ class Catalog {
 
   /// Creates and builds a physical index through the bulk-load fast path
   /// (parallel key extraction when `pool` is non-null). Fails if the name
-  /// exists or the collection is unknown.
+  /// exists, the collection is unknown or the pool cannot dispatch; a
+  /// failed build registers nothing.
   Result<const IndexDef*> CreateIndex(const std::string& name,
                                       const std::string& collection,
                                       const xpath::IndexPattern& pattern,

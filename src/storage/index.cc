@@ -88,8 +88,8 @@ void PathValueIndex::EraseKey(const IndexKey& key) {
   }
 }
 
-void PathValueIndex::BuildBulk(const Collection& coll,
-                               util::ThreadPool* pool) {
+Status PathValueIndex::BuildBulk(const Collection& coll,
+                                 util::ThreadPool* pool) {
   // Snapshot the live ids so extraction can index into fixed slots.
   std::vector<xml::DocId> ids;
   ids.reserve(coll.live_count());
@@ -113,11 +113,9 @@ void PathValueIndex::BuildBulk(const Collection& coll,
     }
     return Status::OK();
   };
-  bool parallel_ok = false;
-  if (pool != nullptr && chunks > 1) {
-    parallel_ok = pool->ParallelFor(chunks, extract).ok();
-  }
-  if (!parallel_ok) {
+  if (pool != nullptr) {
+    XIA_RETURN_IF_ERROR(pool->ParallelFor(chunks, extract));
+  } else {
     for (size_t c = 0; c < chunks; ++c) extract(c);
   }
 
@@ -131,6 +129,7 @@ void PathValueIndex::BuildBulk(const Collection& coll,
     slot.shrink_to_fit();
   }
   BulkLoadKeys(std::move(all));
+  return Status::OK();
 }
 
 void PathValueIndex::BuildBulkMany(const Collection& coll,

@@ -71,8 +71,9 @@ class PathValueIndex {
   /// (parallelized across documents when `pool` is non-null), one sort,
   /// then a bottom-up BTree::BulkLoad. Content-identical to Build() —
   /// entries are fully ordered by (value, rid), so extraction order never
-  /// shows in the result.
-  void BuildBulk(const Collection& coll, util::ThreadPool* pool = nullptr);
+  /// shows in the result. Fails, leaving the index empty, only when the
+  /// pool cannot dispatch the extraction (xia.fault.pool.submit).
+  Status BuildBulk(const Collection& coll, util::ThreadPool* pool = nullptr);
 
   /// Bulk-builds several indexes over the same collection in ONE document
   /// scan: each document is pulled into cache once and key-extracted for

@@ -72,24 +72,9 @@ Status ThreadPool::Submit(std::function<void()> task) {
 
 Status ThreadPool::ParallelFor(size_t n,
                                const std::function<Status(size_t)>& body) {
-  return ParallelFor(n, body, fault::Deadline::Infinite(), nullptr, nullptr);
-}
-
-Status ThreadPool::ParallelFor(size_t n,
-                               const std::function<Status(size_t)>& body,
-                               const fault::Deadline& deadline,
-                               const fault::CancelToken* cancel,
-                               bool* interrupted) {
-  if (interrupted != nullptr) *interrupted = false;
   if (n == 0) return Status::OK();
   if (thread_count() <= 1 || n < 2 || OnWorkerThread()) {
-    for (size_t i = 0; i < n; ++i) {
-      if (!fault::CheckInterrupt(deadline, cancel).ok()) {
-        if (interrupted != nullptr) *interrupted = true;
-        return Status::OK();
-      }
-      XIA_RETURN_IF_ERROR(body(i));
-    }
+    for (size_t i = 0; i < n; ++i) XIA_RETURN_IF_ERROR(body(i));
     return Status::OK();
   }
 
@@ -100,7 +85,6 @@ Status ThreadPool::ParallelFor(size_t n,
   struct Batch {
     std::atomic<size_t> next{0};
     std::atomic<bool> abort{false};
-    std::atomic<bool> cut{false};  // deadline/cancel tripped
     std::mutex mu;
     std::condition_variable done;
     size_t active = 0;
@@ -109,13 +93,9 @@ Status ThreadPool::ParallelFor(size_t n,
   };
   auto batch = std::make_shared<Batch>();
 
-  auto runner = [batch, &body, n, deadline, cancel] {
+  auto runner = [batch, &body, n] {
     for (;;) {
       if (batch->abort.load(std::memory_order_relaxed)) break;
-      if (!fault::CheckInterrupt(deadline, cancel).ok()) {
-        batch->cut.store(true, std::memory_order_relaxed);
-        break;
-      }
       const size_t i = batch->next.fetch_add(1, std::memory_order_relaxed);
       if (i >= n) break;
       Status s = body(i);
@@ -158,12 +138,7 @@ Status ThreadPool::ParallelFor(size_t n,
     batch->done.wait(lock, [&] { return batch->active == 0; });
   }
   if (!batch->error.ok()) return batch->error;
-  if (!submit_error.ok()) return submit_error;
-  if (batch->cut.load(std::memory_order_relaxed) ||
-      batch->next.load(std::memory_order_relaxed) < n) {
-    if (interrupted != nullptr) *interrupted = true;
-  }
-  return Status::OK();
+  return submit_error;
 }
 
 }  // namespace xia::util

@@ -1,5 +1,6 @@
-// xia::util::ThreadPool — a fixed-size worker pool for the parallel
-// what-if advising path (DESIGN §12).
+// xia::util::ThreadPool — a fixed-size worker pool for parallel index
+// builds: key extraction in PathValueIndex::BuildBulk and the online
+// build's scan.
 //
 // The pool owns `threads` std::threads pulling std::function tasks off a
 // single queue. Two entry points:
@@ -12,16 +13,13 @@
 //    through an atomic counter in ascending index order; on a body error
 //    the batch stops pulling new items and the error with the smallest
 //    index is returned (matching what a serial in-order loop would have
-//    reported). The deadline-aware overload stops dispatching the moment
-//    the deadline/cancel trips and reports the cut through *interrupted
-//    instead of an error, so callers can degrade to best-so-far.
+//    reported).
 //
 // Nested use is safe by construction: ParallelFor called from inside a
 // pool worker (OnWorkerThread()) runs the body inline and serially —
 // submitting from a worker and waiting would deadlock a fixed-size pool.
-// Callers that need deterministic results keep the rule used throughout
-// the advisor: workers write into disjoint, pre-sized slots and the
-// caller reduces serially in index order afterwards.
+// Callers that need deterministic results have workers write into
+// disjoint, pre-sized slots and reduce serially in index order afterwards.
 
 #ifndef XIA_UTIL_THREAD_POOL_H_
 #define XIA_UTIL_THREAD_POOL_H_
@@ -34,7 +32,6 @@
 #include <thread>
 #include <vector>
 
-#include "fault/deadline.h"
 #include "util/status.h"
 
 namespace xia::util {
@@ -52,7 +49,7 @@ class ThreadPool {
   size_t thread_count() const { return threads_.size(); }
 
   /// One worker per hardware thread (>= 1 even when the runtime cannot
-  /// tell). What `--threads 0` resolves to in the CLI tools.
+  /// tell).
   static size_t DefaultThreadCount();
 
   /// True on a thread owned by any ThreadPool. Used to run nested
@@ -66,13 +63,6 @@ class ThreadPool {
   /// and ordering semantics. Runs inline (serially, in index order) when
   /// the pool has one thread, n < 2, or the caller is a pool worker.
   Status ParallelFor(size_t n, const std::function<Status(size_t)>& body);
-
-  /// Deadline/cancel-aware variant: the interrupt is polled before every
-  /// item dispatch, skipped items are reported through *interrupted
-  /// (never an error), and `body` is not called for them.
-  Status ParallelFor(size_t n, const std::function<Status(size_t)>& body,
-                     const fault::Deadline& deadline,
-                     const fault::CancelToken* cancel, bool* interrupted);
 
  private:
   void WorkerLoop();

@@ -288,7 +288,9 @@ void WalManager::Adopt(Staging* staging, const Manifest& state,
   store->Swap(&staging->store);
   catalog->AdoptIndexesFrom(&staging->catalog);
   // The rebuild's one statistics pass, over exactly the data the advisor
-  // and optimizer will price.
+  // and optimizer will price: the catalog starts empty, so a collection
+  // the rebuild removed loses its statistics too.
+  *statistics = storage::StatisticsCatalog();
   for (const std::string& coll : store->CollectionNames()) {
     auto c = store->GetCollection(coll);
     if (c.ok()) statistics->RunStats(**c);

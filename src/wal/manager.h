@@ -271,8 +271,9 @@ class WalManager : public engine::CommitLog {
   /// snapshot from its file. Any problem with them is kDataLoss.
   Status StageCheckpointFiles(const Manifest& manifest,
                               Staging* staging) const;
-  /// Swaps `staging` into `store`/`catalog`, runs statistics once over
-  /// every live collection and publishes `state` (PublishLogReset).
+  /// Swaps `staging` into `store`/`catalog`, rebuilds `statistics` from
+  /// scratch with one pass over every live collection and publishes
+  /// `state` (PublishLogReset).
   void Adopt(Staging* staging, const Manifest& state,
              storage::DocumentStore* store, storage::Catalog* catalog,
              storage::StatisticsCatalog* statistics);

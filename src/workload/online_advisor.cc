@@ -32,20 +32,7 @@ OnlineAdvisor::OnlineAdvisor(WorkloadCapture* capture,
     : capture_(capture),
       advisor_(advisor),
       options_(std::move(options)),
-      db_mutex_(db_mutex) {
-  // One pool for the advisor's lifetime: per-pass pools would pay thread
-  // spawn/join on every advise pass. An externally supplied pool wins.
-  if (options_.advisor.pool == nullptr) {
-    const size_t threads =
-        options_.advisor.threads == 0
-            ? util::ThreadPool::DefaultThreadCount()
-            : options_.advisor.threads;
-    if (threads > 1) {
-      pool_ = std::make_unique<util::ThreadPool>(threads);
-      options_.advisor.pool = pool_.get();
-    }
-  }
-}
+      db_mutex_(db_mutex) {}
 
 OnlineAdvisor::~OnlineAdvisor() { Stop(); }
 

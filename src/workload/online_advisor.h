@@ -25,18 +25,13 @@
 //                   delete / update / index DDL) take it exclusively,
 //                   which is what makes online advising safe next to a
 //                   live write path.
-//   3. leaf mutexes — internal to WorkloadCapture, and (when advising
-//      runs parallel) internal to the shared util::ThreadPool, the
-//      BenefitEvaluator's cache shards and its worker-context freelist.
-//      All of these are acquired and released inside a single Recommend
-//      pass below db_mutex and never call back out, so they stay leaves.
+//   3. leaf mutexes — internal to WorkloadCapture; acquired and released
+//      below db_mutex and never calling back out, so they stay leaves.
 // Start()/Stop() are main-thread operations; Stop() joins.
 //
-// Parallel advising: when AdvisorOptions::threads asks for more than one
-// worker and no external pool is supplied, the constructor spins up one
-// pool shared by every advise pass (instead of a per-pass pool, whose
-// thread spawn/join would dominate short passes). Results are identical
-// to serial passes (DESIGN §12).
+// Each advise pass runs Recommend on the background thread itself
+// (DESIGN §12): the pass shares no mutable advisor state with a
+// concurrent Database::Advise call on the same database.
 
 #ifndef XIA_WORKLOAD_ONLINE_ADVISOR_H_
 #define XIA_WORKLOAD_ONLINE_ADVISOR_H_
@@ -49,13 +44,10 @@
 #include <string>
 #include <thread>
 
-#include <memory>
-
 #include "advisor/advisor.h"
 #include "engine/query.h"
 #include "util/status.h"
 #include "util/stopwatch.h"
-#include "util/thread_pool.h"
 #include "workload/capture.h"
 #include "workload/templatizer.h"
 
@@ -171,12 +163,7 @@ class OnlineAdvisor {
 
   WorkloadCapture* const capture_;
   advisor::IndexAdvisor* const advisor_;
-  /// Non-const so the constructor can point options_.advisor.pool at
-  /// pool_; immutable afterwards.
-  OnlineAdvisorOptions options_;
-  /// Worker pool shared across advise passes; null when advising is
-  /// serial or the caller supplied an external pool.
-  std::unique_ptr<util::ThreadPool> pool_;
+  const OnlineAdvisorOptions options_;
   std::shared_mutex* const db_mutex_;
 
   mutable std::mutex mu_;

@@ -1,7 +1,8 @@
 // Tests for xia::Database, the request path that net::Server, xia_shell
 // and xia_crash_harness share: Run against a hand-wired optimizer and
-// executor, the lock mode each call takes, the epoch fence, and the
-// digest the replication and crash checks compare.
+// executor, the lock mode each call takes, the epoch fence, the digest
+// the replication and crash checks compare, and concurrent advise calls
+// next to writes.
 //
 // Lock modes are observed without timing: a shared holder that a call
 // must coexist with (the call would deadlock otherwise), and a probe
@@ -26,6 +27,7 @@
 #include "tpox/tpox_data.h"
 #include "tpox/tpox_workload.h"
 #include "util/random.h"
+#include "util/string_util.h"
 #include "xpath/parser.h"
 
 namespace xia {
@@ -64,6 +66,25 @@ std::string MustDigest(Database* db) {
   Result<std::string> digest = db->Digest();
   EXPECT_TRUE(digest.ok()) << digest.status();
   return digest.ok() ? *digest : std::string();
+}
+
+// Everything a recommendation reports except its timings, doubles in
+// exact hex, one line per index.
+std::string Signature(const advisor::Recommendation& rec) {
+  std::string out;
+  for (const advisor::RecommendedIndex& index : rec.indexes) {
+    out += StringPrintf("%s %llu%s\n", index.ddl.c_str(),
+                        static_cast<unsigned long long>(index.size_bytes),
+                        index.is_general ? " general" : "");
+  }
+  out += StringPrintf(
+      "size %a base %a benefit %a speedup %a candidates %zu/%zu "
+      "general %d specific %d calls %llu partial %d",
+      rec.total_size_bytes, rec.base_cost, rec.benefit, rec.est_speedup,
+      rec.basic_candidates, rec.total_candidates, rec.general_count,
+      rec.specific_count, static_cast<unsigned long long>(rec.optimizer_calls),
+      rec.partial ? 1 : 0);
+  return out;
 }
 
 // A durable database whose WAL writer calls `probe` before every fsync,
@@ -243,6 +264,74 @@ TEST(DatabaseTest, DigestMatchesServerStoreDigest) {
   EXPECT_NE(*changed, *seeded);
   EXPECT_EQ(*changed, MustDigest(&db));
   EXPECT_TRUE(server.Stop().ok());
+}
+
+// The advisor's one form of concurrency: several callers (sessions, the
+// online advisor) advising one database at once, next to writers. Each
+// Recommend keeps its mutable state to itself and a mutation takes the
+// lock exclusively, so every concurrent result must equal a serial run on
+// the same state. The writer repeats one update whose value is already in
+// place, so the state the advisor reads stays the same throughout.
+TEST(DatabaseTest, ConcurrentAdvisesNextToWritesMatchSerialRuns) {
+  Database db;
+  ASSERT_TRUE(LoadTpox(&db).ok());
+  const engine::Statement update = Parse(kUpdate);
+  ASSERT_TRUE(db.Run(update).ok());
+  Result<engine::Workload> workload = tpox::TpoxQueries();
+  ASSERT_TRUE(workload.ok()) << workload.status();
+
+  std::vector<advisor::AdvisorOptions> options(2);
+  options[0].algorithm = advisor::SearchAlgorithm::kTopDownFull;
+  options[0].disk_budget_bytes = 256 * 1024;
+  options[1].algorithm = advisor::SearchAlgorithm::kGreedyWithHeuristics;
+  options[1].disk_budget_bytes = 64 * 1024;
+  std::vector<std::string> serial;
+  for (const advisor::AdvisorOptions& o : options) {
+    Result<advisor::Recommendation> rec = db.Advise(*workload, o);
+    ASSERT_TRUE(rec.ok()) << rec.status();
+    ASSERT_FALSE(rec->indexes.empty());
+    serial.push_back(Signature(*rec));
+  }
+
+  constexpr int kRounds = 3;
+  std::atomic<int> writes{0};
+  std::atomic<bool> write_failed{false};
+  std::atomic<int> advisers_done{0};
+  std::thread writer([&] {
+    while (advisers_done.load() < 2) {
+      if (!db.Run(update).ok()) {
+        write_failed = true;
+        return;
+      }
+      ++writes;
+      std::this_thread::yield();
+    }
+  });
+  std::vector<std::vector<std::string>> got(2);
+  std::vector<std::thread> advisers;
+  for (size_t t = 0; t < 2; ++t) {
+    advisers.emplace_back([&, t] {
+      while (writes.load() == 0 && !write_failed.load()) {
+        std::this_thread::yield();
+      }
+      for (int round = 0; round < kRounds; ++round) {
+        Result<advisor::Recommendation> rec = db.Advise(*workload, options[t]);
+        got[t].push_back(rec.ok() ? Signature(*rec) : rec.status().ToString());
+      }
+      ++advisers_done;
+    });
+  }
+  for (std::thread& adviser : advisers) adviser.join();
+  writer.join();
+
+  EXPECT_FALSE(write_failed.load());
+  EXPECT_GT(writes.load(), 0);
+  for (size_t t = 0; t < 2; ++t) {
+    ASSERT_EQ(got[t].size(), static_cast<size_t>(kRounds));
+    for (const std::string& signature : got[t]) {
+      EXPECT_EQ(signature, serial[t]) << "adviser " << t;
+    }
+  }
 }
 
 }  // namespace

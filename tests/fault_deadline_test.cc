@@ -411,34 +411,6 @@ TEST_F(DeadlinePipelineTest, GranularPollingInsideBenefitEvaluation) {
   EXPECT_EQ(*clean, *again);
 }
 
-TEST_F(DeadlinePipelineTest, ParallelRunHonoursBoundedOverrun) {
-  // Pooled work items poll the deadline at statement granularity, so the
-  // overrun of a tiny budget stays bounded by one unit of work — the run
-  // completes quickly (well under the tier-1 timeout) with partial set,
-  // instead of finishing the whole batch first.
-  advisor::IndexAdvisor advisor(&store_, &stats_);
-  advisor::AdvisorOptions options;
-  options.threads = 2;
-  options.budget_ms = 0.001;
-  auto rec = advisor.Recommend(MakeWorkload(), options);
-  ASSERT_TRUE(rec.ok()) << rec.status();
-  EXPECT_TRUE(rec->partial);
-  EXPECT_LT(rec->advisor_seconds, 2.0);
-
-  // And an unbounded parallel run matches the serial result exactly.
-  advisor::AdvisorOptions unbounded;
-  unbounded.threads = 2;
-  auto parallel = advisor.Recommend(MakeWorkload(), unbounded);
-  ASSERT_TRUE(parallel.ok()) << parallel.status();
-  advisor::AdvisorOptions serial;
-  auto reference = advisor.Recommend(MakeWorkload(), serial);
-  ASSERT_TRUE(reference.ok());
-  EXPECT_FALSE(parallel->partial);
-  EXPECT_EQ(parallel->benefit, reference->benefit);
-  EXPECT_EQ(parallel->optimizer_calls, reference->optimizer_calls);
-  EXPECT_EQ(parallel->indexes.size(), reference->indexes.size());
-}
-
 TEST_F(DeadlinePipelineTest, PartialRecommendationIsStillValid) {
   // Every budget, however tight, must yield a structurally valid
   // recommendation: sizes within the disk budget, speedup >= 1.

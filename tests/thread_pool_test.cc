@@ -3,11 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
-#include <thread>
 #include <vector>
 
-#include "fault/deadline.h"
 #include "fault/fault.h"
 
 namespace xia::util {
@@ -87,62 +84,6 @@ TEST(ThreadPoolTest, NestedParallelForRunsInline) {
   ASSERT_TRUE(s.ok());
   EXPECT_EQ(inner_total.load(), 32);
   EXPECT_FALSE(ThreadPool::OnWorkerThread());
-}
-
-TEST(ThreadPoolTest, ExpiredDeadlineSkipsItemsAndReportsInterrupt) {
-  for (size_t threads : {size_t{1}, size_t{4}}) {
-    SCOPED_TRACE(threads);
-    ThreadPool pool(threads);
-    std::atomic<int> ran{0};
-    bool interrupted = false;
-    const fault::Deadline expired = fault::Deadline::AfterMillis(0);
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    Status s = pool.ParallelFor(
-        100,
-        [&ran](size_t) {
-          ran.fetch_add(1);
-          return Status::OK();
-        },
-        expired, nullptr, &interrupted);
-    // An interrupt is not an error: the caller degrades to best-so-far.
-    ASSERT_TRUE(s.ok()) << s;
-    EXPECT_TRUE(interrupted);
-    EXPECT_EQ(ran.load(), 0);
-  }
-}
-
-TEST(ThreadPoolTest, CancelTokenStopsDispatch) {
-  ThreadPool pool(2);
-  fault::CancelToken cancel;
-  cancel.Cancel();
-  std::atomic<int> ran{0};
-  bool interrupted = false;
-  Status s = pool.ParallelFor(
-      50,
-      [&ran](size_t) {
-        ran.fetch_add(1);
-        return Status::OK();
-      },
-      fault::Deadline::Infinite(), &cancel, &interrupted);
-  ASSERT_TRUE(s.ok()) << s;
-  EXPECT_TRUE(interrupted);
-  EXPECT_EQ(ran.load(), 0);
-}
-
-TEST(ThreadPoolTest, InfiniteDeadlineRunsEverythingWithoutInterrupt) {
-  ThreadPool pool(4);
-  std::atomic<int> ran{0};
-  bool interrupted = true;
-  Status s = pool.ParallelFor(
-      64,
-      [&ran](size_t) {
-        ran.fetch_add(1);
-        return Status::OK();
-      },
-      fault::Deadline::Infinite(), nullptr, &interrupted);
-  ASSERT_TRUE(s.ok());
-  EXPECT_FALSE(interrupted);
-  EXPECT_EQ(ran.load(), 64);
 }
 
 TEST(ThreadPoolTest, ArmedSubmitFaultSurfacesAsCleanStatus) {

@@ -1008,15 +1008,47 @@ TEST(WalManagerTest, TruncateSuffixBelowTheCheckpointLeavesStateUntouched) {
             StatusCode::kInvalidArgument);
 }
 
+TEST(WalManagerTest, TruncateSuffixDropsTheStatisticsOfACollectionItRemoves) {
+  const std::string dir = ScratchDir("truncate_created_collection");
+  WalManager manager(dir);
+  Db db;
+  ASSERT_TRUE(manager.Open(&db.store, &db.catalog, &db.stats).ok());
+  ASSERT_TRUE(db.store.CreateCollection("C").ok());
+  ASSERT_TRUE(manager.LogCreateCollection("C").ok());
+  ASSERT_TRUE(RunInsert(&manager, &db, "C", "<a><b>1</b></a>").ok());
+  ASSERT_TRUE(manager.Checkpoint(db.store, db.catalog).ok());
+  // The suffix from LSN 3 creates collection D and inserts into it.
+  ASSERT_TRUE(db.store.CreateCollection("D").ok());
+  ASSERT_TRUE(manager.LogCreateCollection("D").ok());
+  ASSERT_TRUE(RunInsert(&manager, &db, "D", "<d><e>1</e></d>").ok());
+  ASSERT_EQ(manager.GetStatus().next_lsn, 5u);
+  for (const char* name : {"C", "D"}) {
+    db.stats.RunStats(**db.store.GetCollection(name));
+  }
+  ASSERT_TRUE(db.stats.Get("D").ok());
+
+  const auto truncated =
+      manager.TruncateSuffix(3, &db.store, &db.catalog, &db.stats);
+  ASSERT_TRUE(truncated.ok()) << truncated.status();
+  EXPECT_EQ(*truncated, 2u);
+  EXPECT_FALSE(db.store.GetCollection("D").ok());
+  EXPECT_FALSE(db.stats.Get("D").ok());
+  ExpectFreshStatistics(db.stats, &db.store);
+  ASSERT_TRUE(manager.Close().ok());
+}
+
 TEST(WalManagerTest, ResetForResyncLeavesAFreshEmptyDatabase) {
   const std::string dir = ScratchDir("resync_reset");
   {
     WalManager manager(dir);
     Db db;
     ASSERT_NO_FATAL_FAILURE(BuildEpochTail(&manager, &db));
+    db.stats.RunStats(**db.store.GetCollection("C"));
+    ASSERT_TRUE(db.stats.Get("C").ok());
     ASSERT_TRUE(manager.ResetForResync(&db.store, &db.catalog, &db.stats)
                     .ok());
     EXPECT_TRUE(db.store.CollectionNames().empty());
+    EXPECT_FALSE(db.stats.Get("C").ok());
     EXPECT_FALSE(db.catalog.Get("ib").ok());
     EXPECT_EQ(manager.repl_epoch(), 1u);
     EXPECT_EQ(manager.epoch_start_lsn(), 0u);

@@ -49,13 +49,9 @@ int Usage() {
       " [--beta F]\n"
       "                  [--no-generalize] [--all-index] [--explain]"
       " [--report]\n"
-      "                  [--metrics-json PATH] [--capture PATH]"
-      " [--threads N | -j N]\n"
+      "                  [--metrics-json PATH] [--capture PATH]\n"
       "  SIZE: bytes, or suffixed 512KB / 10MB / 1GB\n"
       "  NAME: greedy | heuristics | topdown-lite | topdown-full | dp\n"
-      "  --threads/-j: worker threads for the what-if phases; 0 (default)\n"
-      "             uses one per hardware thread, 1 forces serial. The\n"
-      "             recommendation is identical at any thread count\n"
       "  --budget-ms: wall-clock budget for the advise run; on expiry the\n"
       "             best configuration found so far is reported with\n"
       "             partial=true\n"
@@ -139,8 +135,6 @@ int main(int argc, char** argv) {
   advisor::AdvisorOptions options;
   options.disk_budget_bytes = 10.0 * 1024 * 1024;
   options.algorithm = advisor::SearchAlgorithm::kTopDownFull;
-  // CLI default: use the hardware (library default stays serial).
-  options.threads = 0;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -196,14 +190,6 @@ int main(int argc, char** argv) {
       const char* v = next();
       if (!v) return Usage();
       capture_path = v;
-    } else if (arg == "--threads" || arg == "-j") {
-      const char* v = next();
-      double threads = 0;
-      if (!v || !ParseDouble(v, &threads) || threads < 0 ||
-          threads != static_cast<double>(static_cast<size_t>(threads))) {
-        return Usage();
-      }
-      options.threads = static_cast<size_t>(threads);
     } else {
       std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
       return Usage();

@@ -46,7 +46,6 @@ int Usage() {
       "                  [--max-connections N] [--max-inflight N]\n"
       "                  [--budget-ms MS] [--drain-timeout-s S]\n"
       "                  [--metrics-json FILE] [--metrics-interval-s S]\n"
-      "                  [--advise-threads N | -j N]\n"
       "                  [--follow HOST:PORT] [--follower-id ID]\n"
       "                  [--repl-checkpoint-every N]\n"
       "                  [--sync-replicas K] [--quorum-timeout-ms MS]\n"
@@ -120,9 +119,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--metrics-interval-s" && has_value) {
       if (!ParseDouble(argv[++i], &v) || v <= 0) return Usage();
       options.metrics_interval_s = v;
-    } else if ((arg == "--advise-threads" || arg == "-j") && has_value) {
-      if (!ParseCount(argv[++i], &n)) return Usage();
-      options.advise_threads = n;
     } else if (arg == "--follow" && has_value) {
       const std::string target = argv[++i];
       const size_t colon = target.rfind(':');

@@ -43,8 +43,7 @@ class Shell {
  public:
   /// The capture sink stays disabled until `monitor start`, so the hot
   /// path pays one atomic load.
-  Shell(DatabaseOptions options, size_t advise_threads)
-      : db_(std::move(options)), advise_threads_(advise_threads) {}
+  explicit Shell(DatabaseOptions options) : db_(std::move(options)) {}
 
   /// Opens the --data-dir: recovers (or initializes a fresh WAL + empty
   /// store) and routes every later mutation through the WAL. A torn log
@@ -477,7 +476,6 @@ class Shell {
     auto [algo_text, ms_text] = SplitCommand(tail);
     advisor::AdvisorOptions options;
     options.disk_budget_bytes = 10 * 1024.0 * 1024.0;
-    options.threads = advise_threads_;
     if (!budget_text.empty() &&
         !ParseByteSize(budget_text, &options.disk_budget_bytes)) {
       return Status::InvalidArgument("bad budget: " + budget_text);
@@ -520,7 +518,6 @@ class Shell {
       }
       workload::OnlineAdvisorOptions options;
       options.advisor.disk_budget_bytes = 10 * 1024.0 * 1024.0;
-      options.advisor.threads = advise_threads_;
       auto [min_text, interval_text] = SplitCommand(arg);
       double v = 0;
       if (!min_text.empty()) {
@@ -684,9 +681,6 @@ class Shell {
   engine::Workload workload_;
   std::unique_ptr<workload::OnlineAdvisor> monitor_;
   bool trace_ = false;
-  /// Worker threads for advise / monitor passes (0 = one per hardware
-  /// thread, 1 = serial). Same recommendation at any setting.
-  const size_t advise_threads_;
 };
 
 }  // namespace
@@ -699,7 +693,6 @@ int main(int argc, char** argv) {
   std::string script;
   std::string data_dir;
   std::string fsync_policy;
-  size_t threads = 0;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const bool has_value = i + 1 < argc;
@@ -709,26 +702,14 @@ int main(int argc, char** argv) {
       data_dir = argv[++i];
     } else if (arg == "--fsync" && has_value) {
       fsync_policy = argv[++i];
-    } else if ((arg == "--threads" || arg == "-j") && has_value) {
-      double v = 0;
-      if (!ParseDouble(argv[++i], &v) || v < 0 ||
-          v != static_cast<double>(static_cast<size_t>(v))) {
-        std::fprintf(stderr, "bad --threads value: %s\n", argv[i]);
-        return 2;
-      }
-      threads = static_cast<size_t>(v);
     } else {
       std::fprintf(stderr,
                    "usage: xia_shell [--script FILE] [--data-dir DIR]"
-                   " [--fsync always|interval|off] [--threads N | -j N]\n"
-                   "  --threads/-j: worker threads for advise / monitor"
-                   " passes\n"
-                   "                (0 = one per hardware thread, 1 ="
-                   " serial)\n");
+                   " [--fsync always|interval|off]\n");
       return 2;
     }
   }
-  Shell shell(DatabaseOptions{data_dir, fsync_policy, {}}, threads);
+  Shell shell(DatabaseOptions{data_dir, fsync_policy, {}});
   if (!data_dir.empty()) {
     // Recovery failures exit with the status-derived code: salvaged torn
     // tails are OK (exit 0 later), real corruption is kDataLoss (exit 22).
