@@ -3,11 +3,10 @@
 // Three experiments:
 //
 //  1. bulk vs incremental index build — the same PathValueIndex built by
-//     incremental B-tree insertion (the reference path), by bulk load
-//     (extract -> sort -> bottom-up pack), and by bulk load with parallel
-//     key extraction. All three must produce identical ContentDigests;
-//     the bulk path is the raw-speed win (target: >= 3x at >= 100k
-//     entries).
+//     incremental B-tree insertion (the reference path) and by bulk load
+//     (extract -> sort -> bottom-up pack). Both must produce identical
+//     ContentDigests; the bulk path is the raw-speed win (target: >= 3x
+//     at >= 100k entries).
 //
 //  2. TPoX ingest — end-to-end ingest of serialized TPoX security
 //     documents into a store carrying three value indexes. The "before"
@@ -47,7 +46,6 @@
 #include "storage/catalog.h"
 #include "storage/index.h"
 #include "storage/online_build.h"
-#include "util/thread_pool.h"
 #include "xml/parser.h"
 #include "xml/serializer.h"
 #include "xpath/parser.h"
@@ -93,36 +91,24 @@ void BenchBuildPaths(BenchJsonWriter* json, size_t entries, bool full) {
   const double incremental_s = sw.ElapsedSeconds();
 
   sw.Restart();
-  storage::PathValueIndex bulk_serial("bulk", "C", pattern);
-  bulk_serial.BuildBulk(*coll);
-  const double bulk_serial_s = sw.ElapsedSeconds();
-
-  util::ThreadPool pool(util::ThreadPool::DefaultThreadCount());
-  sw.Restart();
-  storage::PathValueIndex bulk_parallel("bulkp", "C", pattern);
-  bulk_parallel.BuildBulk(*coll, &pool);
-  const double bulk_parallel_s = sw.ElapsedSeconds();
+  storage::PathValueIndex bulk("bulk", "C", pattern);
+  bulk.BuildBulk(*coll);
+  const double bulk_s = sw.ElapsedSeconds();
 
   const uint32_t digest = incremental.ContentDigest();
-  if (bulk_serial.ContentDigest() != digest ||
-      bulk_parallel.ContentDigest() != digest) {
+  if (bulk.ContentDigest() != digest) {
     std::fprintf(stderr, "fatal: bulk build diverged from incremental\n");
     std::exit(1);
   }
-  const double speedup = incremental_s / std::max(bulk_serial_s, 1e-9);
-  const double speedup_p = incremental_s / std::max(bulk_parallel_s, 1e-9);
+  const double speedup = incremental_s / std::max(bulk_s, 1e-9);
   std::printf("  incremental   %8.3fs\n", incremental_s);
-  std::printf("  bulk (serial) %8.3fs  (%.2fx)\n", bulk_serial_s, speedup);
-  std::printf("  bulk (pool)   %8.3fs  (%.2fx)\n", bulk_parallel_s,
-              speedup_p);
+  std::printf("  bulk          %8.3fs  (%.2fx)\n", bulk_s, speedup);
   std::printf("  digests identical: 0x%08x\n", digest);
   json->AddResult(StringPrintf(
       "{\"experiment\": \"build\", \"entries\": %zu, "
       "\"incremental_seconds\": %.6f, \"bulk_serial_seconds\": %.6f, "
-      "\"bulk_parallel_seconds\": %.6f, \"speedup_bulk\": %.2f, "
-      "\"speedup_bulk_parallel\": %.2f}",
-      entries, incremental_s, bulk_serial_s, bulk_parallel_s, speedup,
-      speedup_p));
+      "\"speedup_bulk\": %.2f}",
+      entries, incremental_s, bulk_s, speedup));
   if (full && speedup < 3.0) {
     std::fprintf(stderr,
                  "fatal: bulk build %.2fx < 3x target at %zu entries\n",
@@ -634,7 +620,6 @@ int main(int argc, char** argv) {
   const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
   const bool full = !smoke;
   xia::bench::BenchJsonWriter json("index_build");
-  json.set_threads(xia::util::ThreadPool::DefaultThreadCount());
   // Ingest runs first: it is the throughput experiment most sensitive to
   // allocator state, so it gets the process's pristine heap. The build
   // and stall experiments compare structures built within one experiment

@@ -33,9 +33,12 @@ std::string MakeDdl(const RecommendedIndex& index) {
 Result<CandidateSet> IndexAdvisor::BuildCandidates(
     const engine::Workload& workload, bool generalize, obs::Tracer* tracer,
     const fault::Deadline& deadline) {
-  obs::ScopedSpan enumerate_span(tracer, "enumerate");
   storage::Catalog scratch(store_, statistics_, cc_);
   optimizer::Optimizer opt(store_, &scratch, statistics_);
+  // The enumeration probes are this optimizer's calls; the tracer reads
+  // its counter only while it lives.
+  obs::ScopedTrackedCounter track(tracer, &opt.call_counter());
+  obs::ScopedSpan enumerate_span(tracer, "enumerate");
   XIA_ASSIGN_OR_RETURN(CandidateSet set,
                        EnumerateBasicCandidates(workload, opt, deadline));
   set.enumeration_optimizer_calls = opt.optimize_calls();
@@ -72,12 +75,10 @@ Result<Recommendation> IndexAdvisor::RecommendImpl(
                                              options.budget_ms)
                                        : fault::Deadline::Infinite();
   // The tracer records each pipeline phase as a depth-0 span, annotated
-  // with the delta of the process-wide optimizer-call counter — every
-  // optimizer the pipeline touches feeds it, so phase deltas tile the
-  // run's total call count.
+  // with the calls of this run's own optimizers — the enumeration
+  // optimizer in BuildCandidates, then the evaluator's — so phase deltas
+  // tile the run's total call count, whatever other threads plan meanwhile.
   obs::Tracer tracer;
-  tracer.TrackCounter(obs::MetricsRegistry::Global().GetCounter(
-      "xia.optimizer.optimize_calls"));
 
   // Duplicate statements fold into one probe with a summed frequency
   // (§III weights each unique statement by its frequency).
@@ -103,6 +104,8 @@ Result<Recommendation> IndexAdvisor::RecommendImpl(
   eval_options.charge_maintenance = options.charge_maintenance;
   BenefitEvaluator evaluator(&workload, &set, &whatif_catalog, statistics_,
                              store_, eval_options);
+  obs::ScopedTrackedCounter track(&tracer,
+                                  &evaluator.optimizer_call_counter());
   XIA_RETURN_IF_ERROR(evaluator.Initialize());
   init_span.End();
 

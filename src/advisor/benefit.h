@@ -203,6 +203,9 @@ class BenefitEvaluator {
 
   /// Evaluate-mode optimizer calls issued so far.
   uint64_t optimizer_calls() const { return optimizer_.optimize_calls(); }
+  const obs::Counter& optimizer_call_counter() const {
+    return optimizer_.call_counter();
+  }
 
   /// Maintenance charge of a canonical configuration:
   /// sum_s sum_i freq_s * mc(x_i, s), statements outer, members inner.

@@ -69,7 +69,6 @@ inline constexpr const char* kOnlineAdvise = "xia.fault.online.advise";
 inline constexpr const char* kWalAppend = "xia.fault.wal.append";
 inline constexpr const char* kWalFsync = "xia.fault.wal.fsync";
 inline constexpr const char* kWalReplay = "xia.fault.wal.replay";
-inline constexpr const char* kPoolSubmit = "xia.fault.pool.submit";
 inline constexpr const char* kNetAccept = "xia.fault.net.accept";
 inline constexpr const char* kNetRead = "xia.fault.net.read";
 inline constexpr const char* kNetWrite = "xia.fault.net.write";
@@ -92,11 +91,11 @@ inline constexpr const char* kAllPoints[] = {
     points::kAdvisorBenefit,   points::kAdvisorSearch,
     points::kOnlineAdvise,     points::kWalAppend,
     points::kWalFsync,         points::kWalReplay,
-    points::kPoolSubmit,       points::kNetAccept,
-    points::kNetRead,          points::kNetWrite,
-    points::kReplSend,         points::kReplRecv,
-    points::kReplApply,        points::kReplSnapshotXfer,
-    points::kReplQuorumWait,   points::kReplPromote,
+    points::kNetAccept,        points::kNetRead,
+    points::kNetWrite,         points::kReplSend,
+    points::kReplRecv,         points::kReplApply,
+    points::kReplSnapshotXfer, points::kReplQuorumWait,
+    points::kReplPromote,
 };
 
 /// How an armed point decides to fire.

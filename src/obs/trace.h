@@ -61,10 +61,16 @@ class Tracer {
  public:
   Tracer() = default;
 
-  /// Tracks `counter` (may be null): every span records the counter's
-  /// delta over its lifetime. The advisor points this at
-  /// `xia.optimizer.optimize_calls`.
-  void TrackCounter(const Counter* counter) { tracked_ = counter; }
+  /// Tracks `counter` (may be null): every span records the tracked
+  /// total's delta over its lifetime. Switching counters keeps the total
+  /// continuous — a span open across the switch sums the old counter's
+  /// moves before it and the new one's after — so a pipeline can hand the
+  /// tracer from one short-lived counter to the next (ScopedTrackedCounter).
+  /// The advisor points it at its own optimizers' call counters.
+  void TrackCounter(const Counter* counter) {
+    base_ = TrackedValue() - ValueOf(counter);  // unsigned wrap is exact
+    tracked_ = counter;
+  }
 
   /// The finished trace (spans sealed so far).
   Trace Finish() { return Trace{spans_}; }
@@ -75,6 +81,7 @@ class Tracer {
 
  private:
   friend class ScopedSpan;
+  friend class ScopedTrackedCounter;
 
   size_t Open(std::string name) {
     SpanRecord record;
@@ -92,13 +99,37 @@ class Tracer {
     --depth_;
   }
 
-  uint64_t TrackedValue() const {
-    return tracked_ == nullptr ? 0 : tracked_->value();
+  static uint64_t ValueOf(const Counter* counter) {
+    return counter == nullptr ? 0 : counter->value();
   }
+  uint64_t TrackedValue() const { return base_ + ValueOf(tracked_); }
 
   std::vector<SpanRecord> spans_;
   int depth_ = 0;
   const Counter* tracked_ = nullptr;
+  uint64_t base_ = 0;
+};
+
+/// Points a tracer at `counter` for one scope, then hands it back to the
+/// counter it tracked before — so the tracer never reads a counter that
+/// died with its scope. With a null tracer it does nothing.
+class ScopedTrackedCounter {
+ public:
+  ScopedTrackedCounter(Tracer* tracer, const Counter* counter)
+      : tracer_(tracer),
+        previous_(tracer == nullptr ? nullptr : tracer->tracked_) {
+    if (tracer_ != nullptr) tracer_->TrackCounter(counter);
+  }
+  ~ScopedTrackedCounter() {
+    if (tracer_ != nullptr) tracer_->TrackCounter(previous_);
+  }
+
+  ScopedTrackedCounter(const ScopedTrackedCounter&) = delete;
+  ScopedTrackedCounter& operator=(const ScopedTrackedCounter&) = delete;
+
+ private:
+  Tracer* tracer_;
+  const Counter* previous_;
 };
 
 /// RAII span handle. With a null tracer every operation is a no-op.

@@ -162,10 +162,12 @@ class Optimizer {
   const CostModel& cost_model() const { return cost_model_; }
 
   /// Number of Optimize/EnumerateIndexes invocations since construction or
-  /// the last ResetCallCount. Backed by an obs::Counter (every call also
-  /// feeds the process-wide `xia.optimizer.optimize_calls` metric); this
-  /// accessor stays for API compatibility.
+  /// the last ResetCallCount. Every call also feeds the process-wide
+  /// `xia.optimizer.optimize_calls` metric, which counts other optimizers'
+  /// calls too; call_counter() is this instance's count alone (what an
+  /// advise trace tracks).
   uint64_t optimize_calls() const { return optimize_calls_.value(); }
+  const obs::Counter& call_counter() const { return optimize_calls_; }
   void ResetCallCount() { optimize_calls_.Reset(); }
 
  private:

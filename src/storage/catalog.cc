@@ -9,7 +9,7 @@ namespace xia::storage {
 
 Result<const IndexDef*> Catalog::CreateIndex(
     const std::string& name, const std::string& collection,
-    const xpath::IndexPattern& pattern, util::ThreadPool* pool) {
+    const xpath::IndexPattern& pattern) {
   XIA_FAULT_INJECT(fault::points::kIndexBuild);
   if (indexes_.count(name) != 0) {
     return Status::AlreadyExists("index " + name + " exists");
@@ -28,7 +28,7 @@ Result<const IndexDef*> Catalog::CreateIndex(
   def.pattern = pattern;
   def.is_virtual = false;
   def.physical = std::make_unique<PathValueIndex>(name, collection, pattern);
-  XIA_RETURN_IF_ERROR(def.physical->BuildBulk(**coll, pool));
+  def.physical->BuildBulk(**coll);
   def.stats = def.physical->ActualStats(cc_);
   XIA_OBS_COUNT("xia.storage.catalog.indexes_created", 1);
   XIA_OBS_COUNT("xia.storage.index.builds_offline", 1);

@@ -20,7 +20,6 @@
 #include "storage/index.h"
 #include "storage/statistics.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 #include "xpath/path.h"
 
 namespace xia::storage {
@@ -47,14 +46,13 @@ class Catalog {
           const CostConstants& cc = DefaultCostConstants())
       : store_(store), statistics_(statistics), cc_(cc) {}
 
-  /// Creates and builds a physical index through the bulk-load fast path
-  /// (parallel key extraction when `pool` is non-null). Fails if the name
-  /// exists, the collection is unknown or the pool cannot dispatch; a
-  /// failed build registers nothing.
+  /// Creates and builds a physical index on the calling thread through
+  /// the bulk-load fast path (PathValueIndex::BuildBulk). Fails if the
+  /// name exists or the collection is unknown; a failed build registers
+  /// nothing.
   Result<const IndexDef*> CreateIndex(const std::string& name,
                                       const std::string& collection,
-                                      const xpath::IndexPattern& pattern,
-                                      util::ThreadPool* pool = nullptr);
+                                      const xpath::IndexPattern& pattern);
 
   /// Installs an already-built physical index — the online build's swap
   /// step. Fails (leaving the catalog untouched) if the name now exists

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 #include <cstring>
-#include <iterator>
 #include <limits>
 
 #include "fault/fault.h"
@@ -36,8 +35,9 @@ void PathValueIndex::Build(const Collection& coll) {
 
 void PathValueIndex::ExtractKeys(xml::DocId id, const xml::Document& doc,
                                  std::vector<IndexKey>* out) const {
-  // One scratch buffer per worker: extraction runs over whole
-  // collections, and a fresh vector per document is measurable there.
+  // One scratch buffer per thread (two online builds may extract at once):
+  // extraction runs over whole collections, and a fresh vector per
+  // document is measurable there.
   static thread_local std::vector<xml::NodeIndex> scratch;
   xpath::EvaluateLinearInto(doc, pattern_.path, &scratch);
   for (xml::NodeIndex n : scratch) {
@@ -88,98 +88,12 @@ void PathValueIndex::EraseKey(const IndexKey& key) {
   }
 }
 
-Status PathValueIndex::BuildBulk(const Collection& coll,
-                                 util::ThreadPool* pool) {
-  // Snapshot the live ids so extraction can index into fixed slots.
-  std::vector<xml::DocId> ids;
-  ids.reserve(coll.live_count());
-  coll.ForEach(
-      [&](xml::DocId id, const xml::Document&) { ids.push_back(id); });
-
-  // Per-chunk extraction into disjoint slots: embarrassingly parallel and
-  // deterministic regardless of worker scheduling (chunk c covers a fixed
-  // contiguous id range, and chunks concatenate in order). Chunking
-  // matters: ParallelFor dispatches each item through an atomic counter
-  // and a std::function call, which swamps the work when the unit is one
-  // small document.
-  constexpr size_t kExtractChunk = 256;
-  const size_t chunks = (ids.size() + kExtractChunk - 1) / kExtractChunk;
-  std::vector<std::vector<IndexKey>> slots(chunks);
-  auto extract = [&](size_t c) {
-    const size_t begin = c * kExtractChunk;
-    const size_t end = std::min(begin + kExtractChunk, ids.size());
-    for (size_t i = begin; i < end; ++i) {
-      ExtractKeys(ids[i], coll.Get(ids[i]), &slots[c]);
-    }
-    return Status::OK();
-  };
-  if (pool != nullptr) {
-    XIA_RETURN_IF_ERROR(pool->ParallelFor(chunks, extract));
-  } else {
-    for (size_t c = 0; c < chunks; ++c) extract(c);
-  }
-
-  size_t total = 0;
-  for (const auto& slot : slots) total += slot.size();
-  std::vector<IndexKey> all;
-  all.reserve(total);
-  for (auto& slot : slots) {
-    std::move(slot.begin(), slot.end(), std::back_inserter(all));
-    slot.clear();
-    slot.shrink_to_fit();
-  }
-  BulkLoadKeys(std::move(all));
-  return Status::OK();
-}
-
-void PathValueIndex::BuildBulkMany(const Collection& coll,
-                                   const std::vector<PathValueIndex*>& indexes,
-                                   util::ThreadPool* pool) {
-  if (indexes.empty()) return;
-  std::vector<xml::DocId> ids;
-  ids.reserve(coll.live_count());
-  coll.ForEach(
-      [&](xml::DocId id, const xml::Document&) { ids.push_back(id); });
-
-  // Same chunked-slot scheme as BuildBulk, but slots are per (chunk,
-  // index): one pass over the documents feeds every index, so a store
-  // larger than cache is pulled through memory once instead of
-  // indexes.size() times.
-  constexpr size_t kExtractChunk = 256;
-  const size_t chunks = (ids.size() + kExtractChunk - 1) / kExtractChunk;
-  std::vector<std::vector<std::vector<IndexKey>>> slots(chunks);
-  auto extract = [&](size_t c) {
-    slots[c].resize(indexes.size());
-    const size_t begin = c * kExtractChunk;
-    const size_t end = std::min(begin + kExtractChunk, ids.size());
-    for (size_t i = begin; i < end; ++i) {
-      const xml::Document& doc = coll.Get(ids[i]);
-      for (size_t x = 0; x < indexes.size(); ++x) {
-        indexes[x]->ExtractKeys(ids[i], doc, &slots[c][x]);
-      }
-    }
-    return Status::OK();
-  };
-  bool parallel_ok = false;
-  if (pool != nullptr && chunks > 1) {
-    parallel_ok = pool->ParallelFor(chunks, extract).ok();
-  }
-  if (!parallel_ok) {
-    for (size_t c = 0; c < chunks; ++c) extract(c);
-  }
-
-  for (size_t x = 0; x < indexes.size(); ++x) {
-    size_t total = 0;
-    for (const auto& chunk : slots) total += chunk[x].size();
-    std::vector<IndexKey> all;
-    all.reserve(total);
-    for (auto& chunk : slots) {
-      std::move(chunk[x].begin(), chunk[x].end(), std::back_inserter(all));
-      chunk[x].clear();
-      chunk[x].shrink_to_fit();
-    }
-    indexes[x]->BulkLoadKeys(std::move(all));
-  }
+void PathValueIndex::BuildBulk(const Collection& coll) {
+  std::vector<IndexKey> keys;
+  coll.ForEach([&](xml::DocId id, const xml::Document& doc) {
+    ExtractKeys(id, doc, &keys);
+  });
+  BulkLoadKeys(std::move(keys));
 }
 
 namespace {

@@ -18,7 +18,6 @@
 #include "storage/document_store.h"
 #include "storage/statistics.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 #include "xml/node.h"
 #include "xpath/path.h"
 
@@ -67,22 +66,11 @@ class PathValueIndex {
   /// insertion. Kept as the reference path; CreateIndex uses BuildBulk.
   void Build(const Collection& coll);
 
-  /// Builds from every live document via the fast path: key extraction
-  /// (parallelized across documents when `pool` is non-null), one sort,
-  /// then a bottom-up BTree::BulkLoad. Content-identical to Build() —
-  /// entries are fully ordered by (value, rid), so extraction order never
-  /// shows in the result. Fails, leaving the index empty, only when the
-  /// pool cannot dispatch the extraction (xia.fault.pool.submit).
-  Status BuildBulk(const Collection& coll, util::ThreadPool* pool = nullptr);
-
-  /// Bulk-builds several indexes over the same collection in ONE document
-  /// scan: each document is pulled into cache once and key-extracted for
-  /// every index before moving on, instead of every index re-scanning a
-  /// cold store. Content-identical to calling BuildBulk on each index.
-  /// All indexes must target `coll`'s collection.
-  static void BuildBulkMany(const Collection& coll,
-                            const std::vector<PathValueIndex*>& indexes,
-                            util::ThreadPool* pool = nullptr);
+  /// Builds from every live document via the fast path: key extraction,
+  /// one sort, then a bottom-up BTree::BulkLoad. Content-identical to
+  /// Build() — entries are fully ordered by (value, rid), so extraction
+  /// order never shows in the result.
+  void BuildBulk(const Collection& coll);
 
   /// Replaces the index contents with `keys` (any order; duplicates
   /// tolerated): sorts, dedupes, rebuilds the derived statistics, and
@@ -92,8 +80,8 @@ class PathValueIndex {
 
   /// Appends the entries one document contributes under this index's
   /// pattern to `out`, without touching the tree. The single extraction
-  /// routine shared by incremental maintenance, the bulk builder, and the
-  /// online build's side log.
+  /// routine shared by incremental maintenance, the bulk builder, the
+  /// online build's scan and its side log.
   void ExtractKeys(xml::DocId id, const xml::Document& doc,
                    std::vector<IndexKey>* out) const;
 
@@ -107,7 +95,7 @@ class PathValueIndex {
   void OnRemove(xml::DocId id, const xml::Document& doc);
 
   /// CRC32 over every entry in key order — a content identity that is
-  /// independent of how the tree was built (serial/parallel/bulk/online).
+  /// independent of how the tree was built (incremental/bulk/online).
   uint32_t ContentDigest() const;
 
   /// Looks up RIDs whose value satisfies (op, literal). Returns

@@ -1,7 +1,6 @@
 #include "storage/online_build.h"
 
 #include <algorithm>
-#include <iterator>
 
 #include "fault/fault.h"
 #include "obs/metrics.h"
@@ -46,6 +45,13 @@ size_t IndexSideLog::recorded_total() const {
 }
 
 namespace {
+
+// Side-log tail size at or below which the builder stops lock-free
+// catch-up and takes the exclusive swap section.
+constexpr size_t kCatchupThreshold = 128;
+// Bound on lock-free catch-up rounds (a write storm could otherwise
+// starve the swap forever).
+constexpr size_t kMaxCatchupRounds = 64;
 
 // Detaches the side log (under the db lock) on every early-exit path, so
 // a failed build never leaves the catalog forwarding mutations to a dead
@@ -129,27 +135,10 @@ Result<const IndexDef*> BuildIndexOnline(
     const xml::DocId hi = std::min<xml::DocId>(
         scan_bound, static_cast<xml::DocId>(lo + chunk));
     std::shared_lock<std::shared_mutex> lock(*db_mu);
-    const size_t span = static_cast<size_t>(hi - lo);
-    std::vector<std::vector<IndexKey>> slots(span);
-    auto extract = [&](size_t i) {
-      const xml::DocId id = static_cast<xml::DocId>(lo + i);
-      if (coll->IsLive(id)) {
-        built->ExtractKeys(id, coll->Get(id), &slots[i]);
-      }
-      return Status::OK();
-    };
-    bool parallel_ok = false;
-    if (options.pool != nullptr && span > 1) {
-      parallel_ok = options.pool->ParallelFor(span, extract).ok();
-    }
-    if (!parallel_ok) {
-      for (size_t i = 0; i < span; ++i) extract(i);
-    }
     for (xml::DocId id = lo; id < hi; ++id) {
-      if (coll->IsLive(id)) ++rep->docs_scanned;
-    }
-    for (auto& slot : slots) {
-      std::move(slot.begin(), slot.end(), std::back_inserter(all));
+      if (!coll->IsLive(id)) continue;
+      built->ExtractKeys(id, coll->Get(id), &all);
+      ++rep->docs_scanned;
     }
   }
 
@@ -158,8 +147,8 @@ Result<const IndexDef*> BuildIndexOnline(
 
   // Phase 4 (catch-up): replay the side log without a lock until the tail
   // is short enough that the exclusive cut is cheap.
-  while (rep->catchup_rounds < options.max_catchup_rounds &&
-         side_log.pending() > options.catchup_threshold) {
+  while (rep->catchup_rounds < kMaxCatchupRounds &&
+         side_log.pending() > kCatchupThreshold) {
     Replay(built.get(), side_log.Drain(), &rep->delta_ops_applied);
     ++rep->catchup_rounds;
   }

@@ -8,13 +8,13 @@
 //   1. snapshot  — under a brief exclusive section, record the collection's
 //     id bound and attach an IndexSideLog to the catalog, so every
 //     subsequent mutation's index entries are captured as they happen.
-//   2. scan      — extract keys from all documents below the bound in
-//     chunks, re-acquiring a *shared* lock per chunk: readers run
-//     concurrently, writers interleave between chunks.
+//   2. scan      — extract keys from all documents below the bound on the
+//     calling thread in chunks, re-acquiring a *shared* lock per chunk:
+//     readers run concurrently, writers interleave between chunks.
 //   3. bulk load — sort the extracted keys and pack the B+-tree bottom-up,
 //     outside any lock.
 //   4. catch-up  — drain and replay the side log without a lock until the
-//     tail is short.
+//     tail is short (at most 128 pending entries, or after 64 rounds).
 //   5. swap      — one short exclusive section: drain the remaining tail,
 //     detach the side log, fire the kIndexBuildSwap fault point, run the
 //     caller's commit hook (the WAL append slot — the build's durability
@@ -44,7 +44,6 @@
 
 #include "storage/index.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 #include "xml/document.h"
 #include "xpath/path.h"
 
@@ -95,17 +94,9 @@ class IndexSideLog {
 };
 
 struct OnlineBuildOptions {
-  /// Parallelizes per-chunk key extraction when non-null.
-  util::ThreadPool* pool = nullptr;
   /// Documents scanned per shared-lock acquisition. Smaller chunks yield
   /// to writers more often; larger chunks amortize lock traffic.
   size_t scan_chunk_docs = 512;
-  /// Side-log tail size at or below which the builder stops lock-free
-  /// catch-up and takes the exclusive swap section.
-  size_t catchup_threshold = 128;
-  /// Bound on lock-free catch-up rounds (a write storm could otherwise
-  /// starve the swap forever).
-  size_t max_catchup_rounds = 64;
 };
 
 struct OnlineBuildReport {

@@ -322,7 +322,7 @@ TEST_F(AdvisorE2eTest, TraceCoversPipelineAndAccountsOptimizerCalls) {
   }
 
   // Depth-0 spans tile the run: their durations sum to the advisor's wall
-  // time up to the bookkeeping outside them (pool resolution before the
+  // time up to the bookkeeping outside them (deadline setup before the
   // first span, trace finalization after the last), a few microseconds.
   // The slack is absolute, not a share of the sub-millisecond run: the
   // ordinary scheduling noise of a loaded host between two spans is a large
@@ -334,19 +334,15 @@ TEST_F(AdvisorE2eTest, TraceCoversPipelineAndAccountsOptimizerCalls) {
             kUntracedSlackSeconds);
 
   // ...and their optimizer-call deltas to the recommendation's total.
-  // The deltas come from the process-wide counter, which only moves when
-  // instrumentation is compiled in.
-  if (obs::kObsEnabled) {
-    EXPECT_EQ(rec->trace.PhaseTrackedCalls(), rec->optimizer_calls);
-  }
+  // The deltas come from the run's own optimizers, which count with
+  // instrumentation compiled out too.
+  EXPECT_EQ(rec->trace.PhaseTrackedCalls(), rec->optimizer_calls);
 
   // The enumeration probes are part of the total (the old accounting
   // dropped them).
   const obs::SpanRecord* enumerate = rec->trace.Find("enumerate");
   EXPECT_GT(rec->optimizer_calls, 0u);
-  if (obs::kObsEnabled) {
-    EXPECT_GT(enumerate->tracked_calls, 0u);
-  }
+  EXPECT_GT(enumerate->tracked_calls, 0u);
 }
 
 TEST_F(AdvisorE2eTest, AdvisorFeedsProcessMetrics) {

@@ -15,6 +15,7 @@
 #include <shared_mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "db/database.h"
@@ -308,6 +309,10 @@ TEST(DatabaseTest, ConcurrentAdvisesNextToWritesMatchSerialRuns) {
     }
   });
   std::vector<std::vector<std::string>> got(2);
+  // Per result: the trace's phase call deltas and the run's own count.
+  // Each trace counts its own run's optimizers only, so the writer's plans
+  // and the other adviser's what-ifs must not show up in it.
+  std::vector<std::vector<std::pair<uint64_t, uint64_t>>> calls(2);
   std::vector<std::thread> advisers;
   for (size_t t = 0; t < 2; ++t) {
     advisers.emplace_back([&, t] {
@@ -317,6 +322,10 @@ TEST(DatabaseTest, ConcurrentAdvisesNextToWritesMatchSerialRuns) {
       for (int round = 0; round < kRounds; ++round) {
         Result<advisor::Recommendation> rec = db.Advise(*workload, options[t]);
         got[t].push_back(rec.ok() ? Signature(*rec) : rec.status().ToString());
+        if (rec.ok()) {
+          calls[t].emplace_back(rec->trace.PhaseTrackedCalls(),
+                                rec->optimizer_calls);
+        }
       }
       ++advisers_done;
     });
@@ -330,6 +339,10 @@ TEST(DatabaseTest, ConcurrentAdvisesNextToWritesMatchSerialRuns) {
     ASSERT_EQ(got[t].size(), static_cast<size_t>(kRounds));
     for (const std::string& signature : got[t]) {
       EXPECT_EQ(signature, serial[t]) << "adviser " << t;
+    }
+    ASSERT_EQ(calls[t].size(), static_cast<size_t>(kRounds));
+    for (const auto& [traced, counted] : calls[t]) {
+      EXPECT_EQ(traced, counted) << "adviser " << t;
     }
   }
 }

@@ -1,8 +1,8 @@
 // Fault matrix: arm every registered injection point in turn at p=1 and
 // drive the full pipeline (build db -> workload io round-trip -> snapshot
-// round-trip -> advise -> materialize -> pooled index build -> execute ->
-// WAL round-trip). Each armed point must produce a clean, attributable
-// Status — no crash, no partially mutated store, counters consistent.
+// round-trip -> advise -> materialize -> execute -> WAL round-trip). Each
+// armed point must produce a clean, attributable Status — no crash, no
+// partially mutated store, counters consistent.
 // Also covers the online advisor's retry and circuit-breaker behaviour
 // under kOnlineAdvise faults.
 
@@ -30,7 +30,6 @@
 #include "storage/snapshot.h"
 #include "xpath/parser.h"
 #include "tpox/tpox_data.h"
-#include "util/thread_pool.h"
 #include "wal/manager.h"
 #include "workload/capture.h"
 #include "workload/online_advisor.h"
@@ -98,28 +97,6 @@ Status RunPipeline() {
                        advisor.Recommend(loaded, options));
   storage::Catalog catalog(&restored, &restored_stats);
   XIA_RETURN_IF_ERROR(advisor.Materialize(rec, &catalog));
-
-  // A pooled index build (kPoolSubmit) over more than one 256-document
-  // extraction chunk, so the pool dispatches instead of running inline.
-  // An armed submit fault must fail the build and register no index.
-  XIA_ASSIGN_OR_RETURN(storage::Collection * pooled,
-                       restored.CreateCollection("POOLED"));
-  for (int i = 0; i < 300; ++i) {
-    xml::Document doc;
-    doc.AddElement(doc.AddRoot("p"), "v", std::to_string(i));
-    pooled->Add(std::move(doc));
-  }
-  XIA_ASSIGN_OR_RETURN(xpath::Path pooled_path, xpath::ParsePattern("/p/v"));
-  util::ThreadPool pool(2);
-  const Result<const storage::IndexDef*> pooled_index = catalog.CreateIndex(
-      "pooled_v", "POOLED",
-      xpath::IndexPattern{pooled_path, xpath::ValueType::kString}, &pool);
-  if (!pooled_index.ok()) {
-    if (catalog.Get("pooled_v").ok()) {
-      return Status::Internal("failed pooled build registered its index");
-    }
-    return pooled_index.status();
-  }
 
   // Execute over the materialized configuration (kExecutorScan /
   // kIndexLookup via the index probe).

@@ -244,6 +244,38 @@ TEST(TracerTest, SpansNestAndSeal) {
   EXPECT_DOUBLE_EQ(trace.PhaseSeconds(), outer->seconds);
 }
 
+TEST(TracerTest, SwitchingCountersKeepsTheTrackedTotalContinuous) {
+  Tracer tracer;
+  Counter untracked;
+  Counter first;
+  first.Add(100);  // moves before tracking never count
+  {
+    ScopedSpan outer(&tracer, "outer");
+    {
+      ScopedTrackedCounter track(&tracer, &first);
+      ScopedSpan inner(&tracer, "inner");
+      first.Add(3);
+      untracked.Add(50);
+    }
+    first.Add(7);  // handed back: no longer tracked
+    Counter second;
+    second.Add(20);
+    ScopedTrackedCounter track(&tracer, &second);
+    second.Add(4);
+  }
+  {
+    ScopedSpan after(&tracer, "after");  // tracks nothing again
+    first.Add(1);
+  }
+  Trace trace = tracer.Finish();
+  EXPECT_EQ(trace.Find("inner")->tracked_calls, 3u);
+  // The outer span straddles both switches: 3 from `first`, 4 from
+  // `second`.
+  EXPECT_EQ(trace.Find("outer")->tracked_calls, 7u);
+  EXPECT_EQ(trace.Find("after")->tracked_calls, 0u);
+  ScopedTrackedCounter null_tracer(nullptr, &first);  // must not crash
+}
+
 TEST(TracerTest, EndIsIdempotentAndNullTracerIsNoop) {
   Tracer tracer;
   {

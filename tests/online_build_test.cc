@@ -2,8 +2,8 @@
 // snapshot bound under shared locks while concurrent mutators append to a
 // side log, then replays the delta and swaps inside one short exclusive
 // section. The resulting index must be *bit-identical* (ContentDigest) to
-// an offline build over the same final state — under a mutation storm,
-// with serial and parallel extraction, with and without the storm.
+// an offline build over the same final state, with and without a
+// mutation storm.
 //
 // Registered in the TSAN and ASAN gates (tests/CMakeLists.txt): the
 // builder's shared-lock scan racing exclusive-lock mutators is exactly
@@ -24,7 +24,6 @@
 #include "storage/online_build.h"
 #include "storage/statistics.h"
 #include "util/random.h"
-#include "util/thread_pool.h"
 #include "xml/document.h"
 #include "xpath/parser.h"
 
@@ -80,26 +79,6 @@ TEST_F(OnlineBuildTest, MatchesOfflineOnQuiescentStore) {
             OfflineDigest(SymbolPattern()));
 }
 
-TEST_F(OnlineBuildTest, SerialAndParallelScansAreIdentical) {
-  SeedCollection(1000);
-  OnlineBuildOptions serial;
-  serial.scan_chunk_docs = 64;
-  auto a = BuildIndexOnline(&catalog_, &db_mu_, "sym_serial", "C",
-                            SymbolPattern(), serial);
-  ASSERT_TRUE(a.ok()) << a.status();
-
-  util::ThreadPool pool(4);
-  OnlineBuildOptions parallel;
-  parallel.scan_chunk_docs = 64;
-  parallel.pool = &pool;
-  auto b = BuildIndexOnline(&catalog_, &db_mu_, "sym_parallel", "C",
-                            SymbolPattern(), parallel);
-  ASSERT_TRUE(b.ok()) << b.status();
-
-  EXPECT_EQ((*a)->physical->ContentDigest(), (*b)->physical->ContentDigest());
-  EXPECT_EQ((*a)->physical->entry_count(), (*b)->physical->entry_count());
-}
-
 TEST_F(OnlineBuildTest, DuplicateNameIsRejectedBeforeAttaching) {
   SeedCollection(10);
   ASSERT_TRUE(catalog_.CreateIndex("sym", "C", SymbolPattern()).ok());
@@ -147,9 +126,7 @@ TEST_F(OnlineBuildTest, DigestMatchesOfflineUnderMutationStorm) {
     });
   }
 
-  util::ThreadPool pool(2);
   OnlineBuildOptions options;
-  options.pool = &pool;
   options.scan_chunk_docs = 128;  // many lock acquisitions => real overlap
   OnlineBuildReport report;
   auto built = BuildIndexOnline(&catalog_, &db_mu_, "sym", "C",

@@ -365,56 +365,24 @@ class BulkBuildFixture : public ::testing::Test {
   std::vector<xml::DocId> doc_ids_;
 };
 
-TEST_F(BulkBuildFixture, BuildBulkManyMatchesPerIndexBuild) {
-  const auto patterns = Patterns();
-  std::vector<std::unique_ptr<PathValueIndex>> reference;
-  std::vector<std::unique_ptr<PathValueIndex>> many;
-  std::vector<PathValueIndex*> many_ptrs;
-  for (size_t p = 0; p < patterns.size(); ++p) {
-    reference.push_back(
-        std::make_unique<PathValueIndex>("r", "SDOC", patterns[p]));
-    reference.back()->Build(*coll_);
-    many.push_back(std::make_unique<PathValueIndex>("m", "SDOC", patterns[p]));
-    many_ptrs.push_back(many.back().get());
-  }
-  PathValueIndex::BuildBulkMany(*coll_, many_ptrs);
+TEST_F(BulkBuildFixture, BuildBulkMatchesIncrementalBuild) {
   const CostConstants cc = DefaultCostConstants();
-  for (size_t p = 0; p < patterns.size(); ++p) {
-    EXPECT_GT(many[p]->entry_count(), 0u) << p;
-    EXPECT_EQ(many[p]->ContentDigest(), reference[p]->ContentDigest()) << p;
+  for (const xpath::IndexPattern& pattern : Patterns()) {
+    SCOPED_TRACE(pattern.path.ToString());
+    PathValueIndex reference("r", "SDOC", pattern);
+    reference.Build(*coll_);
+    PathValueIndex bulk("b", "SDOC", pattern);
+    bulk.BuildBulk(*coll_);
+    EXPECT_GT(bulk.entry_count(), 0u);
+    EXPECT_EQ(bulk.ContentDigest(), reference.ContentDigest());
     // The derived statistics must match too — BulkLoadKeys rebuilds them
     // from the key run rather than maintaining them per insert.
-    const IndexStats a = many[p]->ActualStats(cc);
-    const IndexStats b = reference[p]->ActualStats(cc);
-    EXPECT_EQ(a.entry_count, b.entry_count) << p;
-    EXPECT_EQ(a.distinct_keys, b.distinct_keys) << p;
-    EXPECT_DOUBLE_EQ(a.avg_key_length, b.avg_key_length) << p;
+    const IndexStats a = bulk.ActualStats(cc);
+    const IndexStats b = reference.ActualStats(cc);
+    EXPECT_EQ(a.entry_count, b.entry_count);
+    EXPECT_EQ(a.distinct_keys, b.distinct_keys);
+    EXPECT_DOUBLE_EQ(a.avg_key_length, b.avg_key_length);
   }
-}
-
-TEST_F(BulkBuildFixture, BuildBulkManyPooledMatchesSerial) {
-  const auto patterns = Patterns();
-  std::vector<std::unique_ptr<PathValueIndex>> serial;
-  std::vector<std::unique_ptr<PathValueIndex>> pooled;
-  std::vector<PathValueIndex*> serial_ptrs;
-  std::vector<PathValueIndex*> pooled_ptrs;
-  for (size_t p = 0; p < patterns.size(); ++p) {
-    serial.push_back(std::make_unique<PathValueIndex>("s", "SDOC", patterns[p]));
-    serial_ptrs.push_back(serial.back().get());
-    pooled.push_back(std::make_unique<PathValueIndex>("p", "SDOC", patterns[p]));
-    pooled_ptrs.push_back(pooled.back().get());
-  }
-  PathValueIndex::BuildBulkMany(*coll_, serial_ptrs, /*pool=*/nullptr);
-  util::ThreadPool pool(4);
-  PathValueIndex::BuildBulkMany(*coll_, pooled_ptrs, &pool);
-  for (size_t p = 0; p < patterns.size(); ++p) {
-    EXPECT_EQ(pooled[p]->ContentDigest(), serial[p]->ContentDigest()) << p;
-  }
-}
-
-TEST_F(BulkBuildFixture, BuildBulkManyNoIndexesIsANoop) {
-  PathValueIndex::BuildBulkMany(*coll_, {});  // must not touch the store
-  EXPECT_EQ(coll_->live_count(), 193u);
 }
 
 TEST_F(BulkBuildFixture, BulkIngestorMatchesIncrementalMaintenance) {
