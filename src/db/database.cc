@@ -38,7 +38,16 @@ Status Database::Open(const fault::Deadline& deadline) {
 
 Status Database::BulkLoad(const Loader& load) {
   std::unique_lock<std::shared_mutex> lock(mu_);
-  XIA_RETURN_IF_ERROR(load(&store_, &statistics_));
+  const std::vector<std::string> before = store_.CollectionNames();
+  const Status loaded = load(&store_, &statistics_);
+  if (!loaded.ok()) {
+    for (const std::string& name : store_.CollectionNames()) {
+      if (std::binary_search(before.begin(), before.end(), name)) continue;
+      store_.DropCollection(name);
+      statistics_.Drop(name);
+    }
+    return loaded;
+  }
   if (!wal_) return Status::OK();
   for (const std::string& coll : store_.CollectionNames()) {
     XIA_RETURN_IF_ERROR(wal_->LogStatsRefresh(coll));

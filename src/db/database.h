@@ -84,6 +84,9 @@ class Database {
   /// database then logs one StatsRefresh record per collection and
   /// checkpoints: a checkpoint at LSN 0 would be invisible to a follower
   /// subscribing from LSN 1, which would silently miss the whole load.
+  /// A loader only creates collections. When it fails, the collections
+  /// it created and their statistics are dropped, so the store and the
+  /// statistics are as before the call and nothing unlogged survives.
   using Loader = std::function<Status(storage::DocumentStore*,
                                       storage::StatisticsCatalog*)>;
   Status BulkLoad(const Loader& load);

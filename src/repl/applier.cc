@@ -19,6 +19,16 @@ constexpr size_t kRecvChunk = 64 * 1024;
 constexpr double kConnectTimeoutSeconds = 2.0;
 /// Receive poll granularity; also the stop-latency bound while idle.
 constexpr double kPollSeconds = 0.05;
+/// Ack at least every N applied records...
+constexpr size_t kAckEveryRecords = 32;
+/// ...and whenever this much time passed with unacked progress.
+constexpr double kAckIntervalSeconds = 0.05;
+/// Reconnect backoff (OnlineAdvisor shape): jittered exponential.
+constexpr double kBackoffInitialSeconds = 0.05;
+constexpr double kBackoffMultiplier = 2.0;
+constexpr double kBackoffMaxSeconds = 2.0;
+/// Seed for the backoff jitter, so reconnect timing is reproducible.
+constexpr uint64_t kJitterSeed = 42;
 }  // namespace
 
 Applier::Applier(ApplierOptions options, Database* db)
@@ -50,8 +60,8 @@ void Applier::RecordError(const Status& status) {
 }
 
 void Applier::Run() {
-  Random jitter(options_.jitter_seed);
-  double backoff = options_.backoff_initial_s;
+  Random jitter(kJitterSeed);
+  double backoff = kBackoffInitialSeconds;
   while (!stop_.load(std::memory_order_acquire)) {
     const Status ended = RunOnce();
     {
@@ -62,7 +72,7 @@ void Applier::Run() {
     }
     if (stop_.load(std::memory_order_acquire)) return;
     if (ended.ok()) {
-      backoff = options_.backoff_initial_s;  // clean end: retry promptly
+      backoff = kBackoffInitialSeconds;  // clean end: retry promptly
     }
     // Jittered exponential backoff (the OnlineAdvisor shape): sleep
     // 0.5x..1x of the current backoff, in small slices so Stop() is
@@ -73,8 +83,7 @@ void Applier::Run() {
            !stop_.load(std::memory_order_acquire)) {
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
-    backoff = std::min(backoff * options_.backoff_multiplier,
-                       options_.backoff_max_s);
+    backoff = std::min(backoff * kBackoffMultiplier, kBackoffMaxSeconds);
   }
 }
 
@@ -190,8 +199,8 @@ Status Applier::RunOnce() {
       // interval. With more bytes already queued, batch as before.
       XIA_ASSIGN_OR_RETURN(const bool more_inflight,
                            socket.WaitReadable(0));
-      if (!more_inflight || unacked >= options_.ack_every_records ||
-          since_ack.ElapsedSeconds() >= options_.ack_interval_s) {
+      if (!more_inflight || unacked >= kAckEveryRecords ||
+          since_ack.ElapsedSeconds() >= kAckIntervalSeconds) {
         XIA_RETURN_IF_ERROR(send_ack());
       }
     }

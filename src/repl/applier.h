@@ -57,18 +57,8 @@ struct ApplierOptions {
   std::string leader_host = "127.0.0.1";
   uint16_t leader_port = 0;
   std::string follower_id = "follower";
-  /// Ack at least every N applied records...
-  size_t ack_every_records = 32;
-  /// ...and whenever this much time passed with unacked progress.
-  double ack_interval_s = 0.05;
   /// Run a local checkpoint every N applied records (0 = only on stop).
   size_t checkpoint_every_records = 0;
-  /// Reconnect backoff (OnlineAdvisor shape): jittered exponential.
-  double backoff_initial_s = 0.05;
-  double backoff_multiplier = 2.0;
-  double backoff_max_s = 2.0;
-  /// Seed for the backoff jitter (deterministic tests).
-  uint64_t jitter_seed = 42;
   /// Crash-harness hook, called at named points (see DESIGN §14).
   wal::WalTestHook test_hook;
 };

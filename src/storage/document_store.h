@@ -122,6 +122,9 @@ class DocumentStore {
   /// Names of all collections.
   std::vector<std::string> CollectionNames() const;
 
+  /// Removes a collection and its documents; a no-op for an unknown name.
+  void DropCollection(const std::string& name) { collections_.erase(name); }
+
   /// Exchanges the full contents of two stores. Snapshot restore loads
   /// into a staging store and swaps on success, so a failed load never
   /// leaves `this` partially mutated.

@@ -411,24 +411,4 @@ IndexStats PathValueIndex::ActualStats(const CostConstants& cc) const {
   return stats;
 }
 
-BulkIngestor::BulkIngestor(Collection* coll,
-                           std::vector<PathValueIndex*> indexes)
-    : coll_(coll), indexes_(std::move(indexes)), keys_(indexes_.size()) {}
-
-xml::DocId BulkIngestor::Add(xml::Document doc) {
-  const xml::DocId id = coll_->Add(std::move(doc));
-  const xml::Document& stored = coll_->Get(id);
-  for (size_t x = 0; x < indexes_.size(); ++x) {
-    indexes_[x]->ExtractKeys(id, stored, &keys_[x]);
-  }
-  return id;
-}
-
-void BulkIngestor::Finish() {
-  for (size_t x = 0; x < indexes_.size(); ++x) {
-    indexes_[x]->BulkLoadKeys(std::move(keys_[x]));
-    keys_[x].clear();
-  }
-}
-
 }  // namespace xia::storage

@@ -129,31 +129,6 @@ class PathValueIndex {
   std::map<std::string, uint32_t> string_counts_;
 };
 
-/// Batched-ingest fast path: call Add() per incoming document and Finish()
-/// once at the end. Keys for every index are extracted while the document
-/// is still cache-hot from parsing, buffered, and bulk-loaded in one
-/// bottom-up pass per index — the store is never re-scanned cold and the
-/// trees never absorb one-at-a-time inserts. Content-identical to calling
-/// Collection::Add + OnInsert per document.
-class BulkIngestor {
- public:
-  /// All `indexes` must target `coll`'s collection and be empty.
-  BulkIngestor(Collection* coll, std::vector<PathValueIndex*> indexes);
-
-  /// Adds one document to the collection and hot-extracts its keys for
-  /// every index. Returns the assigned DocId.
-  xml::DocId Add(xml::Document doc);
-
-  /// Bulk-loads the buffered keys into every index. Call exactly once;
-  /// the ingestor is spent afterwards.
-  void Finish();
-
- private:
-  Collection* coll_;
-  std::vector<PathValueIndex*> indexes_;
-  std::vector<std::vector<IndexKey>> keys_;  // parallel to indexes_
-};
-
 }  // namespace xia::storage
 
 #endif  // XIA_STORAGE_INDEX_H_

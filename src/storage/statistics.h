@@ -157,6 +157,9 @@ class StatisticsCatalog {
   /// Statistics for a collection; NotFound if RunStats was never called.
   Result<const CollectionStatistics*> Get(const std::string& collection) const;
 
+  /// Forgets a collection's statistics.
+  void Drop(const std::string& collection) { stats_.erase(collection); }
+
  private:
   std::map<std::string, CollectionStatistics> stats_;
 };

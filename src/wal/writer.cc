@@ -14,6 +14,12 @@ namespace xia::wal {
 
 namespace {
 
+/// kInterval: minimum spacing between fsyncs.
+constexpr double kFsyncIntervalSeconds = 0.05;
+/// kInterval/kOff: staged bytes that force a write-out even before the
+/// interval elapses (bounds memory, keeps batches disk-friendly).
+constexpr size_t kMaxPendingBytes = 256u << 10;
+
 void ObserveBatchSize(uint64_t records) {
 #ifndef XIA_OBS_OFF
   static obs::Histogram* histogram =
@@ -131,11 +137,11 @@ bool WalWriter::CoveredLocked(uint64_t lsn) const {
 
 bool WalWriter::FlushDueLocked() const {
   if (pending_.empty()) return false;
-  if (pending_.size() >= options_.max_pending_bytes) return true;
+  if (pending_.size() >= kMaxPendingBytes) return true;
   if (options_.policy == FsyncPolicy::kInterval) {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                          last_sync_time_)
-               .count() >= options_.fsync_interval_seconds;
+               .count() >= kFsyncIntervalSeconds;
   }
   return false;
 }
@@ -147,7 +153,7 @@ Status WalWriter::Commit(uint64_t lsn) {
     if (CoveredLocked(lsn)) {
       // kInterval/kOff: the commit itself is already acknowledged, but
       // piggyback the deferred write-out when a trigger fires (buffer
-      // over max_pending_bytes, or the fsync interval elapsed). A flush
+      // over kMaxPendingBytes, or the fsync interval elapsed). A flush
       // failure poisons the writer for *later* commits; this one keeps
       // its staged-only guarantee either way.
       if (!flushing_ && FlushDueLocked()) {
@@ -200,7 +206,7 @@ Status WalWriter::FlushLocked(std::unique_lock<std::mutex>& lock,
       break;
     case FsyncPolicy::kInterval:
       if (std::chrono::duration<double>(now - last_sync_time_).count() >=
-          options_.fsync_interval_seconds) {
+          kFsyncIntervalSeconds) {
         want_sync = true;
       }
       break;

@@ -59,11 +59,6 @@ Result<FsyncPolicy> ParseFsyncPolicy(std::string_view name);
 
 struct WalWriterOptions {
   FsyncPolicy policy = FsyncPolicy::kAlways;
-  /// kInterval: minimum spacing between fsyncs.
-  double fsync_interval_seconds = 0.05;
-  /// kInterval/kOff: staged bytes that force a write-out even before the
-  /// interval elapses (bounds memory, keeps batches disk-friendly).
-  size_t max_pending_bytes = 256u << 10;
   /// Optional crash-harness hook (see WalTestHook).
   WalTestHook test_hook;
 };

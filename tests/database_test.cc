@@ -1,8 +1,8 @@
 // Tests for xia::Database, the request path that net::Server, xia_shell
 // and xia_crash_harness share: Run against a hand-wired optimizer and
 // executor, the lock mode each call takes, the epoch fence, the digest
-// the replication and crash checks compare, and concurrent advise calls
-// next to writes.
+// the replication and crash checks compare, the rollback of a failed bulk
+// load, and concurrent advise calls next to writes.
 //
 // Lock modes are observed without timing: a shared holder that a call
 // must coexist with (the call would deadlock otherwise), and a probe
@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
 #include <shared_mutex>
 #include <string>
 #include <thread>
@@ -29,6 +30,7 @@
 #include "tpox/tpox_workload.h"
 #include "util/random.h"
 #include "util/string_util.h"
+#include "xml/parser.h"
 #include "xpath/parser.h"
 
 namespace xia {
@@ -265,6 +267,51 @@ TEST(DatabaseTest, DigestMatchesServerStoreDigest) {
   EXPECT_NE(*changed, *seeded);
   EXPECT_EQ(*changed, MustDigest(&db));
   EXPECT_TRUE(server.Stop().ok());
+}
+
+// A loader fails after creating and filling a collection, as `load DIR`
+// does on a malformed file in its second collection. The load bypasses
+// the WAL, so whatever it left behind would be state no record
+// describes: a later write to it would be logged against a collection
+// that recovery never creates, and the data dir would not reopen.
+TEST(DatabaseTest, FailedBulkLoadLeavesStoreAndStatisticsAsBefore) {
+  const std::string dir = ScratchDir("failed_bulk_load");
+  DatabaseOptions options;
+  options.data_dir = dir;
+  options.fsync_policy = "always";
+  Database db(std::move(options));
+  ASSERT_TRUE(db.Open().ok());
+  ASSERT_TRUE(db.CreateCollection("K").ok());
+  const std::vector<std::string> names = db.store().CollectionNames();
+
+  const Status failed = db.BulkLoad([](storage::DocumentStore* store,
+                                       storage::StatisticsCatalog* statistics)
+                                        -> Status {
+    XIA_ASSIGN_OR_RETURN(storage::Collection * coll,
+                         store->CreateCollection("A"));
+    coll->Add(*xml::Parse("<a><b>1</b></a>"));
+    statistics->RunStats(*coll);
+    return Status::ParseError("B/bad.xml: malformed");
+  });
+  EXPECT_EQ(failed.code(), StatusCode::kParseError);
+  EXPECT_EQ(db.store().CollectionNames(), names);
+  EXPECT_FALSE(db.statistics().Get("A").ok());
+  EXPECT_TRUE(db.statistics().Get("K").ok());
+  EXPECT_FALSE(db.Run(Parse("insert into A <a><b>2</b></a>")).ok());
+
+  // A crash after a later durable write: a copy of the live data dir
+  // recovers to the live state.
+  ASSERT_TRUE(db.Run(Parse("insert into K <k>1</k>")).ok());
+  const std::string copy = dir + "_crashed";
+  std::filesystem::remove_all(copy);
+  std::filesystem::copy(dir, copy,
+                        std::filesystem::copy_options::recursive);
+  DatabaseOptions copy_options;
+  copy_options.data_dir = copy;
+  Database recovered(std::move(copy_options));
+  const Status opened = recovered.Open();
+  ASSERT_TRUE(opened.ok()) << opened;
+  EXPECT_EQ(MustDigest(&recovered), MustDigest(&db));
 }
 
 // The advisor's one form of concurrency: several callers (sessions, the

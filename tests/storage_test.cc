@@ -385,63 +385,6 @@ TEST_F(BulkBuildFixture, BuildBulkMatchesIncrementalBuild) {
   }
 }
 
-TEST_F(BulkBuildFixture, BulkIngestorMatchesIncrementalMaintenance) {
-  const auto patterns = Patterns();
-
-  // Reference: a second collection populated with Add + OnInsert per
-  // document, the incremental maintenance path.
-  DocumentStore ref_store;
-  Collection* ref_coll = *ref_store.CreateCollection("SDOC");
-  std::vector<std::unique_ptr<PathValueIndex>> incr;
-  for (const auto& pattern : patterns) {
-    incr.push_back(std::make_unique<PathValueIndex>("i", "SDOC", pattern));
-  }
-
-  DocumentStore fast_store;
-  Collection* fast_coll = *fast_store.CreateCollection("SDOC");
-  std::vector<std::unique_ptr<PathValueIndex>> bulk;
-  std::vector<PathValueIndex*> bulk_ptrs;
-  for (const auto& pattern : patterns) {
-    bulk.push_back(std::make_unique<PathValueIndex>("b", "SDOC", pattern));
-    bulk_ptrs.push_back(bulk.back().get());
-  }
-  BulkIngestor ingestor(fast_coll, bulk_ptrs);
-
-  coll_->ForEach([&](xml::DocId, const xml::Document& doc) {
-    xml::Document copy_a = doc;
-    const xml::DocId ref_id = ref_coll->Add(std::move(copy_a));
-    for (auto& index : incr) index->OnInsert(ref_id, ref_coll->Get(ref_id));
-    xml::Document copy_b = doc;
-    const xml::DocId fast_id = ingestor.Add(std::move(copy_b));
-    EXPECT_EQ(fast_id, ref_id);
-  });
-  ingestor.Finish();
-
-  for (size_t p = 0; p < patterns.size(); ++p) {
-    EXPECT_GT(bulk[p]->entry_count(), 0u) << p;
-    EXPECT_EQ(bulk[p]->ContentDigest(), incr[p]->ContentDigest()) << p;
-  }
-  EXPECT_EQ(fast_coll->live_count(), coll_->live_count());
-  EXPECT_EQ(fast_coll->total_bytes(), coll_->total_bytes());
-
-  // The ingested indexes serve lookups like incrementally built ones.
-  auto hits = bulk[0]->Lookup(xpath::CompareOp::kEq,
-                              xpath::Literal::String("S5"));
-  ASSERT_TRUE(hits.ok());
-  EXPECT_GT(hits->rids.size(), 0u);
-}
-
-TEST_F(BulkBuildFixture, BulkIngestorEmptyCollection) {
-  DocumentStore store;
-  Collection* coll = *store.CreateCollection("SDOC");
-  auto index =
-      std::make_unique<PathValueIndex>("e", "SDOC", Pattern("//*"));
-  BulkIngestor ingestor(coll, {index.get()});
-  ingestor.Finish();
-  EXPECT_EQ(index->entry_count(), 0u);
-  EXPECT_EQ(coll->live_count(), 0u);
-}
-
 void WriteText(const std::string& path, const std::string& text) {
   std::ofstream(path) << text;
 }
