@@ -1,10 +1,16 @@
 // Micro-benchmarks (google-benchmark): the B+-tree backing XML value
-// indexes — inserts, point lookups, range scans, and mixed insert/erase.
+// indexes — inserts, point lookups, range scans, and mixed insert/erase —
+// and the CRC-32 that checksums every net frame, WAL record and snapshot
+// section, alone and inside one frame encode + decode.
 
 #include <benchmark/benchmark.h>
 
+#include <string>
+
+#include "net/wire.h"
 #include "storage/btree.h"
 #include "storage/index.h"
+#include "util/crc32.h"
 #include "util/random.h"
 
 namespace {
@@ -103,6 +109,40 @@ void BM_IndexKeyCompare(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_IndexKeyCompare);
+
+void BM_Crc32(benchmark::State& state) {
+  Random rng(7);
+  const std::string data = rng.NextString(static_cast<size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(xia::Crc32(data));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(64)->Arg(1024)->Arg(64 * 1024);
+
+// One reply-sized frame (560 B payload, about an indexed point query's
+// result row) through EncodeFrame and FrameReader::Poll: both CRC passes
+// plus the header checks and buffer copies of a request path hop.
+void BM_FrameRoundTrip(benchmark::State& state) {
+  Random rng(8);
+  const std::string payload = rng.NextString(560);
+  xia::net::FrameReader reader;
+  xia::net::Frame frame;
+  uint64_t request_id = 0;
+  for (auto _ : state) {
+    reader.Feed(
+        xia::net::EncodeFrame(xia::net::MsgType::kReply, ++request_id, payload));
+    if (reader.Poll(&frame, nullptr) != xia::net::FrameReader::Next::kFrame) {
+      state.SkipWithError("frame did not decode");
+      break;
+    }
+    benchmark::DoNotOptimize(frame.payload.data());
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(payload.size()));
+}
+BENCHMARK(BM_FrameRoundTrip);
 
 }  // namespace
 

@@ -1,4 +1,4 @@
-// WAL commit benchmark (ISSUE 4): append throughput and group-commit
+// WAL commit benchmark: append throughput and group-commit
 // latency under each fsync policy, plus the end-to-end insert overhead of
 // running with the WAL versus without it (the "WAL off is within noise"
 // acceptance check). Emits BENCH_wal_commit.json.
@@ -26,10 +26,13 @@ namespace {
 
 namespace fs = std::filesystem;
 
-std::string FreshDir(const std::string& name) {
+std::string BenchRoot() {
   const char* tmp = std::getenv("TMPDIR");
-  const std::string dir =
-      std::string(tmp != nullptr ? tmp : "/tmp") + "/xia_bench_wal/" + name;
+  return std::string(tmp != nullptr ? tmp : "/tmp") + "/xia_bench_wal";
+}
+
+std::string FreshDir(const std::string& name) {
+  const std::string dir = BenchRoot() + "/" + name;
   fs::remove_all(dir);
   fs::create_directories(dir);
   return dir;
@@ -257,6 +260,7 @@ void Run() {
                 wal::FsyncPolicyName(policy), s.mean_us, s.p50_us, s.p95_us,
                 s.p99_us, s.commits_per_sec, s.avg_batch);
   }
+  fs::remove_all(BenchRoot());
 }
 
 }  // namespace

@@ -39,20 +39,25 @@ Status Database::Open(const fault::Deadline& deadline) {
 Status Database::BulkLoad(const Loader& load) {
   std::unique_lock<std::shared_mutex> lock(mu_);
   const std::vector<std::string> before = store_.CollectionNames();
-  const Status loaded = load(&store_, &statistics_);
-  if (!loaded.ok()) {
+  Status status = load(&store_, &statistics_);
+  // The load bypasses the WAL, so a checkpoint makes it durable. The
+  // checkpoint takes the last LSN; a follower already at that LSN would
+  // ask for the tail and silently miss the load, so one record goes
+  // ahead of it. That record names no collection: if the checkpoint then
+  // fails and the load is rolled back, the log names nothing that is
+  // gone.
+  if (status.ok() && wal_) {
+    status = wal_->LogNoOp();
+    if (status.ok()) status = wal_->Checkpoint(store_, catalog_);
+  }
+  if (!status.ok()) {
     for (const std::string& name : store_.CollectionNames()) {
       if (std::binary_search(before.begin(), before.end(), name)) continue;
       store_.DropCollection(name);
       statistics_.Drop(name);
     }
-    return loaded;
   }
-  if (!wal_) return Status::OK();
-  for (const std::string& coll : store_.CollectionNames()) {
-    XIA_RETURN_IF_ERROR(wal_->LogStatsRefresh(coll));
-  }
-  return wal_->Checkpoint(store_, catalog_);
+  return status;
 }
 
 optimizer::Optimizer Database::MakeOptimizer(

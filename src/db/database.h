@@ -81,12 +81,13 @@ class Database {
 
   /// Runs `load` (demo generation, directory load, snapshot restore)
   /// under the exclusive lock. It bypasses the WAL, so a durable
-  /// database then logs one StatsRefresh record per collection and
-  /// checkpoints: a checkpoint at LSN 0 would be invisible to a follower
-  /// subscribing from LSN 1, which would silently miss the whole load.
-  /// A loader only creates collections. When it fails, the collections
-  /// it created and their statistics are dropped, so the store and the
-  /// statistics are as before the call and nothing unlogged survives.
+  /// database then logs one no-op record (WalManager::LogNoOp) and
+  /// checkpoints: a checkpoint at the LSN a follower already holds would
+  /// be invisible to it, and it would silently miss the whole load.
+  /// A loader only creates collections. When it, the no-op record or the
+  /// checkpoint fails, the collections it created and their statistics
+  /// are dropped, so the store and the statistics are as before the call
+  /// and neither they nor the log name anything unlogged.
   using Loader = std::function<Status(storage::DocumentStore*,
                                       storage::StatisticsCatalog*)>;
   Status BulkLoad(const Loader& load);

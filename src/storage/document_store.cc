@@ -3,6 +3,7 @@
 #include <cassert>
 
 #include "obs/metrics.h"
+#include "util/heap.h"
 
 namespace xia::storage {
 
@@ -41,6 +42,11 @@ const xml::Document& Collection::Get(xml::DocId id) const {
   assert(IsLive(id));
   XIA_OBS_COUNT("xia.storage.store.doc_fetches", 1);
   return *docs_[static_cast<size_t>(id)];
+}
+
+DocumentStore::~DocumentStore() {
+  collections_.clear();
+  ReleaseFreeHeapPages();
 }
 
 Result<Collection*> DocumentStore::CreateCollection(const std::string& name) {

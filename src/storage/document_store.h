@@ -112,6 +112,13 @@ class Collection {
 /// The store: a registry of collections.
 class DocumentStore {
  public:
+  /// Frees every collection, then returns the free heap pages to the OS.
+  /// A dropped store (a recovery or resync's old state after Swap, a
+  /// snapshot's staging store, a closed Database) is tens of MB; left on
+  /// the allocator's free lists its pages stay resident and later
+  /// allocations pile on top of them.
+  ~DocumentStore();
+
   /// Creates a collection; fails if the name exists.
   Result<Collection*> CreateCollection(const std::string& name);
 

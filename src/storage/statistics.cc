@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#if defined(__GLIBC__)
-#include <malloc.h>
-#endif
 #include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 
+#include "util/heap.h"
 #include "util/random.h"
 #include "util/string_util.h"
 #include "xpath/containment.h"
@@ -213,13 +211,11 @@ void CollectionStatistics::Collect(const Collection& collection,
   accum = {};
   path_ids = {};
   node_paths = {};
-#if defined(__GLIBC__)
   // The accumulation state just freed (distinct sets, samples) sits below
   // the statistics allocated last, so the allocator cannot shrink the heap
   // by itself and the pages would stay resident for the process lifetime:
   // about 20 MB after statistics over a 1.4M-node store.
-  malloc_trim(0);
-#endif
+  ReleaseFreeHeapPages();
 }
 
 IndexStats CollectionStatistics::DeriveIndexStats(

@@ -1,8 +1,12 @@
 // CRC-32 (IEEE 802.3 polynomial, the zlib/PNG variant) for corruption
-// detection in XIA's persistence formats. Software table-driven — fast
-// enough for snapshot/workload framing, dependency-free, and bit-exact
-// across platforms, which is what makes the checksums portable between
-// machines.
+// detection in every XIA byte format: net frames, WAL records, snapshot
+// sections, catalog files and workload files. Every request and reply
+// frame is checksummed twice (encode and decode), so this sits on the
+// serving path of each query. Software slice-by-8 (eight 1 KiB tables,
+// eight input bytes per step), dependency-free and bit-exact across
+// platforms, so the persisted checksums are portable between machines.
+// The polynomial is not CRC32C, so the SSE4.2 crc32 instruction does not
+// apply.
 
 #ifndef XIA_UTIL_CRC32_H_
 #define XIA_UTIL_CRC32_H_

@@ -441,6 +441,10 @@ Status WalManager::LogStatsRefresh(const std::string& collection) {
   return AppendAndCommit(WalRecord::StatsRefresh(collection));
 }
 
+Status WalManager::LogNoOp() {
+  return AppendAndCommit(WalRecord::EpochBarrier(repl_epoch()));
+}
+
 Status WalManager::Checkpoint(const storage::DocumentStore& store,
                               const storage::Catalog& catalog) {
   if (!open_.load(std::memory_order_acquire)) {

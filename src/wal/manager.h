@@ -164,6 +164,12 @@ class WalManager : public engine::CommitLog {
                         const xpath::IndexPattern& pattern);
   Status LogDropIndex(const std::string& name);
   Status LogStatsRefresh(const std::string& collection);
+  /// Commits a record that changes nothing: a barrier re-announcing the
+  /// current epoch (only a barrier opening a later epoch moves it), so
+  /// it names no collection and replays as a no-op. It only moves the
+  /// LSN forward, so a checkpoint right after it is past the position
+  /// of every follower.
+  Status LogNoOp();
 
   /// Checkpoints `store`/`catalog` and truncates the log. The caller
   /// must hold whatever lock serializes mutations (the WAL does not know

@@ -1,8 +1,9 @@
 // Tests for xia::Database, the request path that net::Server, xia_shell
 // and xia_crash_harness share: Run against a hand-wired optimizer and
 // executor, the lock mode each call takes, the epoch fence, the digest
-// the replication and crash checks compare, the rollback of a failed bulk
-// load, and concurrent advise calls next to writes.
+// the replication and crash checks compare, the rollback of a bulk load
+// whose loader, log record or checkpoint fails, and concurrent advise
+// calls next to writes.
 //
 // Lock modes are observed without timing: a shared holder that a call
 // must coexist with (the call would deadlock otherwise), and a probe
@@ -22,6 +23,7 @@
 #include "db/database.h"
 #include "engine/executor.h"
 #include "engine/query_parser.h"
+#include "fault/fault.h"
 #include "net/client.h"
 #include "net/server.h"
 #include "optimizer/optimizer.h"
@@ -269,13 +271,20 @@ TEST(DatabaseTest, DigestMatchesServerStoreDigest) {
   EXPECT_TRUE(server.Stop().ok());
 }
 
-// A loader fails after creating and filling a collection, as `load DIR`
-// does on a malformed file in its second collection. The load bypasses
-// the WAL, so whatever it left behind would be state no record
-// describes: a later write to it would be logged against a collection
-// that recovery never creates, and the data dir would not reopen.
-TEST(DatabaseTest, FailedBulkLoadLeavesStoreAndStatisticsAsBefore) {
-  const std::string dir = ScratchDir("failed_bulk_load");
+// A bulk load into a durable database fails after its loader created and
+// filled a collection: in the loader itself (`loader_status`, as `load
+// DIR` on a malformed file in its second collection) or, with `point`
+// armed, in the record logged ahead of the checkpoint or in the
+// checkpoint's snapshot write. The load bypasses the WAL, so whatever it
+// left behind would be state no record describes: a later write to it
+// would be logged against a collection that recovery never creates, and
+// the data dir would not reopen. Before, a failure after the loader left
+// the collection live and a StatsRefresh record naming it in the log,
+// whose replay failed not_found.
+void ExpectFailedBulkLoadIsRolledBack(const std::string& scratch,
+                                      const char* point,
+                                      const Status& loader_status) {
+  const std::string dir = ScratchDir(scratch);
   DatabaseOptions options;
   options.data_dir = dir;
   options.fsync_policy = "always";
@@ -284,16 +293,24 @@ TEST(DatabaseTest, FailedBulkLoadLeavesStoreAndStatisticsAsBefore) {
   ASSERT_TRUE(db.CreateCollection("K").ok());
   const std::vector<std::string> names = db.store().CollectionNames();
 
-  const Status failed = db.BulkLoad([](storage::DocumentStore* store,
-                                       storage::StatisticsCatalog* statistics)
-                                        -> Status {
-    XIA_ASSIGN_OR_RETURN(storage::Collection * coll,
-                         store->CreateCollection("A"));
-    coll->Add(*xml::Parse("<a><b>1</b></a>"));
-    statistics->RunStats(*coll);
-    return Status::ParseError("B/bad.xml: malformed");
-  });
-  EXPECT_EQ(failed.code(), StatusCode::kParseError);
+  if (point != nullptr) {
+    fault::FaultRegistry::Global().Arm(point,
+                                       fault::FaultSpec::Probability(1));
+  }
+  const Status failed = db.BulkLoad(
+      [&loader_status](storage::DocumentStore* store,
+                       storage::StatisticsCatalog* statistics) -> Status {
+        XIA_ASSIGN_OR_RETURN(storage::Collection * coll,
+                             store->CreateCollection("A"));
+        coll->Add(*xml::Parse("<a><b>1</b></a>"));
+        statistics->RunStats(*coll);
+        return loader_status;
+      });
+  fault::FaultRegistry::Global().DisarmAll();
+  EXPECT_FALSE(failed.ok());
+  if (!loader_status.ok()) {
+    EXPECT_EQ(failed, loader_status);
+  }
   EXPECT_EQ(db.store().CollectionNames(), names);
   EXPECT_FALSE(db.statistics().Get("A").ok());
   EXPECT_TRUE(db.statistics().Get("K").ok());
@@ -312,6 +329,22 @@ TEST(DatabaseTest, FailedBulkLoadLeavesStoreAndStatisticsAsBefore) {
   const Status opened = recovered.Open();
   ASSERT_TRUE(opened.ok()) << opened;
   EXPECT_EQ(MustDigest(&recovered), MustDigest(&db));
+}
+
+TEST(DatabaseTest, FailedBulkLoadLeavesStoreAndStatisticsAsBefore) {
+  ExpectFailedBulkLoadIsRolledBack(
+      "failed_bulk_load", nullptr, Status::ParseError("B/bad.xml: malformed"));
+}
+
+TEST(DatabaseTest, BulkLoadWhoseLogAppendFailsIsRolledBack) {
+  ExpectFailedBulkLoadIsRolledBack("bulk_load_append_fails",
+                                   fault::points::kWalAppend, Status::OK());
+}
+
+TEST(DatabaseTest, BulkLoadWhoseCheckpointFailsIsRolledBack) {
+  ExpectFailedBulkLoadIsRolledBack("bulk_load_checkpoint_fails",
+                                   fault::points::kSnapshotWrite,
+                                   Status::OK());
 }
 
 // The advisor's one form of concurrency: several callers (sessions, the

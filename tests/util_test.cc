@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "util/crc32.h"
 #include "util/random.h"
 #include "util/status.h"
 #include "util/string_util.h"
@@ -237,6 +241,71 @@ TEST(StringUtilTest, NumericTokenLengthCoversFormatDoubleSpellings) {
   for (double v : {3203350.0, -1e300, 1e-300, 4.9406564584124654e-324}) {
     const std::string text = FormatDouble(v);
     EXPECT_EQ(NumericTokenLength(text), text.size()) << text;
+  }
+}
+
+// A bit-at-a-time CRC-32 over the reflected polynomial 0xEDB88320: no
+// table, so a wrong entry in the implementation's tables cannot be
+// mirrored here.
+uint32_t ReferenceCrc32Update(uint32_t crc, const unsigned char* p,
+                              size_t size) {
+  crc = ~crc;
+  for (size_t i = 0; i < size; ++i) {
+    crc ^= p[i];
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return ~crc;
+}
+
+std::vector<unsigned char> RandomBytes(Random* rng, size_t size) {
+  std::vector<unsigned char> bytes(size);
+  for (unsigned char& b : bytes) b = static_cast<unsigned char>(rng->Next());
+  return bytes;
+}
+
+TEST(Crc32Test, CheckValues) {
+  EXPECT_EQ(Crc32("123456789"), 0xCBF43926u);
+  EXPECT_EQ(Crc32(""), 0u);
+  EXPECT_EQ(Crc32(nullptr, 0), 0u);
+  EXPECT_EQ(Crc32Update(0x12345678u, nullptr, 0), 0x12345678u);
+}
+
+TEST(Crc32Test, MatchesReferenceAtEveryLengthAndAlignment) {
+  constexpr size_t kMaxLength = 4096;
+  Random rng(26);
+  // 8 spare bytes so every length can start at every offset mod 8.
+  const std::vector<unsigned char> buffer = RandomBytes(&rng, kMaxLength + 8);
+  for (size_t align = 0; align < 8; ++align) {
+    const unsigned char* p = buffer.data() + align;
+    for (const uint32_t seed : {0u, static_cast<uint32_t>(rng.Next())}) {
+      // The reference CRC of p[0, length), extended one byte per length.
+      uint32_t want = seed;
+      for (size_t length = 0; length <= kMaxLength; ++length) {
+        ASSERT_EQ(Crc32Update(seed, p, length), want)
+            << "length " << length << " align " << align << " seed " << seed;
+        want = ReferenceCrc32Update(want, p + length, 1);
+      }
+    }
+  }
+}
+
+TEST(Crc32Test, ChainedUpdatesEqualOneCall) {
+  Random rng(2601);
+  for (int round = 0; round < 2000; ++round) {
+    const std::vector<unsigned char> bytes =
+        RandomBytes(&rng, static_cast<size_t>(rng.Uniform(1500)));
+    const uint32_t whole = Crc32(bytes.data(), bytes.size());
+    uint32_t chained = 0;
+    size_t pos = 0;
+    while (pos < bytes.size()) {
+      const size_t piece =
+          std::min(bytes.size() - pos, static_cast<size_t>(rng.Uniform(40)));
+      chained = Crc32Update(chained, bytes.data() + pos, piece);
+      pos += piece;
+    }
+    ASSERT_EQ(chained, whole) << "round " << round;
   }
 }
 
